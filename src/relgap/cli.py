@@ -63,10 +63,7 @@ def _cmd_sylvester_solve(args) -> int:
         t = solve_weak_spectral(prob)
     else:
         t = solve_weak_quadrature(prob, d=args.d, tol=args.tol)
-    if args.out:
-        save_matrix(args.out, t)
-    else:
-        _print_matrix(t)
+    save_matrix(args.out or sys.stdout, t)
     report = {
         "method": args.method,
         "residual": weak_residual(prob, t),
@@ -77,18 +74,6 @@ def _cmd_sylvester_solve(args) -> int:
     }
     _emit(report)
     return 0
-
-
-def _print_matrix(mat: np.ndarray) -> None:
-    mat = np.atleast_2d(mat)
-    n, m = mat.shape
-    field = "complex" if np.iscomplexobj(mat) else "real"
-    print(f"{n} {m} {field}")
-    for row in mat:
-        if field == "complex":
-            print(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-        else:
-            print(" ".join(f"{x:.17g}" for x in row))
 
 
 def _cmd_subspace_bound(args) -> int:
@@ -221,6 +206,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"relgap: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # ConvergenceError, or a failed internal cross-check
+        print(f"relgap: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

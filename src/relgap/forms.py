@@ -17,42 +17,29 @@ from .matcore import (
     HermitianMatrix,
     SpectralDecomposition,
     ZERO_TOL,
+    coupling_kernel,
     eig_herm,
     fractional_power,
     op_norm,
+    require_positive,
+    two_sided_fn,
 )
 
 KERNEL_ANGLE_TOL = 1e-8
-PSD_RTOL = 1e-12
 
 
-def _check_psd(dec: SpectralDecomposition, name: str) -> None:
-    lam = dec.eigenvalues
-    scale = max(lam.max(), 0.0) if lam.size else 0.0
-    if lam.min() < -PSD_RTOL * max(scale, 1e-300):
-        raise ValueError(
-            f"{name} is not positive semidefinite: min eigenvalue {lam.min():.6e}"
-        )
-
-
-def _kernel_basis(dec: SpectralDecomposition, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    lam = dec.eigenvalues
-    thresh = zero_tol * (np.max(np.abs(lam)) if lam.size else 0.0)
-    return dec.vectors[:, np.abs(lam) <= thresh]
-
-
-def _range_basis(dec: SpectralDecomposition, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    lam = dec.eigenvalues
-    thresh = zero_tol * (np.max(np.abs(lam)) if lam.size else 0.0)
-    return dec.vectors[:, np.abs(lam) > thresh]
+def _range_mask(dec: SpectralDecomposition) -> np.ndarray:
+    """Eigenvalues above the pseudo-inverse rank cutoff; the rest span the kernel."""
+    lam = np.abs(dec.eigenvalues)
+    return lam > ZERO_TOL * np.max(lam)
 
 
 @dataclass(frozen=True)
 class FormPair:
     """Two positive semidefinite matrices of the same dimension.
 
-    Eigendecompositions are computed once at construction and shared by all
-    downstream operations.
+    ``dec_h`` and ``dec_m`` are the matrices' own cached eigendecompositions,
+    shared with every other consumer of the same objects.
     """
 
     h: HermitianMatrix
@@ -65,8 +52,8 @@ class FormPair:
             raise ValueError(f"dimension mismatch: {self.h.n} vs {self.m.n}")
         object.__setattr__(self, "dec_h", eig_herm(self.h))
         object.__setattr__(self, "dec_m", eig_herm(self.m))
-        _check_psd(self.dec_h, "H")
-        _check_psd(self.dec_m, "M")
+        require_positive(self.dec_h, "H", definite=False)
+        require_positive(self.dec_m, "M", definite=False)
 
     @property
     def n(self) -> int:
@@ -74,8 +61,8 @@ class FormPair:
 
     def kernel_angle(self) -> float:
         """Sine of the largest principal angle between ker(H) and ker(M)."""
-        kh = _kernel_basis(self.dec_h)
-        km = _kernel_basis(self.dec_m)
+        kh = self.dec_h.vectors[:, ~_range_mask(self.dec_h)]
+        km = self.dec_m.vectors[:, ~_range_mask(self.dec_m)]
         if kh.shape[1] != km.shape[1]:
             return 1.0
         if kh.shape[1] == 0:
@@ -117,11 +104,7 @@ def eta_from_epsilon(eps: float) -> float:
 def s_operator(fp: FormPair) -> np.ndarray:
     """The matrix ``H^{1/2} M^{+1/2} - H^{+1/2} M^{1/2}`` (pseudo powers)."""
     fp.ensure_shared_kernel()
-    h_half = fractional_power(fp.dec_h, 0.5).mat
-    h_ihalf = fractional_power(fp.dec_h, -0.5).mat
-    m_half = fractional_power(fp.dec_m, 0.5).mat
-    m_ihalf = fractional_power(fp.dec_m, -0.5).mat
-    return h_half @ m_ihalf - h_ihalf @ m_half
+    return two_sided_fn(fp.dec_h, fp.dec_m, coupling_kernel)
 
 
 def epsilon_two_sided(fp: FormPair) -> float:
@@ -131,7 +114,7 @@ def epsilon_two_sided(fp: FormPair) -> float:
     A value >= 1 means the pair is not two-sided comparable.
     """
     fp.ensure_shared_kernel()
-    r = _range_basis(fp.dec_m)
+    r = fp.dec_m.vectors[:, _range_mask(fp.dec_m)]
     if r.shape[1] == 0:
         raise ValueError("M has numerical rank 0; the pencil (H, M) is empty")
     m_ihalf = fractional_power(fp.dec_m, -0.5).mat
@@ -204,14 +187,10 @@ def spectral_comparison(fp: FormPair) -> SpectralComparison:
         raise ValueError(
             f"spectral comparison requires a two-sided comparable pair (eps={eps:.4f} >= 1)"
         )
-    report = eta_exact(fp)
-    eta = report.eta
+    eta = op_norm(s_operator(fp))
 
     lam_h_all, lam_m_all = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
-    thresh_h = ZERO_TOL * np.max(np.abs(lam_h_all))
-    thresh_m = ZERO_TOL * np.max(np.abs(lam_m_all))
-    keep_h = lam_h_all > thresh_h
-    keep_m = lam_m_all > thresh_m
+    keep_h, keep_m = _range_mask(fp.dec_h), _range_mask(fp.dec_m)
     lam_h = lam_h_all[keep_h]
     lam_m = lam_m_all[keep_m]
     if lam_h.size != lam_m.size:  # cannot happen once kernels agree

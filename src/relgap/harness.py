@@ -10,6 +10,7 @@ competitor bound, row by row.
 
 from __future__ import annotations
 
+import csv
 import io
 import warnings
 from dataclasses import dataclass
@@ -251,11 +252,14 @@ def _fmt(value: float | None) -> str:
 
 
 def rows_to_csv(rows) -> str:
+    """One line per row; the note column is quoted when it holds commas."""
     buf = io.StringIO()
-    buf.write("N,interp,norm,true_err,ritz_bound,dk_bound,hypothesis_ok\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["N", "interp", "norm", "true_err", "ritz_bound", "dk_bound",
+                     "hypothesis_ok", "note"])
     for r in rows:
-        buf.write(f"{r.n_points},{r.interp},{r.norm},{r.true_err:.6e},"
-                  f"{_fmt(r.ritz_bound)},{_fmt(r.dk_bound)},{str(r.hypothesis_ok).lower()}\n")
+        writer.writerow([r.n_points, r.interp, r.norm, f"{r.true_err:.6e}", _fmt(r.ritz_bound),
+                         _fmt(r.dk_bound), str(r.hypothesis_ok).lower(), r.note])
     return buf.getvalue()
 
 
@@ -266,4 +270,6 @@ def rows_to_markdown(rows) -> str:
     line_true = "| true error | " + " | ".join(f"{r.true_err:.4e}" for r in rows) + " |"
     line_bound = "| relative bound | " + " | ".join(_fmt(r.ritz_bound) for r in rows) + " |"
     line_dk = "| residual bound | " + " | ".join(_fmt(r.dk_bound) for r in rows) + " |"
-    return "\n".join([header, sep, line_true, line_bound, line_dk]) + "\n"
+    line_ok = "| hypothesis ok | " + " | ".join(str(r.hypothesis_ok).lower() for r in rows) + " |"
+    line_note = "| note | " + " | ".join(r.note for r in rows) + " |"
+    return "\n".join([header, sep, line_true, line_bound, line_dk, line_ok, line_note]) + "\n"

@@ -1,13 +1,15 @@
 """Dense Hermitian linear algebra: eigendecomposition, SVD, spectral calculus,
 spectral projectors and the operator / Hilbert-Schmidt norms used repo-wide.
 
-All operations are pure functions of immutable inputs; real inputs stay real,
-complex inputs stay complex.
+Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
+once, on first use, and every consumer shares that read-only result.  Real
+inputs stay real, complex inputs stay complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,8 +30,11 @@ def _as_array(a) -> np.ndarray:
 
 
 def _tidy_field(mat: np.ndarray) -> np.ndarray:
-    """Return a float64/complex128 copy; drop an identically-zero imaginary part."""
+    """Return a float64/complex128 copy; drop an identically-zero imaginary part.
+    Every matrix entering the package passes here, which rejects nan and inf."""
     mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries (nan or inf)")
     if np.iscomplexobj(mat):
         mat = mat.astype(np.complex128)
         if not np.any(mat.imag):
@@ -76,17 +81,33 @@ class HermitianMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.mat, dtype=dtype)
 
+    @cached_property
+    def decomposition(self) -> "SpectralDecomposition":
+        """The eigendecomposition, computed on first access and shared by every
+        later consumer.  A LAPACK convergence failure is reported as a
+        :class:`ConvergenceError` naming the off-diagonal residual."""
+        try:
+            lam, v = np.linalg.eigh(self.mat)
+        except np.linalg.LinAlgError as exc:
+            offdiag = np.linalg.norm(self.mat - np.diag(np.diag(self.mat)), "fro")
+            raise ConvergenceError(
+                f"Hermitian eigensolver did not converge (off-diagonal residual {offdiag:.3e})"
+            ) from exc
+        return SpectralDecomposition(lam, v)
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues plus orthonormal eigenvector columns."""
+    """Ascending eigenvalues plus orthonormal eigenvector columns (read-only)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64))
+        object.__setattr__(self, "eigenvalues", np.array(self.eigenvalues, dtype=np.float64))
         object.__setattr__(self, "vectors", _tidy_field(self.vectors))
+        self.eigenvalues.setflags(write=False)
+        self.vectors.setflags(write=False)
         lam, v = self.eigenvalues, self.vectors
         if lam.ndim != 1 or v.shape != (lam.size, lam.size):
             raise ValueError("eigenvalues/vectors shapes are inconsistent")
@@ -167,18 +188,23 @@ class Projection:
 def eig_herm(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Deterministic for a fixed input.  A LAPACK convergence failure is
-    reported as a :class:`ConvergenceError` naming the off-diagonal residual.
+    Deterministic for a fixed input.  For a :class:`HermitianMatrix` this is
+    its cached :attr:`~HermitianMatrix.decomposition`.
     """
-    mat = _as_array(a) if isinstance(a, HermitianMatrix) else HermitianMatrix(np.asarray(a)).mat
-    try:
-        lam, v = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        offdiag = np.linalg.norm(mat - np.diag(np.diag(mat)), "fro")
-        raise ConvergenceError(
-            f"Hermitian eigensolver did not converge (off-diagonal residual {offdiag:.3e})"
-        ) from exc
-    return SpectralDecomposition(lam, v)
+    h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(np.asarray(a))
+    return h.decomposition
+
+
+def require_positive(dec: SpectralDecomposition, name: str, definite: bool) -> None:
+    """Reject a spectrum that is not positive semidefinite (``definite``
+    false: min eigenvalue below ``-1e-12 * max``) or not positive definite
+    (``definite`` true: min eigenvalue at or below ``1e-12 * max``)."""
+    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    cutoff = ZERO_TOL * max(hi, 1e-300)
+    if (lo <= cutoff) if definite else (lo < -cutoff):
+        kind = "definite" if definite else "semidefinite"
+        raise ValueError(f"{name} must be positive {kind}: "
+                         f"min eigenvalue {lo:.6e} vs max {hi:.6e}")
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,6 +222,14 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, u, vh.conj().T
 
 
+def _from_spectrum(dec: SpectralDecomposition, mapped: np.ndarray) -> HermitianMatrix:
+    """``V diag(mapped) V*`` for finite mapped eigenvalues."""
+    if not np.all(np.isfinite(mapped)):
+        bad = dec.eigenvalues[~np.isfinite(mapped)]
+        raise ValueError(f"spectral function is not finite on eigenvalue(s) {bad}")
+    return HermitianMatrix((dec.vectors * mapped) @ dec.vectors.conj().T)
+
+
 def apply_spectral_fn(dec: SpectralDecomposition, f: Callable[[float], float],
                       zero_tol: float = ZERO_TOL) -> HermitianMatrix:
     """Evaluate ``V diag(f(lambda)) V*``.
@@ -207,11 +241,16 @@ def apply_spectral_fn(dec: SpectralDecomposition, f: Callable[[float], float],
     scale = np.max(np.abs(lam)) if lam.size else 0.0
     thresh = zero_tol * scale
     mapped = np.array([f(0.0) if abs(x) <= thresh else f(x) for x in lam], dtype=np.float64)
-    if not np.all(np.isfinite(mapped)):
-        bad = lam[~np.isfinite(mapped)]
-        raise ValueError(f"spectral function is not finite on eigenvalue(s) {bad}")
-    mat = (dec.vectors * mapped) @ dec.vectors.conj().T
-    return HermitianMatrix(mat)
+    return _from_spectrum(dec, mapped)
+
+
+def _pseudo_power(lam: np.ndarray, p: float, zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Entrywise ``lam ** p`` under the pseudo-inverse convention: values with
+    ``|lam| <= zero_tol * max|lam|`` map to ``0 ** p`` (``0 ** 0 = 1``), and a
+    negative or non-integer power maps every nonpositive value to zero."""
+    thresh = zero_tol * (np.max(np.abs(lam)) if lam.size else 0.0)
+    live = np.abs(lam) > thresh if p >= 0 and p == round(p) else lam > thresh
+    return np.where(live, np.where(live, lam, 1.0) ** p, float(p == 0))
 
 
 def fractional_power(dec: SpectralDecomposition, p: float,
@@ -231,20 +270,32 @@ def fractional_power(dec: SpectralDecomposition, p: float,
                 f"power {p} requires a nonnegative spectrum; "
                 f"offending eigenvalue {lam_min:.6e}"
             )
-
-    def f(x: float) -> float:
-        if x <= 0.0:
-            return 0.0 if p != 0 else 1.0
-        return x ** p
-
-    if p >= 0 and p == round(p):
-        f = lambda x: x ** p  # noqa: E731  integer powers act on the full real line
-    return apply_spectral_fn(dec, f, zero_tol=zero_tol)
+    return _from_spectrum(dec, _pseudo_power(lam, p, zero_tol))
 
 
 def pseudo_inverse(dec: SpectralDecomposition, zero_tol: float = ZERO_TOL) -> HermitianMatrix:
     """Spectral-calculus inverse with zero eigenvalues mapped to zero."""
     return fractional_power(dec, -1.0, zero_tol=zero_tol)
+
+
+def coupling_kernel(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``lam^{1/2} mu^{+1/2} - lam^{+1/2} mu^{1/2}`` (``+1/2``: the pseudo power
+    ``-1/2``), the :func:`two_sided_fn` kernel of the weak Sylvester operator
+    ``X -> A^{1/2} X M^{+1/2} - A^{+1/2} X M^{1/2}``."""
+    return (_pseudo_power(lam, 0.5) * _pseudo_power(mu, -0.5)
+            - _pseudo_power(lam, -0.5) * _pseudo_power(mu, 0.5))
+
+
+def two_sided_fn(dec_l: SpectralDecomposition, dec_r: SpectralDecomposition,
+                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 x: np.ndarray | None = None) -> np.ndarray:
+    """``U_l (k(lam_i, mu_j) o (U_l* X U_r)) U_r*`` for the eigenbases of two
+    decompositions; ``kernel`` gets the left eigenvalues as a column and the
+    right ones as a row.  ``X`` defaults to the identity (equal dimensions)."""
+    ul, ur = dec_l.vectors, dec_r.vectors
+    core = ul.conj().T @ (ur if x is None else x @ ur)
+    weights = kernel(dec_l.eigenvalues[:, None], dec_r.eigenvalues[None, :])
+    return ul @ (weights * core) @ ur.conj().T
 
 
 def op_norm(a) -> float:
@@ -293,7 +344,8 @@ def spectral_projector_below(dec: SpectralDecomposition, d: float) -> Projection
 #   token pair "re im".  17 significant digits round-trip float64 exactly.
 # ---------------------------------------------------------------------------
 
-def save_matrix(path, a) -> None:
+def save_matrix(dest, a) -> None:
+    """Write ``a`` in the matrix text format to a path or an open text stream."""
     mat = _tidy_field(np.atleast_2d(_as_array(a)))
     n, m = mat.shape
     field = "complex" if np.iscomplexobj(mat) else "real"
@@ -304,8 +356,12 @@ def save_matrix(path, a) -> None:
         else:
             toks = [f"{x:.17g}" for x in row]
         lines.append(" ".join(toks))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+        return
+    with open(dest, "w") as fh:
+        fh.write(text)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -323,4 +379,4 @@ def load_matrix(path) -> np.ndarray:
     vals = np.array([float(t) for t in toks])
     if field == "complex":
         vals = vals[0::2] + 1j * vals[1::2]
-    return vals.reshape(n, m)
+    return _tidy_field(vals.reshape(n, m))

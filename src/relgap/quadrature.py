@@ -56,6 +56,8 @@ def _panel(f: Callable[[float], np.ndarray], a: float, b: float):
     mid = 0.5 * (a + b)
     vals = [np.asarray(f(mid + half * x)) for x in _NODES]
     k15 = half * sum(w * v for w, v in zip(_W_KRONROD, vals))
+    if not np.all(np.isfinite(k15)):
+        raise ConvergenceError(f"integrand is not finite on the panel [{a:.6g}, {b:.6g}]")
     g7 = half * sum(w * v for w, v in zip(_W_GAUSS, vals))
     err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
     return k15, err
@@ -67,7 +69,8 @@ def integrate_adaptive(f: Callable[[float], np.ndarray], a: float, b: float,
     tolerance ``tol``.
 
     Returns ``(integral, error_estimate)``.  Raises :class:`ConvergenceError`
-    with the achieved residual if the panel budget is exhausted first.
+    with the achieved residual if the panel budget is exhausted first, and
+    on a panel whose estimate is not finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -19,6 +19,7 @@ from .matcore import (
     fractional_power,
     hs_norm,
     op_norm,
+    require_positive,
     spectral_projector_below,
     svd,
 )
@@ -26,17 +27,11 @@ from .matcore import (
 ETA_CROSS_CHECK_TOL = 1e-7
 
 
-def _require_pd(h: HermitianMatrix) -> None:
-    lam = np.linalg.eigvalsh(h.mat)
-    if lam.min() <= 1e-12 * max(lam.max(), 1e-300):
-        raise ValueError(f"operator must be positive definite (min eigenvalue {lam.min():.6e})")
-
-
 def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
     """Block-diagonal part of H with respect to range(P):
     ``H_P = P H P + P_perp H P_perp``.  Positive definite whenever H is, and
     range(P) reduces it."""
-    _require_pd(h)
+    require_positive(eig_herm(h), "H", definite=True)
     proj = p.projector
     perp = np.eye(p.n) - proj
     return HermitianMatrix(proj @ h.mat @ proj + perp @ h.mat @ perp)
@@ -56,7 +51,7 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
 
     which keeps their relative accuracy independent of the conditioning of H.
     """
-    _require_pd(h)
+    require_positive(eig_herm(h), "H", definite=True)
     if p.rank == 0:
         empty = np.zeros(0)
         return empty, empty
@@ -94,7 +89,7 @@ def eta_spectrum(h: HermitianMatrix, p: Projection) -> np.ndarray:
     the conditioning of H; the consistency threshold scales accordingly.
     """
     eta_svd, eta_pencil = eta_routes(h, p)
-    lam = np.linalg.eigvalsh(h.mat)
+    lam = eig_herm(h).eigenvalues
     cond = lam[-1] / lam[0]
     tol = max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * cond)
     if eta_svd.size and np.max(np.abs(eta_svd - eta_pencil)) > tol:

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import HermitianMatrix, eig_herm, fractional_power, op_norm
+from .matcore import (HermitianMatrix, coupling_kernel, eig_herm, fractional_power, op_norm,
+                      require_positive, two_sided_fn)
 from .quadrature import integrate_adaptive
-
-
-def _pd_dec(h: HermitianMatrix, name: str):
-    dec = eig_herm(h)
-    lam = dec.eigenvalues
-    if lam.min() <= 1e-12 * max(lam.max(), 1e-300):
-        raise ValueError(f"{name} must be positive definite (min eigenvalue {lam.min():.6e})")
-    return dec
 
 
 @dataclass(frozen=True)
@@ -45,20 +38,15 @@ def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
     the coupling identity reported."""
     if h.n != m.n:
         raise ValueError(f"dimension mismatch: {h.n} vs {m.n}")
-    dec_h = _pd_dec(h, "H")
-    dec_m = _pd_dec(m, "M")
-    h_half = fractional_power(dec_h, 0.5).mat
-    h_ihalf = fractional_power(dec_h, -0.5).mat
-    h_q = fractional_power(dec_h, 0.25).mat
-    h_iq = fractional_power(dec_h, -0.25).mat
-    m_half = fractional_power(dec_m, 0.5).mat
-    m_ihalf = fractional_power(dec_m, -0.5).mat
-    m_q = fractional_power(dec_m, 0.25).mat
-    m_iq = fractional_power(dec_m, -0.25).mat
-
-    t = m_half @ h_ihalf - m_ihalf @ h_half
-    x = m_q @ h_iq - m_iq @ h_q
-    defect = op_norm(m_q @ x @ h_iq + m_iq @ x @ h_q - t)
+    dec_h, dec_m = eig_herm(h), eig_herm(m)
+    require_positive(dec_h, "H", definite=True)
+    require_positive(dec_m, "M", definite=True)
+    # T, X and the coupling operator all act between the eigenbases of M and H
+    t = two_sided_fn(dec_m, dec_h, coupling_kernel)
+    x = two_sided_fn(dec_m, dec_h, lambda mu, lam: (mu / lam) ** 0.25 - (lam / mu) ** 0.25)
+    coupled = two_sided_fn(dec_m, dec_h,
+                           lambda mu, lam: (mu / lam) ** 0.25 + (lam / mu) ** 0.25, x)
+    defect = op_norm(coupled - t)
     return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x),
                             sylvester_defect=defect)
 
@@ -80,9 +68,8 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    dec_h = _pd_dec(h, "H")
-    dec_m = _pd_dec(m, "M")
     pair = sqrt_pair(h, m)
+    dec_h, dec_m = eig_herm(h), eig_herm(m)
 
     mu = dec_m.eigenvalues
     lam = dec_h.eigenvalues

@@ -12,12 +12,15 @@ from .forms import FormPair, eta_exact, s_operator
 from .matcore import (
     HermitianMatrix,
     Projection,
+    SpectralDecomposition,
     ZERO_TOL,
+    coupling_kernel,
     eig_herm,
     hs_norm,
     op_norm,
     spectral_projector,
     spectral_projector_below,
+    two_sided_fn,
 )
 from .sylvester import relative_gap
 
@@ -64,23 +67,6 @@ def pair_analysis(p: Projection, q: Projection) -> ProjectionPairReport:
     )
 
 
-def _psd_power(mat: np.ndarray, power: float, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Pseudo fractional power of a (numerically) PSD compression block."""
-    if mat.size == 0:
-        return mat.copy()
-    lam, vec = np.linalg.eigh(mat)
-    thresh = zero_tol * max(np.max(np.abs(lam)), 1e-300)
-    mapped = np.where(lam > thresh, np.maximum(lam, thresh) ** power, 0.0)
-    return (vec * mapped) @ vec.conj().T
-
-
-def _is_singular(mat: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
-    if mat.size == 0:
-        return False
-    lam = np.linalg.eigvalsh(mat)
-    return bool(lam.min() <= zero_tol * max(np.max(np.abs(lam)), 1e-300))
-
-
 @dataclass(frozen=True)
 class BlockCompression:
     """Compressions of H by range(Q)^perp / range(Q) and of M by range(P) /
@@ -95,30 +81,37 @@ class BlockCompression:
     singular_blocks: tuple[str, ...]
 
 
+def _compression(x: HermitianMatrix, basis: np.ndarray) -> np.ndarray:
+    """``B* X B`` on the columns of ``basis``, symmetrized exactly."""
+    blk = basis.conj().T @ x.mat @ basis
+    return (blk + blk.conj().T) / 2.0
+
+
+def _compress(h: HermitianMatrix, m: HermitianMatrix, q: Projection, p: Projection):
+    """The block compression plus what :func:`hs_subspace_bounds` reuses: S,
+    the complement bases of Q and P, and the spectra of the A and M blocks."""
+    if not (h.n == m.n == q.n == p.n):
+        raise ValueError("H, M, Q, P must share one ambient dimension")
+    bqp, bpp = q.complement().basis, p.complement().basis
+    a, mc = _compression(h, bqp), _compression(m, p.basis)
+    s = s_operator(FormPair(h, m))
+    dec_a, dec_m = (eig_herm(blk) if blk.size else SpectralDecomposition(np.zeros(0), blk)
+                    for blk in (a, mc))
+    rhs = two_sided_fn(dec_a, dec_m, coupling_kernel, bqp.conj().T @ p.basis)
+    defect = op_norm(bqp.conj().T @ s @ p.basis - rhs)
+    singular = tuple(name for name, lam in (("A", dec_a.eigenvalues), ("M", dec_m.eigenvalues))
+                     if lam.size and lam[0] <= ZERO_TOL * max(np.max(np.abs(lam)), 1e-300))
+    block = BlockCompression(a=a, hc=_compression(h, q.basis), m=mc, w=_compression(m, bpp),
+                             identity_defect=defect, singular_blocks=singular)
+    return block, s, bqp, bpp, dec_a.eigenvalues, dec_m.eigenvalues
+
+
 def block_compress(h: HermitianMatrix, m: HermitianMatrix,
                    q: Projection, p: Projection) -> BlockCompression:
     """Compress H and M to the four subspaces determined by Q and P and report
     the defect of ``Q_perp S P = A^{1/2} T M^{-1/2} - A^{-1/2} T M^{1/2}``
     with ``T = Q_perp P`` (exact when Q commutes with H and P with M)."""
-    if not (h.n == m.n == q.n == p.n):
-        raise ValueError("H, M, Q, P must share one ambient dimension")
-    bq, bqp = q.basis, q.complement().basis
-    bp, bpp = p.basis, p.complement().basis
-    a = bqp.conj().T @ h.mat @ bqp
-    hc = bq.conj().T @ h.mat @ bq
-    mc = bp.conj().T @ m.mat @ bp
-    w = bpp.conj().T @ m.mat @ bpp
-
-    singular = tuple(name for name, blk in (("A", a), ("M", mc)) if _is_singular(blk))
-
-    s = s_operator(FormPair(h, m))
-    t_small = bqp.conj().T @ bp
-    lhs = bqp.conj().T @ s @ bp
-    rhs = (_psd_power(a, 0.5) @ t_small @ _psd_power(mc, -0.5)
-           - _psd_power(a, -0.5) @ t_small @ _psd_power(mc, 0.5))
-    defect = op_norm(lhs - rhs) if t_small.size else 0.0
-    return BlockCompression(a=a, hc=hc, m=mc, w=w,
-                            identity_defect=defect, singular_blocks=singular)
+    return _compress(h, m, q, p)[0]
 
 
 @dataclass(frozen=True)
@@ -218,8 +211,14 @@ class HsSubspaceBounds:
     notes: tuple[str, ...] = ()
 
 
-def _commutes(h: HermitianMatrix, proj: np.ndarray) -> bool:
-    return op_norm(h.mat @ proj - proj @ h.mat) <= COMMUTE_RTOL * max(op_norm(h.mat), 1e-300)
+def _commutes(h: HermitianMatrix, q: Projection) -> bool:
+    """``||HQ - QH|| = ||(I - Q) H W||`` for the orthonormal basis W of range(Q),
+    measured against ``||H||``."""
+    w = q.basis
+    hw = h.mat @ w
+    lam = eig_herm(h).eigenvalues
+    h_norm = max(abs(lam[0]), abs(lam[-1]))
+    return op_norm(hw - w @ (w.conj().T @ hw)) <= COMMUTE_RTOL * max(h_norm, 1e-300)
 
 
 def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
@@ -230,15 +229,13 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
     controlled through the S operator and the relative gaps of the block
     compressions.
     """
-    if not _commutes(h, q.projector):
+    if not _commutes(h, q):
         raise ValueError("Q does not commute with H (tolerance 1e-10 * ||H||)")
-    if not _commutes(m, p.projector):
+    if not _commutes(m, p):
         raise ValueError("P does not commute with M (tolerance 1e-10 * ||M||)")
 
-    block = block_compress(h, m, q, p)
-    s = s_operator(FormPair(h, m))
-    bq, bqp = q.basis, q.complement().basis
-    bp, bpp = p.basis, p.complement().basis
+    block, s, bqp, bpp, lam_a, lam_m = _compress(h, m, q, p)
+    bq, bp = q.basis, p.basis
 
     true_qperp_p = hs_norm(bqp.conj().T @ bp)
     true_pperp_q = hs_norm(bpp.conj().T @ bq)
@@ -247,12 +244,12 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
 
     notes: list[str] = []
 
-    def _gap_or_none(xa: np.ndarray, xb: np.ndarray, label: str) -> float | None:
-        if xa.size == 0 or xb.size == 0:
+    def _gap_or_none(lam_x: np.ndarray, lam_y: np.ndarray, label: str) -> float | None:
+        if lam_x.size == 0 or lam_y.size == 0:
             notes.append(f"{label}: a compression is trivial, gap not defined")
             return None
         try:
-            g = relative_gap(np.linalg.eigvalsh(xa), np.linalg.eigvalsh(xb))
+            g = relative_gap(lam_x, lam_y)
         except ValueError:
             notes.append(f"{label}: compression spectrum not positive")
             return None
@@ -261,8 +258,9 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
             return None
         return g
 
-    gap_low = _gap_or_none(block.a, block.m, "gap(sigma(A), sigma(M))")
-    gap_high = _gap_or_none(block.w, block.hc, "gap(sigma(W), sigma(Hc))")
+    gap_low = _gap_or_none(lam_a, lam_m, "gap(sigma(A), sigma(M))")
+    gap_high = _gap_or_none(np.linalg.eigvalsh(block.w), np.linalg.eigvalsh(block.hc),
+                            "gap(sigma(W), sigma(Hc))")
 
     f_low = hs_norm(bqp.conj().T @ s @ bp)
     f_high = hs_norm(bq.conj().T @ s @ bpp)

@@ -16,15 +16,18 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     SpectralDecomposition,
+    _tidy_field,
+    coupling_kernel,
     eig_herm,
     fractional_power,
     hs_norm,
     op_norm,
+    require_positive,
+    two_sided_fn,
 )
 from .quadrature import integrate_adaptive
 
 RESONANCE_TOL = 1e-10  # relative gap below this counts as a singular problem
-PD_RTOL = 1e-12
 
 
 def relative_gap(spectrum_a, spectrum_m) -> float:
@@ -40,15 +43,6 @@ def relative_gap(spectrum_a, spectrum_m) -> float:
     return float(dist.min())
 
 
-def _check_pd(dec: SpectralDecomposition, name: str) -> None:
-    lam = dec.eigenvalues
-    if lam.min() <= PD_RTOL * lam.max():
-        raise ValueError(
-            f"{name} must be strictly positive definite; "
-            f"min eigenvalue {lam.min():.6e} vs max {lam.max():.6e}"
-        )
-
-
 @dataclass(frozen=True)
 class WeakSylvesterProblem:
     """Coefficients of one weak Sylvester instance: A, M positive definite,
@@ -61,15 +55,15 @@ class WeakSylvesterProblem:
     dec_m: SpectralDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "f", np.atleast_2d(np.asarray(self.f)))
+        object.__setattr__(self, "f", _tidy_field(np.atleast_2d(self.f)))
         if self.f.shape != (self.a.n, self.m.n):
             raise ValueError(
                 f"F must have shape ({self.a.n}, {self.m.n}), got {self.f.shape}"
             )
         object.__setattr__(self, "dec_a", eig_herm(self.a))
         object.__setattr__(self, "dec_m", eig_herm(self.m))
-        _check_pd(self.dec_a, "A")
-        _check_pd(self.dec_m, "M")
+        require_positive(self.dec_a, "A", definite=True)
+        require_positive(self.dec_m, "M", definite=True)
         gap = relative_gap(self.dec_a.eigenvalues, self.dec_m.eigenvalues)
         if gap < RESONANCE_TOL:
             la, lm = self._closest_pair()
@@ -98,15 +92,7 @@ class WeakSylvesterProblem:
 def solve_weak_spectral(p: WeakSylvesterProblem) -> np.ndarray:
     """Unique solution via kernel division in the eigenbases of A and M:
     ``t_ij = f_ij * sqrt(lam_i mu_j) / (lam_i - mu_j)``."""
-    lam = p.dec_a.eigenvalues
-    mu = p.dec_m.eigenvalues
-    u, v = p.dec_a.vectors, p.dec_m.vectors
-    f_eig = u.conj().T @ p.f @ v
-    kernel = np.sqrt(lam[:, None] * mu[None, :]) / (lam[:, None] - mu[None, :])
-    t = u @ (f_eig * kernel) @ v.conj().T
-    if not (np.iscomplexobj(p.f) or np.iscomplexobj(u) or np.iscomplexobj(v)):
-        t = t.real
-    return t
+    return two_sided_fn(p.dec_a, p.dec_m, lambda lam, mu: np.sqrt(lam * mu) / (lam - mu), p.f)
 
 
 def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
@@ -150,11 +136,7 @@ def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(t))
     if t.shape != p.f.shape:
         raise ValueError(f"T must have shape {p.f.shape}, got {t.shape}")
-    a_half = fractional_power(p.dec_a, 0.5).mat
-    a_ihalf = fractional_power(p.dec_a, -0.5).mat
-    m_half = fractional_power(p.dec_m, 0.5).mat
-    m_ihalf = fractional_power(p.dec_m, -0.5).mat
-    return op_norm(a_half @ t @ m_ihalf - a_ihalf @ t @ m_half - p.f)
+    return op_norm(two_sided_fn(p.dec_a, p.dec_m, coupling_kernel, t) - p.f)
 
 
 def _dichotomy_coefficient(m_norm: float, big_d: float) -> float:

@@ -126,7 +126,7 @@ def test_bench_csv(tmp_path, capsys):
                  "--dk", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "N,interp,norm,true_err,ritz_bound,dk_bound,hypothesis_ok"
+    assert lines[0] == "N,interp,norm,true_err,ritz_bound,dk_bound,hypothesis_ok,note"
     assert len(lines) == 3
 
 
@@ -156,3 +156,35 @@ def test_error_exit_code(tmp_path, capsys):
     code = main(["sqroot", "check", "--h", str(hp), "--m", str(mp)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_sylvester_stdout_matrix_roundtrip(matrix_files, tmp_path, capsys):
+    out = tmp_path / "t.mtx"
+    args = ["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+            "--f", matrix_files["f"]]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    n_rows = int(printed[0].split()[0])
+    copy = tmp_path / "printed.mtx"
+    copy.write_text("\n".join(printed[: n_rows + 1]) + "\n")
+    np.testing.assert_array_equal(load_matrix(copy), load_matrix(out))
+
+
+@pytest.mark.parametrize("failure", ["convergence", "cross-check"])
+def test_numerical_failure_exit_code(matrix_files, monkeypatch, capsys, failure):
+    import relgap.cli
+    from relgap.matcore import ConvergenceError
+
+    exc = (ConvergenceError("quadrature did not reach tol") if failure == "convergence"
+           else RuntimeError("internal consistency failure: the routes disagree"))
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(relgap.cli, "solve_weak_spectral", failing)
+    code = main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+                 "--f", matrix_files["f"]])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [f"relgap: error: {exc}"]

@@ -161,7 +161,7 @@ class TestEmission:
         rows = run_benchmark(model64, [5], "cubic", norm="hs")
         text = rows_to_csv(rows)
         lines = text.strip().splitlines()
-        assert lines[0] == "N,interp,norm,true_err,ritz_bound,dk_bound,hypothesis_ok"
+        assert lines[0] == "N,interp,norm,true_err,ritz_bound,dk_bound,hypothesis_ok,note"
         fields = lines[1].split(",")
         assert fields[0] == "5" and fields[1] == "cubic" and fields[2] == "hs"
         float(fields[3]); float(fields[4]); float(fields[5])
@@ -176,3 +176,17 @@ class TestEmission:
         md = rows_to_markdown(rows)
         assert md.splitlines()[0] == "| quantity | N=5 | N=6 |"
         assert "| true error |" in md and "| residual bound |" in md
+
+
+def test_truncation_note_survives_csv_and_markdown(model64):
+    import csv
+    import io
+    rows = run_benchmark(model64, [5], "cubic", norm="hs", with_dk=False)
+    assert "," in rows[0].note  # the truncation warning text holds commas
+    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+    assert len(parsed) == 1
+    assert parsed[0]["note"] == rows[0].note
+    assert parsed[0]["hypothesis_ok"] == str(rows[0].hypothesis_ok).lower()
+    md = rows_to_markdown(rows)
+    assert f"| note | {rows[0].note} |" in md
+    assert f"| hypothesis ok | {str(rows[0].hypothesis_ok).lower()} |" in md

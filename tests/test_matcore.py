@@ -298,3 +298,35 @@ class TestMatrixTextFormat:
 def test_spectrum_factory_helper(rng):
     h = hermitian_from_spectrum(rng, [1.0, 2.0, 5.0], complex_field=True)
     np.testing.assert_allclose(eig_herm(h).eigenvalues, [1.0, 2.0, 5.0], atol=1e-12)
+
+
+def _with_entry(value: float) -> np.ndarray:
+    mat = np.eye(2)
+    mat[0, 0] = value
+    return mat
+
+
+def _load_written(tmp_path, mat):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"2 2 real\n{mat[0, 0]} 0 0 1\n")
+    return load_matrix(path)
+
+
+def _sylvester_problem(f):
+    from relgap.sylvester import WeakSylvesterProblem
+    return WeakSylvesterProblem(HermitianMatrix(np.diag([4.0, 5.0])),
+                                HermitianMatrix(np.diag([1.0, 2.0])), f)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda mat, tmp: HermitianMatrix(mat),
+    lambda mat, tmp: eig_herm(mat),
+    lambda mat, tmp: Projection(mat[:, :1]),
+    lambda mat, tmp: Projection.from_span(mat),
+    lambda mat, tmp: _sylvester_problem(mat),
+    lambda mat, tmp: _load_written(tmp, mat),
+], ids=["hermitian", "eig_herm", "projection", "from_span", "sylvester_f", "load_matrix"])
+def test_nonfinite_input_rejected(entry, value, tmp_path):
+    with pytest.raises(ValueError, match="non-finite"):
+        entry(_with_entry(value), tmp_path)

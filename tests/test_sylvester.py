@@ -260,3 +260,10 @@ class TestProblemValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             _problem([4.0], [1.0], [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quadrature_rejects_nonfinite_integrand(value):
+    from relgap.quadrature import integrate_adaptive
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_adaptive(lambda s: np.array([[value]]), 0.0, 1.0, tol=1e-10)
