@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--alpha", type=float, required=True)
     mat.add_argument("--K", type=int, required=True)
     mat.add_argument("--ns", required=True, help="comma separated interpolation point counts")
-    mat.add_argument("--interp", choices=("cubic", "linear"), default="cubic")
+    mat.add_argument("--interp", choices=("cubic", "clamped", "linear"), default="cubic")
     mat.add_argument("--norm", choices=("op", "hs"), default="hs")
     mat.add_argument("--dk", action="store_true", help="include the residual competitor bound")
     mat.add_argument("--out", default=None)

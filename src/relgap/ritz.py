@@ -81,9 +81,9 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     return eta_svd, np.sort(eta_pencil)
 
 
-def eta_spectrum(h: HermitianMatrix, p: Projection) -> np.ndarray:
-    """Ascending invariance-defect values eta_1 <= ... <= eta_k for the trial
-    space, cross-checked between the two routes.
+def _cross_checked_etas(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, float, float]:
+    """The singular-value route's etas, their largest disagreement with the
+    pencil route, and the tolerance that disagreement was checked against.
 
     The pencil route works through H^{-1}, so its forward error grows with
     the conditioning of H; the consistency threshold scales accordingly.
@@ -92,13 +92,19 @@ def eta_spectrum(h: HermitianMatrix, p: Projection) -> np.ndarray:
     lam = eig_herm(h).eigenvalues
     cond = lam[-1] / lam[0]
     tol = max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * cond)
-    if eta_svd.size and np.max(np.abs(eta_svd - eta_pencil)) > tol:
+    gap = float(np.max(np.abs(eta_svd - eta_pencil))) if eta_svd.size else 0.0
+    if gap > tol:
         raise RuntimeError(
             "internal consistency failure: the singular-value and pencil routes "
-            f"disagree by {np.max(np.abs(eta_svd - eta_pencil)):.3e} "
-            f"(> {tol:.3e}); this indicates an implementation bug"
+            f"disagree by {gap:.3e} (> {tol:.3e}); this indicates an implementation bug"
         )
-    return eta_svd
+    return eta_svd, gap, float(tol)
+
+
+def eta_spectrum(h: HermitianMatrix, p: Projection) -> np.ndarray:
+    """Ascending invariance-defect values eta_1 <= ... <= eta_k for the trial
+    space, cross-checked between the two routes."""
+    return _cross_checked_etas(h, p)[0]
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,8 @@ class RitzEstimate:
     the true error computed from exact spectral data for validation."""
 
     etas: np.ndarray
+    eta_disagreement: float  # largest gap between the two eta routes
+    eta_tol: float         # the tolerance that gap was checked against
     ritz_min: float        # smallest Ritz value (d_P)
     ritz_max: float        # largest Ritz value (D_P)
     next_ev: float         # caller's lower bound for the (k+1)-st eigenvalue
@@ -146,7 +154,7 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         raise ValueError(f"norm must be 'op' or 'hs', got {norm!r}")
     if p.rank == 0:
         raise ValueError("trial space must have rank >= 1")
-    etas = eta_spectrum(h, p)
+    etas, eta_gap, eta_tol = _cross_checked_etas(h, p)
     k = p.rank
     ritz_vals = np.linalg.eigvalsh(p.basis.conj().T @ h.mat @ p.basis)
     ritz_min, ritz_max = float(ritz_vals[0]), float(ritz_vals[-1])
@@ -171,6 +179,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
     mixed = q.complement().basis.conj().T @ p.basis
     return RitzEstimate(
         etas=etas,
+        eta_disagreement=eta_gap,
+        eta_tol=eta_tol,
         ritz_min=ritz_min,
         ritz_max=ritz_max,
         next_ev=next_ev,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -103,6 +104,7 @@ def test_ritz_estimate(tmp_path, capsys):
     assert len(rep["etas"]) == 2
     assert rep["norm"] == "hs"
     assert "dk_bound" in rep and "hypothesis_ok" in rep
+    assert 0.0 <= rep["eta_disagreement"] <= rep["eta_tol"]
 
 
 def test_sqroot_check(tmp_path, capsys):
@@ -128,6 +130,16 @@ def test_bench_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,interp,norm,true_err,ritz_bound,dk_bound,hypothesis_ok,note"
     assert len(lines) == 3
+
+
+def test_bench_clamped_carries_dk(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "mathieu", "--theta", str(np.pi - 1e-4), "--alpha", "0.2499",
+                 "--K", "16", "--ns", "6,8", "--interp", "clamped", "--dk",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["interp"] for r in rows] == ["clamped", "clamped"]
+    assert all(float(r["dk_bound"]) > 0.0 for r in rows)
 
 
 def test_bench_strict_exit_code(tmp_path):

@@ -67,20 +67,24 @@ class TestBuildTestSpace:
     def test_cubic_alignment_improves_with_n(self, model64):
         e0 = np.zeros(model64.dim)
         e0[model64.trunc] = 1.0  # coordinate of mode k = 0
-        errs = []
-        for n in (8, 16, 32):
-            p = build_test_space(model64, n, "cubic", targets=(0,))
-            errs.append(np.linalg.norm(p.projector @ e0 - e0))
+        # only the coarsest interpolant loses form energy to the truncation
+        with pytest.warns(TruncationWarning, match="mode 0, N=8"):
+            spaces = [build_test_space(model64, 8, "cubic", targets=(0,))]
+        spaces += [build_test_space(model64, n, "cubic", targets=(0,)) for n in (16, 32)]
+        errs = [np.linalg.norm(p.projector @ e0 - e0) for p in spaces]
         assert errs[0] > errs[1] > errs[2]
 
     def test_linear_small_n_is_valid_projection(self, model64):
-        p = build_test_space(model64, 4, "linear", targets=(0,))
+        with pytest.warns(TruncationWarning, match="mode 0, N=4: .* form energy"):
+            p = build_test_space(model64, 4, "linear", targets=(0,))
         assert p.rank == 1
         np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(1), atol=1e-12)
 
     def test_reference_space_rank_two(self, model64):
-        p = build_test_space(model64, 5, "cubic")
+        with pytest.warns(TruncationWarning) as caught:
+            p = build_test_space(model64, 5, "cubic")
         assert p.rank == 2
+        assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=5", "mode -1, N=5"]
 
     def test_target_outside_truncation(self, model64):
         with pytest.raises(ValueError, match="outside"):

@@ -4,6 +4,7 @@ import pytest
 from relgap.forms import FormPair, eta_exact
 from relgap.matcore import HermitianMatrix, Projection, eig_herm, hs_norm, op_norm, svd
 from relgap.ritz import (
+    ETA_CROSS_CHECK_TOL,
     build_hp,
     dk_residual_bound,
     eta_routes,
@@ -180,6 +181,15 @@ class TestRitzBounds:
             assert est.true_hs <= est.bound_hs + 1e-12
             assert est.true_op <= est.bound_op + 1e-12
         assert checked >= 40
+
+    def test_cross_check_diagnostics(self, rng):
+        h = random_pd(rng, 8, complex_field=True)
+        p = random_projection(rng, 8, 3, complex_field=True)
+        est = ritz_bounds(h, p, 20.0)
+        eta_svd, eta_pencil = eta_routes(h, p)
+        assert est.eta_disagreement == pytest.approx(np.max(np.abs(eta_svd - eta_pencil)), abs=1e-15)
+        assert ETA_CROSS_CHECK_TOL <= est.eta_tol
+        assert est.eta_disagreement <= est.eta_tol
 
     def test_next_ev_below_ritz_flagged(self):
         est = ritz_bounds(HAND_H, E1, 1.5, norm="hs")

@@ -49,22 +49,30 @@ def _bypart_modal_oracle(pp: PiecewisePoly, freq: float) -> complex:
     return total
 
 
+def _interpolant(interp: str, x, y, d_first, d_last) -> PiecewisePoly:
+    if interp == "linear":
+        return piecewise_linear(x, y)
+    if interp == "not-a-knot":
+        return cubic_spline_not_a_knot(x, y)
+    return cubic_spline_clamped(x, y, d_first, d_last)
+
+
 class TestNotAKnot:
     def test_interpolates(self, rng):
         x = np.linspace(0, 3, 7)
         y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        pp = cubic_spline_not_a_knot(x, y)
-        np.testing.assert_allclose(pp(x), y, atol=1e-12)
+        for pp in (cubic_spline_not_a_knot(x, y), cubic_spline_clamped(x, y, 0.5j, -2.0)):
+            np.testing.assert_allclose(pp(x), y, atol=1e-12)
 
     def test_c2_continuity(self, rng):
         x = np.linspace(0, 2, 9)
         y = rng.standard_normal(9)
-        pp = cubic_spline_not_a_knot(x, y)
-        for knot in x[1:-1]:
-            left = knot - 1e-12
-            for order in (0, 1, 2):
-                assert _eval_deriv(pp, np.array([left]), order)[0] == pytest.approx(
-                    _eval_deriv(pp, np.array([knot]), order)[0], abs=1e-6)
+        for pp in (cubic_spline_not_a_knot(x, y), cubic_spline_clamped(x, y, 1.5, -0.5)):
+            for knot in x[1:-1]:
+                left = knot - 1e-12
+                for order in (0, 1, 2):
+                    assert _eval_deriv(pp, np.array([left]), order)[0] == pytest.approx(
+                        _eval_deriv(pp, np.array([knot]), order)[0], abs=1e-6)
 
     def test_reproduces_cubics(self):
         x = np.linspace(-1, 2, 6)
@@ -121,26 +129,57 @@ class TestPiecewiseLinear:
             piecewise_linear([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
 
-class TestModalCoefficients:
-    def test_matches_by_parts_oracle(self, rng):
-        x = np.linspace(0, 2 * np.pi, 6)
-        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        pp = cubic_spline_not_a_knot(x, y)
-        freqs = np.array([0.0, 0.5, -3.2, 17.0, -40.5, 64.5])
-        got = modal_coefficients(pp, freqs)
-        want = np.array([_bypart_modal_oracle(pp, f) for f in freqs])
-        np.testing.assert_allclose(got, want, atol=1e-12, rtol=1e-10)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("interp", ["linear", "not-a-knot", "clamped"])
+def test_non_finite_input_rejected(interp, value):
+    x, y = np.linspace(0.0, 1.0, 5), np.ones(5)
+    bad_knots, bad_values = x.copy(), y.copy()
+    bad_knots[-1] = value
+    bad_values[2] = value
+    cases = [(bad_knots, y, 0.0), (x, bad_values, 0.0)]
+    if interp == "clamped":
+        cases.append((x, y, value))
+    for knots, values, d_first in cases:
+        with pytest.raises(ValueError, match="finite"):
+            _interpolant(interp, knots, values, d_first, 0.0)
 
-    def test_high_frequency_panels(self, rng):
-        # the phase advance per original subinterval is ~80 radians here, so
-        # accuracy relies on the panel subdivision
-        x = np.linspace(0, 2 * np.pi, 5)
-        y = rng.standard_normal(5)
-        pp = piecewise_linear(x, y)
-        freqs = np.array([50.25])
-        got = modal_coefficients(pp, freqs)[0]
-        want = _bypart_modal_oracle(pp, 50.25)
-        assert got == pytest.approx(want, abs=1e-12)
+
+MODAL_FREQS = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2,
+                        0.5, 17.0, 64.5, 320.5])
+
+
+def _gl_modal_reference(pp: PiecewisePoly, freqs) -> np.ndarray:
+    """int p(t) e^{i f t} dt by 30-point Gauss-Legendre on each piece, exact
+    to rounding while the phase advance per piece stays below about 40."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(30)
+    half = 0.5 * np.diff(pp.knots)[:, None]
+    t = (pp.knots[:-1, None] + half * (gl_x + 1.0)).ravel()
+    w = (half * gl_w).ravel()
+    return np.exp(1j * np.outer(freqs, t)) @ (pp(t) * w)
+
+
+class TestModalCoefficients:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("interp", ["linear", "not-a-knot", "clamped"])
+    def test_matches_by_parts_oracle(self, rng, interp, field):
+        # uneven pieces of [0, 2 pi]: |f h| falls on both sides of the
+        # Taylor/recurrence switch at 1, and up to ~400 radians per piece on
+        # the coarse grid; the Gauss-Legendre reference is used where the
+        # phase advance per piece stays below 40 radians
+        nu = 1.3 if field == "real" else -1.3 + 0.4j
+        f, df = (lambda t: np.cos(nu * t) + 0.5 * t), (lambda t: -nu * np.sin(nu * t) + 0.5)
+        for pieces in (7, 128):
+            x = np.linspace(0, 2 * np.pi, pieces + 1)
+            x[1:-1] += rng.uniform(-0.2, 0.2, pieces - 1) * (x[1] - x[0])
+            pp = _interpolant(interp, x, f(x), df(x[0]), df(x[-1]))
+            assert np.iscomplexobj(pp.coeffs) == (field == "complex")
+            got = modal_coefficients(pp, MODAL_FREQS)
+            resolved = np.abs(MODAL_FREQS) * np.max(np.diff(x)) <= 40.0
+            np.testing.assert_allclose(got[resolved], _gl_modal_reference(pp, MODAL_FREQS[resolved]),
+                                       rtol=1e-12, atol=1e-12)
+            high = np.abs(MODAL_FREQS) >= 0.5
+            want = np.array([_bypart_modal_oracle(pp, fr) for fr in MODAL_FREQS[high]])
+            np.testing.assert_allclose(got[high], want, rtol=1e-12, atol=1e-12)
 
     def test_constant_function_dc_only(self):
         x = np.linspace(0, 2 * np.pi, 7)
