@@ -1,9 +1,10 @@
 """A-posteriori subspace error estimation for Rayleigh-Ritz approximations.
 
-Given a positive definite H and a trial subspace range(P), builds the
-block-diagonal comparison operator H_P, computes the invariance-defect
-spectrum eta_i by two independent routes, and evaluates the relative
-subspace-error bound together with the residual-based competitor bound.
+Given a positive definite H and a trial subspace range(P), computes the
+invariance-defect spectrum eta_i of H against its block-diagonal part H_P on
+n-by-k blocks, cross-checked between two independent applications of H^{-1},
+and evaluates the relative subspace-error bound together with the
+residual-based competitor bound.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .matcore import (
     hs_norm,
     op_norm,
     require_positive,
-    spectral_projector_below,
-    svd,
 )
 
 ETA_CROSS_CHECK_TOL = 1e-7
@@ -30,7 +29,8 @@ ETA_CROSS_CHECK_TOL = 1e-7
 def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
     """Block-diagonal part of H with respect to range(P):
     ``H_P = P H P + P_perp H P_perp``.  Positive definite whenever H is, and
-    range(P) reduces it."""
+    range(P) reduces it.  A definition-level reference: :func:`eta_routes`
+    works on n-by-k blocks and never forms it."""
     require_positive(eig_herm(h), "H", definite=True)
     proj = p.projector
     perp = np.eye(p.n) - proj
@@ -40,65 +40,60 @@ def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
 def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarray]:
     """The invariance-defect values by both routes, each ascending.
 
-    Route one: singular values of ``delta * P`` for the normalized defect
-    ``delta = H_P^{-1/2} (H - H_P) H_P^{-1/2}``.  Route two: square roots of
-    the eigenvalues of the pencil ``(W*(H^{-1} - H_P^{-1})W, W* H^{-1} W)``
-    on the trial basis W.  The pencil compressions are evaluated through
-    their block (Schur complement) representations,
-
-        W* H^{-1} W = (H11 - H12 H22^{-1} H21)^{-1},
-        W* H_P^{-1} W = H11^{-1},
-
-    which keeps their relative accuracy independent of the conditioning of H.
+    With ``H11 = W* H W`` on the trial basis W, the ``eta^2`` are the
+    eigenvalues of ``H11^{-1/2} H12 H22^{-1} H21 H11^{-1/2}``, the squared
+    singular values of ``delta P`` for ``delta = H_P^{-1/2} (H - H_P) H_P^{-1/2}``.
+    For the residual ``R = H W - W H11``, ``Z = H^{-1} R`` and ``Y = H^{-1} W``,
+    ``X = Z - Y (W* Y)^{-1} W* Z`` gives ``R* X = H12 H22^{-1} H21`` without
+    cancellation (``H11 - (W* H^{-1} W)^{-1}`` would lose ``eps cond / eta``
+    absolute accuracy in eta).  The two routes differ in how they apply
+    ``H^{-1}``: the eigenbasis route through H's cached eigendecomposition,
+    the LU route through one LU solve that never reads the eigenbasis.
     """
-    require_positive(eig_herm(h), "H", definite=True)
+    dec = eig_herm(h)
+    require_positive(dec, "H", definite=True)
     if p.rank == 0:
         empty = np.zeros(0)
         return empty, empty
-    hp = build_hp(h, p)
-    dec_hp = eig_herm(hp)
-
-    hp_ihalf = fractional_power(dec_hp, -0.5).mat
-    delta = hp_ihalf @ (h.mat - hp.mat) @ hp_ihalf
-    svals = svd(delta @ p.projector)[0]
-    eta_svd = np.sort(svals[: p.rank])
-
     w = p.basis
-    wp = p.complement().basis
-    h11 = w.conj().T @ h.mat @ w
-    h21 = wp.conj().T @ h.mat @ w
-    h22 = wp.conj().T @ h.mat @ wp
-    cross = h21.conj().T @ np.linalg.solve(h22, h21)
-    cross = (cross + cross.conj().T) / 2.0
-    schur = h11 - cross
-    g2 = np.linalg.inv(schur)                       # W* H^{-1} W
-    g1 = g2 @ cross @ np.linalg.inv(h11)            # W* (H^{-1} - H_P^{-1}) W
-    g1 = (g1 + g1.conj().T) / 2.0
-    lam2, v2 = np.linalg.eigh(g2)
-    g2_ihalf = (v2 / np.sqrt(lam2)) @ v2.conj().T
-    nu = np.linalg.eigvalsh(g2_ihalf @ g1 @ g2_ihalf)
-    eta_pencil = np.sqrt(np.maximum(nu, 0.0))
-    return eta_svd, np.sort(eta_pencil)
+    hw = h.mat @ w
+    h11 = w.conj().T @ hw
+    h11 = (h11 + h11.conj().T) / 2.0
+    h11_ihalf = fractional_power(eig_herm(h11), -0.5).mat
+    r = hw - w @ h11
+    rw = np.hstack([r, w])
+
+    def defect_values(h_inv_rw: np.ndarray) -> np.ndarray:
+        z, y = np.hsplit(h_inv_rw, 2)
+        cross = r.conj().T @ (z - y @ np.linalg.solve(w.conj().T @ y, w.conj().T @ z))
+        nu = np.linalg.eigvalsh(h11_ihalf @ (cross + cross.conj().T) @ h11_ihalf / 2.0)
+        return np.sqrt(np.maximum(nu, 0.0))
+
+    v = dec.vectors
+    eta_eig = defect_values((v / dec.eigenvalues) @ (v.conj().T @ rw))
+    eta_lu = defect_values(np.linalg.solve(h.mat, rw))
+    return eta_eig, eta_lu
 
 
 def _cross_checked_etas(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, float, float]:
-    """The singular-value route's etas, their largest disagreement with the
-    pencil route, and the tolerance that disagreement was checked against.
+    """The eigenbasis route's etas, their largest disagreement with the LU
+    route, and the tolerance that disagreement was checked against.
 
-    The pencil route works through H^{-1}, so its forward error grows with
-    the conditioning of H; the consistency threshold scales accordingly.
+    The LU route's forward error grows with the conditioning of H; the
+    consistency threshold scales accordingly.  A NaN disagreement fails the
+    check.
     """
-    eta_svd, eta_pencil = eta_routes(h, p)
+    eta_eig, eta_lu = eta_routes(h, p)
     lam = eig_herm(h).eigenvalues
     cond = lam[-1] / lam[0]
     tol = max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * cond)
-    gap = float(np.max(np.abs(eta_svd - eta_pencil))) if eta_svd.size else 0.0
-    if gap > tol:
+    gap = float(np.max(np.abs(eta_eig - eta_lu))) if eta_eig.size else 0.0
+    if not gap <= tol:
         raise RuntimeError(
-            "internal consistency failure: the singular-value and pencil routes "
+            "internal consistency failure: the eigenbasis and LU routes "
             f"disagree by {gap:.3e} (> {tol:.3e}); this indicates an implementation bug"
         )
-    return eta_svd, gap, float(tol)
+    return eta_eig, gap, float(tol)
 
 
 def eta_spectrum(h: HermitianMatrix, p: Projection) -> np.ndarray:
@@ -174,9 +169,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
            and eta_k / (1.0 - eta_k) < (next_ev - ritz_max) / (next_ev + ritz_max))
 
     dec_h = eig_herm(h)
-    lam_k = dec_h.eigenvalues[k - 1]
-    q = spectral_projector_below(dec_h, lam_k)
-    mixed = q.complement().basis.conj().T @ p.basis
+    above = dec_h.eigenvalues > dec_h.eigenvalues[k - 1]   # (E_H(lambda_k))_perp
+    mixed = dec_h.vectors[:, above].conj().T @ p.basis
     return RitzEstimate(
         etas=etas,
         eta_disagreement=eta_gap,

@@ -107,6 +107,20 @@ def test_ritz_estimate(tmp_path, capsys):
     assert 0.0 <= rep["eta_disagreement"] <= rep["eta_tol"]
 
 
+def test_ritz_estimate_nan_cross_check_exit_code(tmp_path, monkeypatch, capsys):
+    import relgap.ritz
+
+    rng = make_rng(9)
+    hp, bp = tmp_path / "h.mtx", tmp_path / "b.mtx"
+    save_matrix(hp, hermitian_from_spectrum(rng, [1.0, 2.0, 5.0, 6.0]).mat)
+    save_matrix(bp, np.linalg.qr(rng.standard_normal((4, 2)))[0])
+    monkeypatch.setattr(relgap.ritz, "eta_routes",
+                        lambda h, p: (np.array([np.nan, 0.2]), np.array([0.1, 0.2])))
+    assert main(["ritz", "estimate", "--h", str(hp), "--basis", str(bp),
+                 "--next-ev", "5.0"]) == 3
+    assert "disagree by nan" in capsys.readouterr().err
+
+
 def test_sqroot_check(tmp_path, capsys):
     rng = make_rng(11)
     h = hermitian_from_spectrum(rng, [1.0, 4.0]).mat

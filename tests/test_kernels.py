@@ -147,25 +147,26 @@ def _pair(rng):
 
 @pytest.fixture
 def large_decompositions(monkeypatch):
-    """Count eigh/eigvalsh calls on matrices of dimension >= N/2."""
+    """Record eigh/eigvalsh calls on matrices of dimension >= N/2, and svd
+    calls with either dimension >= N/2."""
     counts = []
 
-    def counting(fn):
+    def counting(fn, dims):
         def wrapper(a, *args, **kwargs):
-            if np.shape(a)[-1] >= N // 2:
+            if max(np.shape(a)[-dims:]) >= N // 2:
                 counts.append(fn.__name__)
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    for name, dims in (("eigh", 1), ("eigvalsh", 1), ("svd", 2)):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), dims))
     return counts
 
 
-def _counted(counts, call) -> int:
+def _counted(counts, call, names=("eigh", "eigvalsh")) -> int:
     counts.clear()
     call()
-    return len(counts)
+    return sum(name in names for name in counts)
 
 
 def test_decompositions_per_public_call(large_decompositions):
@@ -192,7 +193,7 @@ def test_decompositions_per_public_call(large_decompositions):
         "subspace_bounds": (lambda: subspace_bounds(*_pair(rng), D1, D2), 3),
         "hs_subspace_bounds": (hs_bounds, 4),
         "ritz_bounds": (lambda: ritz_bounds(_pair(rng)[0], random_projection(rng, N, RANK),
-                                            next_ev=3.0), 2),
+                                            next_ev=3.0), 1),
         "sqrt_pair": (lambda: sqrt_pair(*_pair(rng)), 2),
         "sylvester solve": (sylvester_path, 2),
     }
@@ -200,3 +201,6 @@ def test_decompositions_per_public_call(large_decompositions):
     used = {name: _counted(counts, call) for name, (call, _) in budget.items()}
     over = [name for name, (_, most) in budget.items() if used[name] > most]
     assert not over, used
+    # the Ritz estimate works on n-by-k blocks: no n-sized SVD, no complement basis
+    h, p = _pair(rng)[0], random_projection(rng, N, RANK)
+    assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("svd",)) == 0

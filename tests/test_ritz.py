@@ -1,6 +1,9 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
+import relgap.ritz
 from relgap.forms import FormPair, eta_exact
 from relgap.matcore import HermitianMatrix, Projection, eig_herm, hs_norm, op_norm, svd
 from relgap.ritz import (
@@ -13,7 +16,13 @@ from relgap.ritz import (
     single_vector_bound,
 )
 
-from conftest import make_rng, random_pd, random_projection
+from conftest import (
+    hermitian_from_spectrum,
+    make_rng,
+    random_pd,
+    random_pd_logcond,
+    random_projection,
+)
 
 
 HAND_H = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -71,8 +80,7 @@ class TestEtaSpectrum:
 
     def test_routes_agree_random(self):
         # rank(P) <= n/2 keeps min(k, n-k) = k, so no eta_i is a structural
-        # zero (those are only resolvable to sqrt(eps) through the squared
-        # pencil)
+        # zero (those are only resolvable to sqrt(eps) through eta^2)
         for trial in range(100):
             rng = make_rng(trial)
             n = int(rng.integers(3, 13))
@@ -81,6 +89,43 @@ class TestEtaSpectrum:
             p = random_projection(rng, n, k, complex_field=bool(trial % 2))
             a, b = eta_routes(h, p)
             assert np.max(np.abs(a - b)) <= 1e-9
+
+    @pytest.mark.parametrize("space", ["random", "near-invariant"])
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_routes_agree_large_ill_conditioned(self, n, complex_field, space):
+        # the eigenbasis route applies H^{-1} through the eigendecomposition,
+        # the LU route through an LU solve; they must agree at conditioning up
+        # to 1e8, also on the small-eta trial spaces an estimator sees
+        for trial in range(10):
+            rng = make_rng(1000 * n + 100 * complex_field + trial)
+            h = random_pd_logcond(rng, n, 8.0, complex_field=complex_field)
+            k = int(rng.integers(1, 5))
+            if space == "random":
+                p = random_projection(rng, n, k, complex_field=complex_field)
+            else:
+                p = _tilted_eigenspace(rng, h, k, (0.0, 1e-8, 1e-6, 1e-4)[trial % 4])
+            a, b = eta_routes(h, p)
+            assert np.max(np.abs(a - b)) <= 1e-9
+
+    @pytest.mark.parametrize("tilt", [3e-3, 1e-3])
+    def test_routes_match_decimal_reference(self, tilt):
+        # diagonal H with a Mathieu-like spectrum (nu_m^2 - alpha, cond ~1e9)
+        # and a k = 2 basis tilted off the two lowest modes by an
+        # interpolation-error-like tail
+        trunc = 40
+        ks = np.arange(-trunc, trunc + 1)
+        nu = ks + 0.5 - 1e-4 / (2.0 * np.pi)
+        lam = nu ** 2 - (nu[trunc] ** 2 - 1.6e-6)
+        assert 1e8 < lam.max() / lam.min() < 1e10
+        basis = np.zeros((lam.size, 2))
+        for j, mode in enumerate((0, -1)):
+            basis[:, j] = tilt * (-1.0) ** ks / (1.0 + np.abs(ks - mode)) ** 2
+            basis[trunc + mode, j] = 1.0
+        w = np.linalg.qr(basis)[0]
+        ref = _decimal_etas(lam, w)
+        for route in eta_routes(HermitianMatrix(np.diag(lam)), Projection(w)):
+            np.testing.assert_allclose(route, ref, rtol=1e-12, atol=0.0)
 
     def test_rank_zero_empty(self, rng):
         h = random_pd(rng, 4)
@@ -142,6 +187,46 @@ class TestEtaSpectrum:
             assert np.all(s[2 * k:] <= 1e-10 * scale)
 
 
+def _tilted_eigenspace(rng, h: HermitianMatrix, k: int, tilt: float) -> Projection:
+    """Span of the k lowest eigenvectors of h, each tilted by a random
+    perturbation of norm ``tilt``."""
+    vectors = eig_herm(h).vectors
+    pert = rng.standard_normal((h.n, k))
+    if np.iscomplexobj(vectors):
+        pert = pert + 1j * rng.standard_normal((h.n, k))
+    return Projection.from_span(vectors[:, :k] + tilt * pert / np.linalg.norm(pert, axis=0))
+
+
+def _decimal_etas(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ascending defect values of span(w) for H = diag(lam), k = 2, in 50-digit
+    decimal arithmetic: ``eta^2 = eig(I - H11^{-1} M G2^{-1} M)`` with
+    ``H11 = w^T H w``, ``G2 = w^T H^{-1} w`` and ``M = w^T w``.  For an exactly
+    orthonormal w (M = I) this is ``eig(H11^{-1} (H11 - G2^{-1}))``; keeping M
+    makes the reference exact for the stored floating-point basis."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = [Decimal(float(x)) for x in lam]
+        cols = [[Decimal(float(x)) for x in w[:, j]] for j in range(2)]
+
+        def form(weights):
+            return [[sum(a * c * b for a, c, b in zip(cols[i], weights, cols[j]))
+                     for j in range(2)] for i in range(2)]
+
+        def inv(m):
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+            return [[m[1][1] / det, -m[0][1] / det], [-m[1][0] / det, m[0][0] / det]]
+
+        def mul(a, b):
+            return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+        h11, g2, gram = form(d), form([1 / x for x in d]), form([Decimal(1)] * len(d))
+        prod = mul(mul(inv(h11), gram), mul(inv(g2), gram))
+        t = [[int(i == j) - prod[i][j] for j in range(2)] for i in range(2)]
+        half_trace = (t[0][0] + t[1][1]) / 2
+        disc = (half_trace ** 2 - (t[0][0] * t[1][1] - t[0][1] * t[1][0])).sqrt()
+        return np.array([float((half_trace - disc).sqrt()), float((half_trace + disc).sqrt())])
+
+
 class TestRitzBounds:
     def test_invariant_subspace(self, rng):
         h = random_pd(rng, 6)
@@ -186,10 +271,36 @@ class TestRitzBounds:
         h = random_pd(rng, 8, complex_field=True)
         p = random_projection(rng, 8, 3, complex_field=True)
         est = ritz_bounds(h, p, 20.0)
-        eta_svd, eta_pencil = eta_routes(h, p)
-        assert est.eta_disagreement == pytest.approx(np.max(np.abs(eta_svd - eta_pencil)), abs=1e-15)
+        eta_eig, eta_lu = eta_routes(h, p)
+        assert est.eta_disagreement == pytest.approx(np.max(np.abs(eta_eig - eta_lu)), abs=1e-15)
         assert ETA_CROSS_CHECK_TOL <= est.eta_tol
         assert est.eta_disagreement <= est.eta_tol
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("log10_cond", [3, 5, 8])
+    def test_near_invariant_ill_conditioned(self, log10_cond, complex_field):
+        # dense H at a fixed conditioning and trial spaces close to its lowest
+        # eigenspace: the cross-check must pass and, where the smallness
+        # hypothesis holds, the bound must too
+        for trial, tilt in enumerate((0.0, 1e-8, 1e-6, 1e-4) * 2):
+            rng = make_rng(2000 + 10 * log10_cond + 100 * complex_field + trial)
+            eigs = 10.0 ** rng.uniform(-log10_cond / 2.0, log10_cond / 2.0, size=120)
+            eigs[:2] = 10.0 ** (-log10_cond / 2.0), 10.0 ** (log10_cond / 2.0)
+            h = hermitian_from_spectrum(rng, eigs, complex_field)
+            k = int(rng.integers(1, 5))
+            p = _tilted_eigenspace(rng, h, k, tilt)
+            est = ritz_bounds(h, p, float(eig_herm(h).eigenvalues[k]))
+            np.testing.assert_array_equal(est.etas, eta_spectrum(h, p))
+            assert est.eta_disagreement <= est.eta_tol
+            assert not est.hypothesis_ok or est.bound_hs >= est.true_hs
+
+    def test_nan_route_gap_raises(self, rng, monkeypatch):
+        h = random_pd(rng, 6)
+        p = random_projection(rng, 6, 2)
+        monkeypatch.setattr(relgap.ritz, "eta_routes",
+                            lambda h, p: (np.array([0.1, np.nan]), np.array([0.1, 0.2])))
+        with pytest.raises(RuntimeError, match="disagree by nan"):
+            ritz_bounds(h, p, 20.0)
 
     def test_next_ev_below_ritz_flagged(self):
         est = ritz_bounds(HAND_H, E1, 1.5, norm="hs")
