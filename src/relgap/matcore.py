@@ -349,14 +349,9 @@ def save_matrix(dest, a) -> None:
     mat = _tidy_field(np.atleast_2d(_as_array(a)))
     n, m = mat.shape
     field = "complex" if np.iscomplexobj(mat) else "real"
-    lines = [f"{n} {m} {field}"]
-    for row in mat:
-        if field == "complex":
-            toks = [f"{z.real:.17g} {z.imag:.17g}" for z in row]
-        else:
-            toks = [f"{x:.17g}" for x in row]
-        lines.append(" ".join(toks))
-    text = "\n".join(lines) + "\n"
+    flat = mat.view(np.float64) if field == "complex" else mat  # re, im alternate
+    row = " ".join(["%.17g"] * flat.shape[1])
+    text = "\n".join([f"{n} {m} {field}"] + [row % tuple(r) for r in flat.tolist()]) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
         return
@@ -373,10 +368,10 @@ def load_matrix(path) -> np.ndarray:
         if field not in ("real", "complex"):
             raise ValueError(f"unknown scalar field {field!r}")
         toks = fh.read().split()
-    per_entry = 2 if field == "complex" else 1
-    if len(toks) != per_entry * n * m:
-        raise ValueError(f"expected {per_entry * n * m} numbers, found {len(toks)}")
-    vals = np.array([float(t) for t in toks])
+    count = (2 if field == "complex" else 1) * n * m
+    if len(toks) != count:
+        raise ValueError(f"expected {count} numbers, found {len(toks)}")
+    vals = np.fromiter(map(float, toks), np.float64, count)
     if field == "complex":
-        vals = vals[0::2] + 1j * vals[1::2]
+        vals = vals.view(np.complex128)  # keeps signed zeros in both parts
     return _tidy_field(vals.reshape(n, m))

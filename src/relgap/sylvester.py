@@ -39,8 +39,11 @@ def relative_gap(spectrum_a, spectrum_m) -> float:
         raise ValueError("relative_gap needs two nonempty spectra")
     if np.any(sa <= 0) or np.any(sm <= 0):
         raise ValueError("relative_gap is defined for positive spectra only")
-    dist = np.abs(sa[:, None] - sm[None, :]) / np.sqrt(sa[:, None] * sm[None, :])
-    return float(dist.min())
+    return float(_relative_distances(sa, sm).min())
+
+
+def _relative_distances(sa: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    return np.abs(sa[:, None] - sm[None, :]) / np.sqrt(sa[:, None] * sm[None, :])
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,7 @@ class WeakSylvesterProblem:
     f: np.ndarray
     dec_a: SpectralDecomposition = field(init=False, repr=False)
     dec_m: SpectralDecomposition = field(init=False, repr=False)
+    gap: float = field(init=False)  # relative gap between the spectra of A and M
 
     def __post_init__(self):
         object.__setattr__(self, "f", _tidy_field(np.atleast_2d(self.f)))
@@ -64,24 +68,15 @@ class WeakSylvesterProblem:
         object.__setattr__(self, "dec_m", eig_herm(self.m))
         require_positive(self.dec_a, "A", definite=True)
         require_positive(self.dec_m, "M", definite=True)
-        gap = relative_gap(self.dec_a.eigenvalues, self.dec_m.eigenvalues)
-        if gap < RESONANCE_TOL:
-            la, lm = self._closest_pair()
-            raise ValueError(
-                f"near-singular problem: eigenvalue {la:.12e} of A and "
-                f"{lm:.12e} of M have relative gap {gap:.3e} < {RESONANCE_TOL:.0e}"
-            )
-
-    def _closest_pair(self) -> tuple[float, float]:
-        la = self.dec_a.eigenvalues
-        lm = self.dec_m.eigenvalues
-        dist = np.abs(la[:, None] - lm[None, :]) / np.sqrt(la[:, None] * lm[None, :])
+        la, lm = self.dec_a.eigenvalues, self.dec_m.eigenvalues
+        dist = _relative_distances(la, lm)
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        return float(la[i]), float(lm[j])
-
-    @property
-    def gap(self) -> float:
-        return relative_gap(self.dec_a.eigenvalues, self.dec_m.eigenvalues)
+        object.__setattr__(self, "gap", float(dist[i, j]))
+        if self.gap < RESONANCE_TOL:
+            raise ValueError(
+                f"near-singular problem: eigenvalue {la[i]:.12e} of A and "
+                f"{lm[j]:.12e} of M have relative gap {self.gap:.3e} < {RESONANCE_TOL:.0e}"
+            )
 
     @property
     def dichotomy_interval(self) -> tuple[float, float]:

@@ -214,3 +214,31 @@ def test_numerical_failure_exit_code(matrix_files, monkeypatch, capsys, failure)
                  "--f", matrix_files["f"]])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [f"relgap: error: {exc}"]
+
+
+MALFORMED = {
+    "two-token header": ("2 2\n1 0 0 1\n", "malformed matrix header"),
+    "unknown field": ("2 2 quaternion\n1 0 0 1\n", "unknown scalar field 'quaternion'"),
+    "non-integer n": ("2.5 2 real\n1 0 0 1\n", "invalid literal for int()"),
+    "bad token": ("2 2 real\n1 abc 0 1\n", "could not convert string to float: 'abc'"),
+    "short body": ("2 2 real\n1 0 0\n", "expected 4 numbers, found 3"),
+    "long body": ("2 2 real\n1 0 0 1 0\n", "expected 4 numbers, found 5"),
+    "nan token": ("2 2 real\n1 nan 0 1\n", "non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+@pytest.mark.parametrize("command", ["subspace bound", "sylvester solve"])
+def test_malformed_matrix_exit_code(command, case, matrix_files, tmp_path, capsys):
+    text, message = MALFORMED[case]
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(text)
+    if command == "subspace bound":
+        args = ["--h", str(bad), "--m", matrix_files["a"], "--d1", "1", "--d2", "2"]
+    else:
+        args = ["--a", str(bad), "--m", matrix_files["m"], "--f", matrix_files["f"]]
+    assert main(command.split() + args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("relgap: error: ")
+    assert message in err[0]

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
+    _tidy_field,
     apply_spectral_fn,
     eig_herm,
     fractional_power,
@@ -258,20 +261,99 @@ class TestProjection:
         assert np.linalg.matrix_rank(pp) == p.rank
 
 
+# signed zeros, the smallest subnormal, the smallest normal, the largest double
+# and a value with no short decimal form
+ADVERSARIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
+
+
+def _bits(a: np.ndarray):
+    """Dtype, shape and raw bytes: equal only if every entry has the same bits
+    (unlike ``assert_array_equal``, which treats -0 == 0)."""
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _reference_save(dest, a) -> None:
+    """One f-string per entry: the writer the row-format one replaced, kept as
+    the oracle for byte-identical output."""
+    mat = _tidy_field(np.atleast_2d(np.asarray(a)))
+    n, m = mat.shape
+    field = "complex" if np.iscomplexobj(mat) else "real"
+    lines = [f"{n} {m} {field}"]
+    for row in mat:
+        if field == "complex":
+            toks = [f"{z.real:.17g} {z.imag:.17g}" for z in row]
+        else:
+            toks = [f"{x:.17g}" for x in row]
+        lines.append(" ".join(toks))
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+        return
+    with open(dest, "w") as fh:
+        fh.write(text)
+
+
+def _adversarial_matrix(rng, shape, complex_field: bool) -> np.ndarray:
+    """Entries over 600 decades, led by the ``ADVERSARIAL`` values."""
+    def part(values):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        k = min(x.size, len(values))
+        x.flat[:k] = values[:k]
+        return x
+
+    if not complex_field:
+        return part(ADVERSARIAL)
+    a = np.empty(shape, dtype=np.complex128)
+    a.real, a.imag = part(ADVERSARIAL), part(ADVERSARIAL[::-1])
+    return a
+
+
 class TestMatrixTextFormat:
     def test_real_roundtrip_bit_exact(self, tmp_path, rng):
         a = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
+        a = np.append(a.ravel(), ADVERSARIAL).reshape(4, 5)
         path = tmp_path / "a.mtx"
         save_matrix(path, a)
-        b = load_matrix(path)
-        np.testing.assert_array_equal(a, b)
+        assert _bits(load_matrix(path)) == _bits(a)
 
     def test_complex_roundtrip_bit_exact(self, tmp_path, rng):
-        a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        re = np.append(rng.standard_normal(7), ADVERSARIAL)
+        im = np.append(ADVERSARIAL[::-1], rng.standard_normal(7))
+        a = np.empty((3, 5), dtype=np.complex128)
+        a.real, a.imag = re.reshape(3, 5), im.reshape(3, 5)  # ``re + 1j * im`` loses -0
         path = tmp_path / "a.mtx"
         save_matrix(path, a)
-        b = load_matrix(path)
-        np.testing.assert_array_equal(a, b)
+        assert _bits(load_matrix(path)) == _bits(a)
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (100, 100), (300, 5)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_writer_matches_reference(self, shape, complex_field, tmp_path):
+        a = _adversarial_matrix(make_rng(shape[0] + 1000 * shape[1]), shape, complex_field)
+        ref_path, path = tmp_path / "ref.mtx", tmp_path / "a.mtx"
+        _reference_save(ref_path, a)
+        save_matrix(path, a)
+        assert path.read_bytes() == ref_path.read_bytes()
+        ref_stream, stream = io.StringIO(), io.StringIO()
+        _reference_save(ref_stream, a)
+        save_matrix(stream, a)
+        assert stream.getvalue() == ref_stream.getvalue()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reader_layouts_match_float_loop(self, field, tmp_path):
+        """Any whitespace layout and any token ``float()`` accepts load to the
+        bits of a per-token ``float()`` parse."""
+        toks = [repr(x) for x in ADVERSARIAL] + ["1E+300", "+2.5", "1_0", "-7.25e-5"]
+        body = (f"{toks[0]}\r\n" + "\t".join(toks[1:6]) + "\r\n\r\n\n"
+                + "   ".join(toks[6:9]) + " \t\r\n" + "\n\n".join(toks[9:]) + "  ")
+        shape = (3, 4) if field == "real" else (2, 3)
+        path = tmp_path / "layout.mtx"
+        path.write_bytes(f"{shape[0]} {shape[1]} {field}\r\n{body}".encode())
+        vals = [float(t) for t in toks]
+        if field == "complex":
+            vals = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
+        assert _bits(load_matrix(path)) == _bits(np.array(vals).reshape(shape))
 
     def test_header(self, tmp_path):
         path = tmp_path / "a.mtx"

@@ -99,6 +99,20 @@ class TestSpectralSolver:
         with pytest.raises(ValueError, match="near-singular"):
             _problem([1.0, 2.0], [2.0 + 1e-12], [[0.0], [0.0]])
 
+    def test_near_resonance_names_the_closest_pair(self):
+        gap = relative_gap([1.0, 2.0], [2.0 + 1e-12])
+        expected = (f"near-singular problem: eigenvalue {2.0:.12e} of A and "
+                    f"{2.0 + 1e-12:.12e} of M have relative gap {gap:.3e} < 1e-10")
+        with pytest.raises(ValueError) as exc:
+            _problem([1.0, 2.0], [2.0 + 1e-12], [[0.0], [0.0]])
+        assert str(exc.value) == expected
+
+    def test_gap_is_the_relative_gap(self):
+        for trial in range(6):
+            p = _random_dichotomous(make_rng(trial), complex_field=bool(trial % 2))
+            assert type(p.gap) is float
+            assert p.gap == relative_gap(p.dec_a.eigenvalues, p.dec_m.eigenvalues)
+
 
 class TestWeakResidual:
     def test_zero_candidate(self, rng):
