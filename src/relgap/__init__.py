@@ -11,21 +11,16 @@ __version__ = "0.1.0"
 from .matcore import (  # noqa: F401
     ConvergenceError,
     HermitianMatrix,
-    Norms,
     Projection,
     SpectralDecomposition,
-    apply_spectral_fn,
     eig_herm,
     fractional_power,
     hs_norm,
     load_matrix,
-    norms,
     op_norm,
-    pseudo_inverse,
     save_matrix,
     spectral_projector,
     spectral_projector_below,
-    svd,
 )
 from .forms import (  # noqa: F401
     ClosenessReport,
@@ -58,7 +53,6 @@ from .subspace import (  # noqa: F401
 )
 from .ritz import (  # noqa: F401
     RitzEstimate,
-    build_hp,
     dk_residual_bound,
     eta_routes,
     eta_spectrum,

@@ -162,11 +162,11 @@ class SpectralComparison:
 INNER_PRODUCT_FLOOR = 1e-8
 
 
-def _cluster_gap_terms(lam: np.ndarray, i: int, rtol: float = 1e-12) -> list[float]:
+def _cluster_gap_terms(lam: np.ndarray, i: int) -> list[float]:
     """Relative gaps from eigenvalue i's cluster to the nearest distinct
     neighbors above and below."""
     scale = lam[-1] if lam.size else 0.0
-    same = np.abs(lam - lam[i]) <= rtol * max(scale, 1e-300)
+    same = np.abs(lam - lam[i]) <= 1e-12 * max(scale, 1e-300)
     idx = np.nonzero(same)[0]
     lo, hi = idx[0], idx[-1]
     terms = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import HermitianMatrix, Projection
+from .matcore import HermitianMatrix, Projection, eig_herm, fractional_power
 from .ritz import RitzEstimate, dk_bound_from_gram, ritz_bounds
 from .splines import (
     PiecewisePoly,
@@ -183,8 +183,7 @@ def residual_competitor(model: MathieuModel, n_points: int, next_ev: float,
             a_form[i, j] = (l2_inner(derivs[i], derivs[j])
                             - model.alpha * l2_inner(phis[i], phis[j]))
             b_gram[i, j] = l2_inner(phis[i], phis[j])
-    lam_b, v_b = np.linalg.eigh(b_gram)
-    b_ihalf = (v_b / np.sqrt(lam_b)) @ v_b.conj().T
+    b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
     residuals = []
     for i, phi in enumerate(phis):

@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra: eigendecomposition, SVD, spectral calculus,
+"""Dense Hermitian linear algebra: eigendecomposition, fractional powers,
 spectral projectors and the operator / Hilbert-Schmidt norms used repo-wide.
 
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
@@ -16,7 +16,6 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-13
 ZERO_TOL = 1e-12  # relative rank cutoff for pseudo-inverse decisions
-ORTHO_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -121,9 +120,6 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
 
 @dataclass(frozen=True)
 class Projection:
@@ -149,19 +145,14 @@ class Projection:
         self.basis.setflags(write=False)
 
     @classmethod
-    def from_span(cls, cols: np.ndarray, rtol: float = ZERO_TOL) -> "Projection":
-        """Orthonormal basis of the column span, rank decided at ``rtol``."""
+    def from_span(cls, cols: np.ndarray) -> "Projection":
+        """Orthonormal basis of the column span, rank decided at ``ZERO_TOL``."""
         cols = _tidy_field(np.atleast_2d(cols))
         if cols.shape[1] == 0:
             return cls(cols)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        keep = s > rtol * max(s[0], 1e-300) if s.size else np.zeros(0, bool)
+        keep = s > ZERO_TOL * max(s[0], 1e-300) if s.size else np.zeros(0, bool)
         return cls(u[:, keep])
-
-    @classmethod
-    def zero(cls, n: int, complex_field: bool = False) -> "Projection":
-        dtype = np.complex128 if complex_field else np.float64
-        return cls(np.zeros((n, 0), dtype=dtype))
 
     @property
     def n(self) -> int:
@@ -207,75 +198,36 @@ def require_positive(dec: SpectralDecomposition, name: str, definite: bool) -> N
                          f"min eigenvalue {lo:.6e} vs max {hi:.6e}")
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``A = U diag(s) V*``.
-
-    Returns ``(s, U, V)`` with ``s`` nonnegative and descending, and the
-    *right* singular vectors as columns of ``V`` (not conjugated).
-    """
-    mat = _tidy_field(_as_array(a))
-    try:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        offdiag = np.linalg.norm(mat, "fro")
-        raise ConvergenceError(f"SVD did not converge (residual scale {offdiag:.3e})") from exc
-    return s, u, vh.conj().T
-
-
-def _from_spectrum(dec: SpectralDecomposition, mapped: np.ndarray) -> HermitianMatrix:
-    """``V diag(mapped) V*`` for finite mapped eigenvalues."""
-    if not np.all(np.isfinite(mapped)):
-        bad = dec.eigenvalues[~np.isfinite(mapped)]
-        raise ValueError(f"spectral function is not finite on eigenvalue(s) {bad}")
-    return HermitianMatrix((dec.vectors * mapped) @ dec.vectors.conj().T)
-
-
-def apply_spectral_fn(dec: SpectralDecomposition, f: Callable[[float], float],
-                      zero_tol: float = ZERO_TOL) -> HermitianMatrix:
-    """Evaluate ``V diag(f(lambda)) V*``.
-
-    Eigenvalues with ``|lambda| <= zero_tol * max|lambda|`` are routed through
-    ``f(0)``, which realizes the pseudo-inverse convention ``f(0) = 0``.
-    """
-    lam = dec.eigenvalues
-    scale = np.max(np.abs(lam)) if lam.size else 0.0
-    thresh = zero_tol * scale
-    mapped = np.array([f(0.0) if abs(x) <= thresh else f(x) for x in lam], dtype=np.float64)
-    return _from_spectrum(dec, mapped)
-
-
-def _pseudo_power(lam: np.ndarray, p: float, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def _pseudo_power(lam: np.ndarray, p: float) -> np.ndarray:
     """Entrywise ``lam ** p`` under the pseudo-inverse convention: values with
-    ``|lam| <= zero_tol * max|lam|`` map to ``0 ** p`` (``0 ** 0 = 1``), and a
+    ``|lam| <= ZERO_TOL * max|lam|`` map to ``0 ** p`` (``0 ** 0 = 1``), and a
     negative or non-integer power maps every nonpositive value to zero."""
-    thresh = zero_tol * (np.max(np.abs(lam)) if lam.size else 0.0)
+    thresh = ZERO_TOL * (np.max(np.abs(lam)) if lam.size else 0.0)
     live = np.abs(lam) > thresh if p >= 0 and p == round(p) else lam > thresh
     return np.where(live, np.where(live, lam, 1.0) ** p, float(p == 0))
 
 
-def fractional_power(dec: SpectralDecomposition, p: float,
-                     zero_tol: float = ZERO_TOL) -> HermitianMatrix:
-    """Fractional power by spectral calculus, with the pseudo-inverse
+def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
+    """``V diag(lam ** p) V*`` by spectral calculus, with the pseudo-inverse
     convention for negative exponents (zero maps to zero).
 
     Raises if the power demands positivity but a significantly negative
-    eigenvalue is present.
+    eigenvalue is present, or if a mapped eigenvalue is not finite.
     """
     lam = dec.eigenvalues
     scale = np.max(np.abs(lam)) if lam.size else 0.0
     if p != round(p) or p < 0:
         lam_min = lam.min() if lam.size else 0.0
-        if lam_min < -zero_tol * scale:
+        if lam_min < -ZERO_TOL * scale:
             raise ValueError(
                 f"power {p} requires a nonnegative spectrum; "
                 f"offending eigenvalue {lam_min:.6e}"
             )
-    return _from_spectrum(dec, _pseudo_power(lam, p, zero_tol))
-
-
-def pseudo_inverse(dec: SpectralDecomposition, zero_tol: float = ZERO_TOL) -> HermitianMatrix:
-    """Spectral-calculus inverse with zero eigenvalues mapped to zero."""
-    return fractional_power(dec, -1.0, zero_tol=zero_tol)
+    mapped = _pseudo_power(lam, p)
+    if not np.all(np.isfinite(mapped)):
+        bad = lam[~np.isfinite(mapped)]
+        raise ValueError(f"spectral function is not finite on eigenvalue(s) {bad}")
+    return HermitianMatrix((dec.vectors * mapped) @ dec.vectors.conj().T)
 
 
 def coupling_kernel(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -309,17 +261,6 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(_tidy_field(_as_array(a)), "fro"))
 
 
-@dataclass(frozen=True)
-class Norms:
-    op: float
-    hs: float
-
-
-def norms(a) -> Norms:
-    """Operator (largest singular value) and Hilbert-Schmidt (Frobenius) norms."""
-    return Norms(op=op_norm(a), hs=hs_norm(a))
-
-
 def spectral_projector(dec: SpectralDecomposition, a: float, b: float) -> Projection:
     """Projection onto the span of eigenvectors with eigenvalue in ``[a, b]``.
 
@@ -339,7 +280,7 @@ def spectral_projector_below(dec: SpectralDecomposition, d: float) -> Projection
 # ---------------------------------------------------------------------------
 # shared matrix text format
 #
-#   first line:  n m field          (field in {real, complex})
+#   first line:  n m field          (n, m >= 0; field in {real, complex})
 #   then n*m whitespace-separated entries, row major; a complex entry is the
 #   token pair "re im".  17 significant digits round-trip float64 exactly.
 # ---------------------------------------------------------------------------
@@ -365,6 +306,8 @@ def load_matrix(path) -> np.ndarray:
         if len(header) != 3:
             raise ValueError(f"malformed matrix header {header!r}; expected 'n m field'")
         n, m, field = int(header[0]), int(header[1]), header[2]
+        if n < 0 or m < 0:
+            raise ValueError(f"negative dimension in matrix header {header!r}")
         if field not in ("real", "complex"):
             raise ValueError(f"unknown scalar field {field!r}")
         toks = fh.read().split()

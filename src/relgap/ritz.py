@@ -26,17 +26,6 @@ from .matcore import (
 ETA_CROSS_CHECK_TOL = 1e-7
 
 
-def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
-    """Block-diagonal part of H with respect to range(P):
-    ``H_P = P H P + P_perp H P_perp``.  Positive definite whenever H is, and
-    range(P) reduces it.  A definition-level reference: :func:`eta_routes`
-    works on n-by-k blocks and never forms it."""
-    require_positive(eig_herm(h), "H", definite=True)
-    proj = p.projector
-    perp = np.eye(p.n) - proj
-    return HermitianMatrix(proj @ h.mat @ proj + perp @ h.mat @ perp)
-
-
 def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarray]:
     """The invariance-defect values by both routes, each ascending.
 
@@ -149,6 +138,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         raise ValueError(f"norm must be 'op' or 'hs', got {norm!r}")
     if p.rank == 0:
         raise ValueError("trial space must have rank >= 1")
+    if not np.isfinite(next_ev):
+        raise ValueError(f"next_ev must be finite, got {next_ev}")
     etas, eta_gap, eta_tol = _cross_checked_etas(h, p)
     k = p.rank
     ritz_vals = np.linalg.eigvalsh(p.basis.conj().T @ h.mat @ p.basis)
@@ -208,6 +199,8 @@ def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,
     """
     if norm not in ("op", "hs"):
         raise ValueError(f"norm must be 'op' or 'hs', got {norm!r}")
+    if not np.isfinite(next_ev):
+        raise ValueError(f"next_ev must be finite, got {next_ev}")
     gram = np.atleast_2d(np.asarray(gram))
     s = np.linalg.eigvalsh(gram)[::-1]
     if norm == "hs":
@@ -230,7 +223,7 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     if k == 0:
         raise ValueError("need at least one trial vector")
     gram_defect = np.linalg.norm(w.conj().T @ w - np.eye(k))
-    if gram_defect > 1e-10:
+    if not gram_defect <= 1e-10:  # a NaN defect fails too
         raise ValueError(f"trial vectors are not orthonormal (defect {gram_defect:.3e})")
     hw = h.mat @ w
     rho = np.real(np.sum(w.conj() * hw, axis=0))

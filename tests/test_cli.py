@@ -121,6 +121,19 @@ def test_ritz_estimate_nan_cross_check_exit_code(tmp_path, monkeypatch, capsys):
     assert "disagree by nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("next_ev", ["nan", "inf"])
+def test_ritz_estimate_nonfinite_next_ev_exit_code(tmp_path, capsys, next_ev):
+    rng = make_rng(9)
+    hp, bp = tmp_path / "h.mtx", tmp_path / "b.mtx"
+    save_matrix(hp, hermitian_from_spectrum(rng, [1.0, 2.0, 5.0, 6.0]).mat)
+    save_matrix(bp, np.linalg.qr(rng.standard_normal((4, 2)))[0])
+    assert main(["ritz", "estimate", "--h", str(hp), "--basis", str(bp),
+                 "--next-ev", next_ev]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"relgap: error: next_ev must be finite, got {next_ev}"]
+
+
 def test_sqroot_check(tmp_path, capsys):
     rng = make_rng(11)
     h = hermitian_from_spectrum(rng, [1.0, 4.0]).mat
@@ -224,6 +237,10 @@ MALFORMED = {
     "short body": ("2 2 real\n1 0 0\n", "expected 4 numbers, found 3"),
     "long body": ("2 2 real\n1 0 0 1 0\n", "expected 4 numbers, found 5"),
     "nan token": ("2 2 real\n1 nan 0 1\n", "non-finite"),
+    "header -1 -1": ("-1 -1 real\n1\n", "negative dimension in matrix header ['-1', '-1', 'real']"),
+    "header -2 -3": ("-2 -3 real\n1 2 3 4 5 6\n",
+                     "negative dimension in matrix header ['-2', '-3', 'real']"),
+    "header -1 0": ("-1 0 real\n", "negative dimension in matrix header ['-1', '0', 'real']"),
 }
 
 

@@ -5,10 +5,17 @@ import pytest
 
 import relgap.ritz
 from relgap.forms import FormPair, eta_exact
-from relgap.matcore import HermitianMatrix, Projection, eig_herm, hs_norm, op_norm, svd
+from relgap.matcore import (
+    HermitianMatrix,
+    Projection,
+    eig_herm,
+    hs_norm,
+    op_norm,
+    require_positive,
+)
 from relgap.ritz import (
     ETA_CROSS_CHECK_TOL,
-    build_hp,
+    dk_bound_from_gram,
     dk_residual_bound,
     eta_routes,
     eta_spectrum,
@@ -27,6 +34,16 @@ from conftest import (
 
 HAND_H = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
 E1 = Projection(np.eye(2)[:, :1])
+
+
+def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
+    """Definition-level oracle for the block-diagonal part of H with respect
+    to range(P), ``H_P = P H P + P_perp H P_perp``; the eta routes work on
+    n-by-k blocks and never form it."""
+    require_positive(eig_herm(h), "H", definite=True)
+    proj = p.projector
+    perp = np.eye(p.n) - proj
+    return HermitianMatrix(proj @ h.mat @ proj + perp @ h.mat @ perp)
 
 
 class TestBuildHp:
@@ -182,7 +199,7 @@ class TestEtaSpectrum:
             p = random_projection(rng, n, k, complex_field=bool(trial % 2))
             hp = build_hp(h, p)
             diff = np.linalg.inv(h.mat) - np.linalg.inv(hp.mat)
-            s = svd(diff)[0]
+            s = np.linalg.svd(diff, compute_uv=False)
             scale = max(s[0], 1e-30)
             assert np.all(s[2 * k:] <= 1e-10 * scale)
 
@@ -313,6 +330,13 @@ class TestRitzBounds:
         with pytest.raises(ValueError, match="rank"):
             ritz_bounds(h, Projection(np.zeros((3, 0))), 1.0)
 
+    @pytest.mark.parametrize("next_ev", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_next_ev_rejected(self, next_ev):
+        with pytest.raises(ValueError, match="next_ev must be finite"):
+            ritz_bounds(HAND_H, E1, next_ev)
+        with pytest.raises(ValueError, match="next_ev must be finite"):
+            dk_bound_from_gram(np.eye(1), 1.0, 2.0, next_ev)
+
     def test_bad_norm_rejected(self, rng):
         h = random_pd(rng, 3)
         with pytest.raises(ValueError, match="norm"):
@@ -335,6 +359,13 @@ class TestDkResidualBound:
         h = random_pd(rng, 4)
         w = rng.standard_normal((4, 2))
         with pytest.raises(ValueError, match="orthonormal"):
+            dk_residual_bound(h, w, 10.0)
+
+    def test_nan_trial_vector_rejected(self, rng):
+        h = random_pd(rng, 4)
+        w = eig_herm(h).vectors[:, :2].copy()
+        w[1, 0] = np.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
             dk_residual_bound(h, w, 10.0)
 
     def test_op_mode_uses_smallest_ritz(self, rng):
