@@ -16,7 +16,14 @@ import numpy as np
 
 from . import __version__
 from .harness import mathieu_model, rows_to_csv, rows_to_markdown, run_benchmark
-from .matcore import HermitianMatrix, Projection, load_matrix, save_matrix
+from .matcore import (
+    HermitianMatrix,
+    Projection,
+    eig_herm,
+    load_matrix,
+    save_matrix,
+    spectral_projector_below,
+)
 from .ritz import dk_residual_bound, ritz_bounds
 from .sqroot import sqrt_integral_solution, sqrt_pair
 from .subspace import hs_subspace_bounds, subspace_bounds
@@ -27,7 +34,6 @@ from .sylvester import (
     sylvester_bounds,
     weak_residual,
 )
-from .matcore import eig_herm, spectral_projector_below
 
 
 def _jsonable(obj):

@@ -19,7 +19,6 @@ from .matcore import (
     ZERO_TOL,
     coupling_kernel,
     eig_herm,
-    fractional_power,
     op_norm,
     require_positive,
     two_sided_fn,
@@ -89,10 +88,6 @@ class ClosenessReport:
     epsilon: float | None
     eta_from_eps: float | None
 
-    @property
-    def two_sided_comparable(self) -> bool:
-        return self.epsilon is not None and self.epsilon < 1.0
-
 
 def eta_from_epsilon(eps: float) -> float:
     """Map the two-sided constant to a form-closeness eta: eps / sqrt(1 - eps)."""
@@ -114,12 +109,12 @@ def epsilon_two_sided(fp: FormPair) -> float:
     A value >= 1 means the pair is not two-sided comparable.
     """
     fp.ensure_shared_kernel()
-    r = fp.dec_m.vectors[:, _range_mask(fp.dec_m)]
+    keep = _range_mask(fp.dec_m)
+    r = fp.dec_m.vectors[:, keep]
     if r.shape[1] == 0:
         raise ValueError("M has numerical rank 0; the pencil (H, M) is empty")
-    m_ihalf = fractional_power(fp.dec_m, -0.5).mat
-    c = m_ihalf @ fp.h.mat @ m_ihalf
-    nu = np.linalg.eigvalsh(r.conj().T @ c @ r)
+    d = fp.dec_m.eigenvalues[keep] ** -0.5  # M^{+1/2} r = r diag(d)
+    nu = np.linalg.eigvalsh(d[:, None] * (r.conj().T @ fp.h.mat @ r) * d)
     return float(np.max(np.abs(nu - 1.0)))
 
 

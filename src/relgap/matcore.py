@@ -166,6 +166,10 @@ class Projection:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
+    def perp(self, x: np.ndarray) -> np.ndarray:
+        """``(I - P) x = x - W (W* x)``, without forming the projector."""
+        return x - self.basis @ (self.basis.conj().T @ x)
+
     def complement(self) -> "Projection":
         """Projection onto the orthogonal complement of the range."""
         n, k = self.basis.shape

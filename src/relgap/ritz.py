@@ -182,6 +182,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
 def single_vector_bound(next_ev: float, ritz_min: float, eta_k: float) -> float | None:
     """Spectral-norm variant of the relative bound built on the smallest Ritz
     value, for single-vector approximation estimates."""
+    if not np.isfinite(next_ev):
+        raise ValueError(f"next_ev must be finite, got {next_ev}")
     if not (0.0 <= eta_k < 1.0) or next_ev <= ritz_min:
         return None
     return float(np.sqrt(next_ev * ritz_min) / (next_ev - ritz_min)

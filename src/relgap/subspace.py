@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, eta_exact, s_operator
+from .forms import FormPair, s_operator
 from .matcore import (
     HermitianMatrix,
     Projection,
@@ -19,7 +19,6 @@ from .matcore import (
     hs_norm,
     op_norm,
     spectral_projector,
-    spectral_projector_below,
     two_sided_fn,
 )
 from .sylvester import relative_gap
@@ -87,9 +86,11 @@ def _compression(x: HermitianMatrix, basis: np.ndarray) -> np.ndarray:
     return (blk + blk.conj().T) / 2.0
 
 
-def _compress(h: HermitianMatrix, m: HermitianMatrix, q: Projection, p: Projection):
-    """The block compression plus what :func:`hs_subspace_bounds` reuses: S,
-    the complement bases of Q and P, and the spectra of the A and M blocks."""
+def block_compress(h: HermitianMatrix, m: HermitianMatrix,
+                   q: Projection, p: Projection) -> BlockCompression:
+    """Compress H and M to the four subspaces determined by Q and P and report
+    the defect of ``Q_perp S P = A^{1/2} T M^{-1/2} - A^{-1/2} T M^{1/2}``
+    with ``T = Q_perp P`` (exact when Q commutes with H and P with M)."""
     if not (h.n == m.n == q.n == p.n):
         raise ValueError("H, M, Q, P must share one ambient dimension")
     bqp, bpp = q.complement().basis, p.complement().basis
@@ -101,17 +102,8 @@ def _compress(h: HermitianMatrix, m: HermitianMatrix, q: Projection, p: Projecti
     defect = op_norm(bqp.conj().T @ s @ p.basis - rhs)
     singular = tuple(name for name, lam in (("A", dec_a.eigenvalues), ("M", dec_m.eigenvalues))
                      if lam.size and lam[0] <= ZERO_TOL * max(np.max(np.abs(lam)), 1e-300))
-    block = BlockCompression(a=a, hc=_compression(h, q.basis), m=mc, w=_compression(m, bpp),
-                             identity_defect=defect, singular_blocks=singular)
-    return block, s, bqp, bpp, dec_a.eigenvalues, dec_m.eigenvalues
-
-
-def block_compress(h: HermitianMatrix, m: HermitianMatrix,
-                   q: Projection, p: Projection) -> BlockCompression:
-    """Compress H and M to the four subspaces determined by Q and P and report
-    the defect of ``Q_perp S P = A^{1/2} T M^{-1/2} - A^{-1/2} T M^{1/2}``
-    with ``T = Q_perp P`` (exact when Q commutes with H and P with M)."""
-    return _compress(h, m, q, p)[0]
+    return BlockCompression(a=a, hc=_compression(h, q.basis), m=mc, w=_compression(m, bpp),
+                            identity_defect=defect, singular_blocks=singular)
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
         raise ValueError(f"need 0 < d1 < d2, got d1={d1}, d2={d2}")
     dec_h, dec_m = eig_herm(h), eig_herm(m)
     if eta is None:
-        eta = eta_exact(FormPair(h, m)).eta
+        eta = op_norm(s_operator(FormPair(h, m)))
     notes: list[str] = []
     double = l1 is not None or l2 is not None
     if double and (l1 is None or l2 is None):
@@ -166,36 +158,36 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
         small_ok = eta < 1.0 / coef
         if not small_ok:
             notes.append(f"eta={eta:.6e} not below (d2-d1)/sqrt(d2 d1)={1.0 / coef:.6e}")
-        q = spectral_projector_below(dec_h, d1)
-        p = spectral_projector_below(dec_m, d1)
-        true = op_norm(p.projector - q.projector)
-        return BoundReport(bound=coef * eta, hypothesis_ok=resolvent_ok and small_ok,
-                           true_value=true, eta=eta, notes=tuple(notes))
+        hypothesis_ok = resolvent_ok and small_ok
+        band = (-np.inf, d1)
+    else:
+        if not 0.0 < l1 < l2 < d1:
+            raise ValueError(f"need 0 < l1 < l2 < d1 < d2, got {l1}, {l2}, {d1}, {d2}")
+        low_ok = (_interval_in_resolvent(dec_h.eigenvalues, l1, l2)
+                  and _interval_in_resolvent(dec_m.eigenvalues, l1, l2))
+        if not low_ok:
+            notes.append(f"[{l1}, {l2}] intersects a spectrum")
+        coef = np.sqrt(d2 * d1) / (d2 - d1) + np.sqrt(l2 * l1) / (l2 - l1)
+        small_ok = coef * eta < 1.0
+        if not small_ok:
+            notes.append(f"coefficient * eta = {coef * eta:.6e} not below 1")
+        hypothesis_ok = resolvent_ok and low_ok and small_ok
+        if band is None:
+            band = (l2, d1)
+            notes.append(f"band projections default to E[{l2}, {d1}]")
 
-    if not 0.0 < l1 < l2 < d1:
-        raise ValueError(f"need 0 < l1 < l2 < d1 < d2, got {l1}, {l2}, {d1}, {d2}")
-    low_ok = (_interval_in_resolvent(dec_h.eigenvalues, l1, l2)
-              and _interval_in_resolvent(dec_m.eigenvalues, l1, l2))
-    if not low_ok:
-        notes.append(f"[{l1}, {l2}] intersects a spectrum")
-    coef = np.sqrt(d2 * d1) / (d2 - d1) + np.sqrt(l2 * l1) / (l2 - l1)
-    small_ok = coef * eta < 1.0
-    if not small_ok:
-        notes.append(f"coefficient * eta = {coef * eta:.6e} not below 1")
-    if band is None:
-        band = (l2, d1)
-        notes.append(f"band projections default to E[{l2}, {d1}]")
-    q = spectral_projector(dec_h, band[0], band[1])
-    p = spectral_projector(dec_m, band[0], band[1])
-    true = op_norm(p.projector - q.projector)
-    return BoundReport(bound=coef * eta, hypothesis_ok=resolvent_ok and low_ok and small_ok,
+    # ||P - Q|| = max(||(I-Q) W_P||, ||(I-P) W_Q||) for any two orthogonal projections
+    q = spectral_projector(dec_h, *band)
+    p = spectral_projector(dec_m, *band)
+    true = max(op_norm(q.perp(p.basis)), op_norm(p.perp(q.basis)))
+    return BoundReport(bound=coef * eta, hypothesis_ok=hypothesis_ok,
                        true_value=true, eta=eta, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
 class HsSubspaceBounds:
-    """Hilbert-Schmidt bounds for a commuting projection pair, their true
-    counterparts, and the Pythagorean split of ``|||P - Q|||^2``."""
+    """Hilbert-Schmidt bounds for a commuting projection pair and their true
+    counterparts; ``|||P - Q|||^2 = |||Q_perp P|||^2 + |||P_perp Q|||^2``."""
 
     bound_qperp_p: float | None
     bound_pperp_q: float | None
@@ -206,7 +198,6 @@ class HsSubspaceBounds:
     true_diff: float
     gap_low: float | None   # gap(sigma(Q_perp H Q_perp), sigma(P M P))
     gap_high: float | None  # gap(sigma(P_perp M P_perp), sigma(Q H Q))
-    pythagorean_defect: float
     hypothesis_ok: bool
     notes: tuple[str, ...] = ()
 
@@ -214,11 +205,9 @@ class HsSubspaceBounds:
 def _commutes(h: HermitianMatrix, q: Projection) -> bool:
     """``||HQ - QH|| = ||(I - Q) H W||`` for the orthonormal basis W of range(Q),
     measured against ``||H||``."""
-    w = q.basis
-    hw = h.mat @ w
     lam = eig_herm(h).eigenvalues
     h_norm = max(abs(lam[0]), abs(lam[-1]))
-    return op_norm(hw - w @ (w.conj().T @ hw)) <= COMMUTE_RTOL * max(h_norm, 1e-300)
+    return op_norm(q.perp(h.mat @ q.basis)) <= COMMUTE_RTOL * max(h_norm, 1e-300)
 
 
 def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
@@ -227,20 +216,21 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
 
     Q must commute with H and P with M; the involved mixed products are then
     controlled through the S operator and the relative gaps of the block
-    compressions.
+    compressions.  Every true value and coupling term is read from n-by-k
+    blocks, ``(I - Q) X = X - W_Q (W_Q* X)``.
     """
+    if not (h.n == m.n == q.n == p.n):
+        raise ValueError("H, M, Q, P must share one ambient dimension")
     if not _commutes(h, q):
         raise ValueError("Q does not commute with H (tolerance 1e-10 * ||H||)")
     if not _commutes(m, p):
         raise ValueError("P does not commute with M (tolerance 1e-10 * ||M||)")
 
-    block, s, bqp, bpp, lam_a, lam_m = _compress(h, m, q, p)
     bq, bp = q.basis, p.basis
-
-    true_qperp_p = hs_norm(bqp.conj().T @ bp)
-    true_pperp_q = hs_norm(bpp.conj().T @ bq)
-    true_diff = hs_norm(p.projector - q.projector)
-    pyth_defect = abs(true_diff ** 2 - (true_qperp_p ** 2 + true_pperp_q ** 2))
+    s = s_operator(FormPair(h, m))
+    true_qperp_p = hs_norm(q.perp(bp))
+    true_pperp_q = hs_norm(p.perp(bq))
+    true_diff = float(np.hypot(true_qperp_p, true_pperp_q))
 
     notes: list[str] = []
 
@@ -258,20 +248,21 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
             return None
         return g
 
+    lam_a, lam_m, lam_w, lam_hc = (np.linalg.eigvalsh(_compression(x, basis)) for x, basis in (
+        (h, q.complement().basis), (m, bp), (m, p.complement().basis), (h, bq)))
     gap_low = _gap_or_none(lam_a, lam_m, "gap(sigma(A), sigma(M))")
-    gap_high = _gap_or_none(np.linalg.eigvalsh(block.w), np.linalg.eigvalsh(block.hc),
-                            "gap(sigma(W), sigma(Hc))")
+    gap_high = _gap_or_none(lam_w, lam_hc, "gap(sigma(W), sigma(Hc))")
 
-    f_low = hs_norm(bqp.conj().T @ s @ bp)
-    f_high = hs_norm(bq.conj().T @ s @ bpp)
+    f_low = hs_norm(q.perp(s @ bp))
+    f_high = hs_norm(p.perp(s.conj().T @ bq))
 
     def _rhs(f_hs: float, gap: float | None, trivial: bool) -> float | None:
         if trivial:
             return 0.0
         return None if gap is None else f_hs / gap
 
-    b1 = _rhs(f_low, gap_low, bqp.shape[1] == 0 or bp.shape[1] == 0)
-    b2 = _rhs(f_high, gap_high, bq.shape[1] == 0 or bpp.shape[1] == 0)
+    b1 = _rhs(f_low, gap_low, q.rank == q.n or p.rank == 0)
+    b2 = _rhs(f_high, gap_high, q.rank == 0 or p.rank == p.n)
     b_diff = None if (b1 is None or b2 is None) else float(np.hypot(b1, b2))
 
     gaps = [g for g in (gap_low, gap_high) if g is not None]
@@ -287,7 +278,6 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
         true_diff=true_diff,
         gap_low=gap_low,
         gap_high=gap_high,
-        pythagorean_defect=pyth_defect,
         hypothesis_ok=b_diff is not None,
         notes=tuple(notes),
     )

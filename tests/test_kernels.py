@@ -9,7 +9,7 @@ kept below as references.
 import numpy as np
 import pytest
 
-from relgap.forms import FormPair, eta_exact, s_operator
+from relgap.forms import FormPair, epsilon_two_sided, eta_exact, s_operator
 from relgap.matcore import HermitianMatrix, eig_herm, spectral_projector_below
 from relgap.ritz import ritz_bounds
 from relgap.sqroot import sqrt_pair
@@ -21,7 +21,7 @@ from relgap.sylvester import (
     weak_residual,
 )
 
-from conftest import hermitian_from_spectrum, make_rng, random_projection
+from conftest import hermitian_from_spectrum, make_rng, random_projection, random_unitary
 
 REF_RTOL = 1e-12
 
@@ -117,6 +117,36 @@ def test_sylvester_solution_and_residual_match_dense_powers(complex_field):
     assert abs(weak_residual(prob, other) - ref) <= REF_RTOL * ref
 
 
+def _ref_epsilon(h, m):
+    """max |nu - 1| over the eigenvalues nu of R* M^{+1/2} H M^{+1/2} R, R an
+    orthonormal basis of range(M)."""
+    lam, v = np.linalg.eigh(m.mat)
+    r = v[:, lam > 1e-12 * np.max(np.abs(lam))]
+    c = _power(m, -0.5) @ h.mat @ _power(m, -0.5)
+    return np.max(np.abs(np.linalg.eigvalsh(r.conj().T @ c @ r) - 1.0))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("log_cond, kernel", [(0, 0), (3, 0), (6, 0), (3, 4), (6, 4)])
+def test_epsilon_matches_dense_powers(complex_field, log_cond, kernel):
+    # H = M^{1/2} (I + E) M^{1/2}: a shared kernel when M is rank-deficient,
+    # cond(M) on its range up to 1e6
+    rng = make_rng(47)
+    n = 24
+    mu = np.concatenate([np.zeros(kernel), np.logspace(0.0, log_cond, n - kernel)])
+    u = random_unitary(rng, n, complex_field)
+    m_half = (u * np.sqrt(mu)) @ u.conj().T
+    z = rng.standard_normal((n, n))
+    if complex_field:
+        z = z + 1j * rng.standard_normal((n, n))
+    e = (z + z.conj().T) / 2.0
+    e *= 0.3 / np.linalg.norm(e, 2)
+    h = HermitianMatrix(m_half @ (np.eye(n) + e) @ m_half)
+    m = HermitianMatrix((u * mu) @ u.conj().T)
+    ref = _ref_epsilon(h, m)
+    assert abs(epsilon_two_sided(FormPair(h, m)) - ref) <= 1e-10 * ref
+
+
 # ---------------------------------------------------------------------------
 # one decomposition per operator
 # ---------------------------------------------------------------------------
@@ -147,19 +177,30 @@ def _pair(rng):
 
 @pytest.fixture
 def large_decompositions(monkeypatch):
-    """Record eigh/eigvalsh calls on matrices of dimension >= N/2, and svd
-    calls with either dimension >= N/2."""
+    """Record eigh/eigvalsh calls on matrices of dimension >= N/2, svd calls
+    with either dimension >= N/2, and 2-norms of matrices with both dimensions
+    >= N/2 (numpy's 2-norm runs its own SVD, which patching svd misses)."""
     counts = []
 
-    def counting(fn, dims):
+    def counting(fn, large):
         def wrapper(a, *args, **kwargs):
-            if max(np.shape(a)[-dims:]) >= N // 2:
+            if large(np.shape(a), *args, **kwargs):
                 counts.append(fn.__name__)
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name, dims in (("eigh", 1), ("eigvalsh", 1), ("svd", 2)):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), dims))
+    def square(shape, *_, **__):
+        return shape[-1] >= N // 2
+
+    checks = {
+        "eigh": square,
+        "eigvalsh": square,
+        "svd": lambda shape, *_, **__: max(shape[-2:]) >= N // 2,
+        "norm": lambda shape, ord=None, *_, **__: (ord == 2 and len(shape) == 2
+                                                  and min(shape) >= N // 2),
+    }
+    for name, large in checks.items():
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), large))
     return counts
 
 
@@ -190,7 +231,7 @@ def test_decompositions_per_public_call(large_decompositions):
 
     budget = {
         "eta_exact": (lambda: eta_exact(FormPair(*_pair(rng))), 3),
-        "subspace_bounds": (lambda: subspace_bounds(*_pair(rng), D1, D2), 3),
+        "subspace_bounds": (lambda: subspace_bounds(*_pair(rng), D1, D2), 2),
         "hs_subspace_bounds": (hs_bounds, 4),
         "ritz_bounds": (lambda: ritz_bounds(_pair(rng)[0], random_projection(rng, N, RANK),
                                             next_ev=3.0), 1),
@@ -203,4 +244,9 @@ def test_decompositions_per_public_call(large_decompositions):
     assert not over, used
     # the Ritz estimate works on n-by-k blocks: no n-sized SVD, no complement basis
     h, p = _pair(rng)[0], random_projection(rng, N, RANK)
-    assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("svd",)) == 0
+    assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("svd", "norm")) == 0
+    # the subspace truths come from n-by-k blocks: the one n-by-n 2-norm is ||S||
+    h, m = _pair(rng)
+    assert _counted(counts, lambda: subspace_bounds(h, m, D1, D2), ("svd",)) == 0
+    assert _counted(counts, lambda: subspace_bounds(h, m, D1, D2), ("norm",)) == 1
+    assert _counted(counts, hs_bounds, ("norm",)) == 0

@@ -336,6 +336,8 @@ class TestRitzBounds:
             ritz_bounds(HAND_H, E1, next_ev)
         with pytest.raises(ValueError, match="next_ev must be finite"):
             dk_bound_from_gram(np.eye(1), 1.0, 2.0, next_ev)
+        with pytest.raises(ValueError, match="next_ev must be finite"):
+            single_vector_bound(next_ev, 1.0, 0.5)
 
     def test_bad_norm_rejected(self, rng):
         h = random_pd(rng, 3)

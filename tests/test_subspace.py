@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from relgap.forms import FormPair
-from relgap.matcore import HermitianMatrix, Projection, eig_herm, hs_norm, op_norm
+from relgap.matcore import (
+    HermitianMatrix,
+    Projection,
+    eig_herm,
+    hs_norm,
+    op_norm,
+    spectral_projector_below,
+)
 from relgap.subspace import (
     block_compress,
     hs_subspace_bounds,
@@ -224,7 +231,6 @@ class TestHsSubspaceBounds:
         rep = hs_subspace_bounds(h, h, q, q)
         assert rep.true_diff == pytest.approx(0.0, abs=1e-12)
         assert rep.bound_diff == pytest.approx(0.0, abs=1e-10)
-        assert rep.pythagorean_defect <= 1e-12
 
     def test_diagonal_zero_coupling(self):
         h = HermitianMatrix(np.diag([1.0, 4.0]))
@@ -263,7 +269,6 @@ class TestHsSubspaceBounds:
             assert rep.true_diff <= rep.bound_diff + 1e-12
             assert rep.true_diff <= rep.bound_combined + 1e-12
             assert rep.bound_diff <= rep.bound_combined + 1e-12
-            assert rep.pythagorean_defect <= 1e-10
         assert applicable >= 80
 
     def test_pythagorean_identity_any_pair(self):
@@ -278,3 +283,56 @@ class TestHsSubspaceBounds:
             qp = hs_norm(q.complement().basis.conj().T @ p.basis) ** 2
             pq = hs_norm(p.complement().basis.conj().T @ q.basis) ** 2
             assert abs(diff2 - (qp + pq)) <= 1e-10
+
+
+ANGLE_N = 40
+ANGLE_SHAPE = np.array([1.0, 0.5, 1e-3, 0.0])  # principal angles relative to the largest
+
+
+def _angled_pair(rng, angles, kq, kp, complex_field):
+    """H and M whose spectral projectors below 1.5 have ranks kq and kp and
+    ranges meeting at the given principal angles: range(E_M(1.5)) is spanned
+    by u_0..u_{kp-1}, range(E_H(1.5)) by u_i cos t_i + u_{4+i} sin t_i."""
+    n = ANGLE_N
+    u = random_unitary(rng, n, complex_field)
+    rot = np.eye(n)
+    for i, t in enumerate(angles):
+        j = len(ANGLE_SHAPE) + i
+        rot[[i, j, i, j], [i, i, j, j]] = np.cos(t), np.sin(t), -np.sin(t), np.cos(t)
+    v = u @ rot
+
+    def spectrum(k):
+        return np.where(np.arange(n) < k, rng.uniform(0.5, 1.0, n), rng.uniform(3.0, 10.0, n))
+
+    h = HermitianMatrix((v * spectrum(kq)) @ v.conj().T)
+    m = HermitianMatrix((u * spectrum(kp)) @ u.conj().T)
+    return h, m
+
+
+class TestProjectionPairTruths:
+    """The true values of both subspace bounds come from n-by-k blocks; they
+    must match the principal angles and a dense ``P - Q`` oracle to
+    double-precision accuracy, down to tiny angles."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("kq, kp, theta", [
+        *((4, 4, theta) for theta in (1e-12, 1e-8, 1e-4, 0.1, 1.0, np.pi / 2)),
+        (4, 3, 0.3), (3, 4, 1e-10), (4, 0, 0.0), (0, 4, 0.0),
+    ])
+    def test_truths_match_angles_and_dense_oracle(self, kq, kp, theta, complex_field):
+        angles = theta * ANGLE_SHAPE[:min(kq, kp)]
+        h, m = _angled_pair(make_rng(500), angles, kq, kp, complex_field)
+        q = spectral_projector_below(eig_herm(h), 1.5)
+        p = spectral_projector_below(eig_herm(m), 1.5)
+        assert (q.rank, p.rank) == (kq, kp)
+        sines = np.sin(angles)
+        op_exact = np.max(sines, initial=0.0) if kq == kp else 1.0
+        hs_exact = np.sqrt(abs(kq - kp) + 2.0 * np.sum(sines ** 2))
+        diff = p.projector - q.projector
+
+        rep = subspace_bounds(h, m, 1.5, 2.5)
+        assert abs(rep.true_value - op_exact) <= 1e-12
+        assert abs(rep.true_value - op_norm(diff)) <= 1e-14
+        hs = hs_subspace_bounds(h, m, q, p)
+        assert abs(hs.true_diff - hs_exact) <= 1e-12
+        assert abs(hs.true_diff - hs_norm(diff)) <= 1e-14
