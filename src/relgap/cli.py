@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -140,7 +141,10 @@ def _cmd_bench_mathieu(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; every parse starts from
+    fresh defaults, so no option carries over between calls of :func:`main`."""
     parser = argparse.ArgumentParser(prog="relgap",
                                      description="relative spectral perturbation toolkit")
     parser.add_argument("--version", action="version", version=f"relgap {__version__}")

@@ -50,23 +50,27 @@ _w_gauss[1:14:2] = np.concatenate([_WG[:3], _WG[3:][::-1], _WG[2::-1]])
 _W_GAUSS = _w_gauss
 
 
-def _panel(f: Callable[[float], np.ndarray], a: float, b: float):
+def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Kronrod and Gauss estimates plus the entrywise error gauge on [a, b]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = [np.asarray(f(mid + half * x)) for x in _NODES]
-    k15 = half * sum(w * v for w, v in zip(_W_KRONROD, vals))
+    vals = np.asarray(f(mid + half * _NODES))
+    k15 = half * np.tensordot(_W_KRONROD, vals, axes=1)
     if not np.all(np.isfinite(k15)):
         raise ConvergenceError(f"integrand is not finite on the panel [{a:.6g}, {b:.6g}]")
-    g7 = half * sum(w * v for w, v in zip(_W_GAUSS, vals))
+    g7 = half * np.tensordot(_W_GAUSS, vals, axes=1)
     err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
     return k15, err
 
 
-def integrate_adaptive(f: Callable[[float], np.ndarray], a: float, b: float,
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                        tol: float, max_panels: int = 4096):
     """Integrate a matrix-valued ``f`` over ``[a, b]`` to absolute entrywise
     tolerance ``tol``.
+
+    ``f`` is called once per panel, on the 1-D array of its 15 Kronrod nodes,
+    and returns the values at those nodes stacked along axis 0 (shape
+    ``(15,) + value_shape``).
 
     Returns ``(integral, error_estimate)``.  Raises :class:`ConvergenceError`
     with the achieved residual if the panel budget is exhausted first, and
@@ -74,6 +78,8 @@ def integrate_adaptive(f: Callable[[float], np.ndarray], a: float, b: float,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_panels < 1:
+        raise ValueError("max_panels must be at least 1")
     val, err = _panel(f, a, b)
     # heap of (-err, counter, a, b, value); counter breaks exact-error ties
     counter = 0

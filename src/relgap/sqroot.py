@@ -33,14 +33,21 @@ class SqrtPerturbation:
         return self.norm_t / 2.0 - self.norm_x
 
 
-def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
-    """T, X and their norms for a positive definite pair, with the defect of
-    the coupling identity reported."""
+def _definite_pair(h: HermitianMatrix, m: HermitianMatrix):
+    """The eigendecompositions of H and M, checked to be positive definite
+    and of one size."""
     if h.n != m.n:
         raise ValueError(f"dimension mismatch: {h.n} vs {m.n}")
     dec_h, dec_m = eig_herm(h), eig_herm(m)
     require_positive(dec_h, "H", definite=True)
     require_positive(dec_m, "M", definite=True)
+    return dec_h, dec_m
+
+
+def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
+    """T, X and their norms for a positive definite pair, with the defect of
+    the coupling identity reported."""
+    dec_h, dec_m = _definite_pair(h, m)
     # T, X and the coupling operator all act between the eigenbases of M and H
     t = two_sided_fn(dec_m, dec_h, coupling_kernel)
     x = two_sided_fn(dec_m, dec_h, lambda mu, lam: (mu / lam) ** 0.25 - (lam / mu) ** 0.25)
@@ -68,8 +75,7 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    pair = sqrt_pair(h, m)
-    dec_h, dec_m = eig_herm(h), eig_herm(m)
+    dec_h, dec_m = _definite_pair(h, m)
 
     mu = dec_m.eigenvalues
     lam = dec_h.eigenvalues
@@ -77,13 +83,14 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
     rate = 1.0 / np.sqrt(mu.max()) + 1.0 / np.sqrt(lam.max())
     scale = 2.0 / rate
 
-    core = fractional_power(dec_m, -0.25).mat @ pair.t @ fractional_power(dec_h, -0.25).mat
+    t_pair = two_sided_fn(dec_m, dec_h, coupling_kernel)
+    core = fractional_power(dec_m, -0.25).mat @ t_pair @ fractional_power(dec_h, -0.25).mat
 
-    def integrand(s: float) -> np.ndarray:
-        t = -scale * np.log1p(-s)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        t = (-scale * np.log1p(-s))[:, None, None]
         em = (vm * np.exp(-t / np.sqrt(mu))) @ vm.conj().T
         eh = (vh * np.exp(-t / np.sqrt(lam))) @ vh.conj().T
-        return (em @ core @ eh) * (scale / (1.0 - s))
+        return (em @ core @ eh) * (scale / (1.0 - s))[:, None, None]
 
     x, _ = integrate_adaptive(integrand, 0.0, 1.0, tol=tol)
     if not (np.iscomplexobj(h.mat) or np.iscomplexobj(m.mat)):
@@ -93,10 +100,10 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
     c_eigs = 1.0 / np.sqrt(lam)
     c_scale = 1.0 / c_eigs.min()
 
-    def identity_integrand(s: float) -> np.ndarray:
-        t = -c_scale * np.log1p(-s)
+    def identity_integrand(s: np.ndarray) -> np.ndarray:
+        t = (-c_scale * np.log1p(-s))[:, None, None]
         vals = np.exp(-2.0 * t * c_eigs) * c_eigs
-        return ((vh * vals) @ vh.conj().T) * (c_scale / (1.0 - s))
+        return ((vh * vals) @ vh.conj().T) * (c_scale / (1.0 - s))[:, None, None]
 
     half_id, _ = integrate_adaptive(identity_integrand, 0.0, 1.0, tol=tol)
     defect = op_norm(half_id - 0.5 * np.eye(h.n))

@@ -97,7 +97,9 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
         T = -(1/2 pi) * int A^{1/2} (A - i z - d)^{-1} F (M - i z - d)^{-1} M^{1/2} dz
 
     by adaptive Gauss-Kronrod quadrature after the substitution z = d tan(s).
-    Requires the dichotomy ``||M|| < d < 1/||A^{-1}||``.
+    Requires the dichotomy ``||M|| < d < 1/||A^{-1}||``.  When A, M and F are
+    all real the integrand satisfies ``g(-s) = conj(g(s))``, so only
+    ``[0, pi/2]`` is integrated and T is ``-Re(.)/pi`` of that half.
     """
     m_norm, big_d = p.dichotomy_interval
     if d is None:
@@ -112,18 +114,21 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
     eye_a = np.eye(p.a.n)
     eye_m = np.eye(p.m.n)
 
-    def integrand(s: float) -> np.ndarray:
-        w = d + 1j * d * np.tan(s)
-        left = np.linalg.solve(amat - w * eye_a, f)
-        full = np.linalg.solve((mmat - w * eye_m).T, left.T).T
-        return (a_half @ full @ m_half) * (d / np.cos(s) ** 2)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        w = (d + 1j * d * np.tan(s))[:, None, None]
+        left = np.linalg.solve(amat - w * eye_a, np.broadcast_to(f, s.shape + f.shape))
+        # left (M - w)^{-1}, solved as the transpose system
+        full = np.linalg.solve(np.swapaxes(mmat - w * eye_m, 1, 2),
+                               np.swapaxes(left, 1, 2))
+        return (a_half @ np.swapaxes(full, 1, 2) @ m_half) * (d / np.cos(s) ** 2)[:, None, None]
 
-    total, _err = integrate_adaptive(integrand, -np.pi / 2, np.pi / 2,
-                                     tol=tol * 2.0 * np.pi, max_panels=max_panels)
-    t = -total / (2.0 * np.pi)
-    if not (np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat)):
-        t = t.real
-    return t
+    if np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat):
+        total, _err = integrate_adaptive(integrand, -np.pi / 2, np.pi / 2,
+                                         tol=tol * 2.0 * np.pi, max_panels=max_panels)
+        return -total / (2.0 * np.pi)
+    half, _err = integrate_adaptive(integrand, 0.0, np.pi / 2,
+                                    tol=tol * np.pi, max_panels=max_panels)
+    return -half.real / np.pi
 
 
 def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:

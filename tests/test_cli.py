@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from relgap.cli import main
+from relgap.cli import build_parser, main
 from relgap.matcore import load_matrix, save_matrix
 
 from conftest import hermitian_from_spectrum, make_rng
@@ -89,6 +89,25 @@ def test_subspace_bound_hs_mode(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["true_diff"] == pytest.approx(0.0, abs=1e-10)
     assert rep["hypothesis_ok"] is True
+
+
+def test_parser_built_once_without_leaking_options(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    rng = make_rng(6)
+    h = hermitian_from_spectrum(rng, [0.5, 1.0, 3.0, 4.0]).mat
+    hp, mp = tmp_path / "h.mtx", tmp_path / "m.mtx"
+    save_matrix(hp, h)
+    save_matrix(mp, h)
+    args = ["subspace", "bound", "--h", str(hp), "--m", str(mp), "--d1", "1.5"]
+    assert main(args + ["--d2", "2.5", "--hs"]) == 0
+    assert "true_diff" in json.loads(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--hs", "--d2", "not-a-number"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(args + ["--d2", "2.5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert "true_value" in rep and "true_diff" not in rep
 
 
 def test_ritz_estimate(tmp_path, capsys):

@@ -90,6 +90,16 @@ class TestIntegralSolution:
         with pytest.raises(ValueError, match="tol"):
             sqrt_integral_solution(m, m, tol=0.0)
 
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="H must be positive definite"):
+            sqrt_integral_solution(_h(np.diag([1.0, -2.0])), _h(np.eye(2)))
+        with pytest.raises(ValueError, match="M must be positive definite"):
+            sqrt_integral_solution(_h(np.eye(2)), _h(np.diag([0.0, 2.0])))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            sqrt_integral_solution(_h(np.eye(2)), _h(np.eye(3)))
+
 
 class TestFormBound:
     def test_values(self):

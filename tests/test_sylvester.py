@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import relgap.quadrature as quadrature
+import relgap.sylvester as sylvester_module
 from relgap.matcore import ConvergenceError, HermitianMatrix, hs_norm, op_norm
+from relgap.quadrature import integrate_adaptive
 from relgap.sylvester import (
     WeakSylvesterProblem,
     relative_gap,
@@ -180,6 +183,53 @@ class TestQuadratureSolver:
         with pytest.raises(ConvergenceError, match="achieved residual"):
             solve_weak_quadrature(p, tol=1e-14, max_panels=2)
 
+    @pytest.mark.parametrize("max_panels", [0, -5])
+    def test_nonpositive_budget_rejected(self, max_panels):
+        p = _problem([4.0], [1.0], [[1.0]])
+        with pytest.raises(ValueError, match="max_panels must be at least 1"):
+            solve_weak_quadrature(p, max_panels=max_panels)
+
+    @staticmethod
+    def _traced_solve(monkeypatch, p, tol=1e-10):
+        """Solve by quadrature, recording the interval, the tolerance, the
+        integrand and the number of nodes it was evaluated at."""
+        seen = {"nodes": 0}
+
+        def counting(f, a, b, tol, max_panels):
+            def g(s):
+                seen["nodes"] += np.size(s)
+                return f(s)
+            seen.update(f=f, a=a, b=b, tol=tol)
+            return integrate_adaptive(g, a, b, tol=tol, max_panels=max_panels)
+
+        monkeypatch.setattr(sylvester_module, "integrate_adaptive", counting)
+        return solve_weak_quadrature(p, tol=tol), seen
+
+    def test_half_contour_on_real_data(self, rng, monkeypatch):
+        p = _random_dichotomous(rng, n_a=8, n_m=8)
+        t, seen = self._traced_solve(monkeypatch, p)
+        assert (seen["a"], seen["b"]) == (0.0, np.pi / 2)
+        assert not np.iscomplexobj(t)
+        assert np.max(np.abs(t - solve_weak_spectral(p))) <= 1e-8
+        # the full contour at the matching tolerance, for the node count
+        full = {"nodes": 0}
+
+        def g(s):
+            full["nodes"] += np.size(s)
+            return seen["f"](s)
+
+        integrate_adaptive(g, -np.pi / 2, np.pi / 2, tol=2.0 * seen["tol"])
+        assert seen["nodes"] <= (full["nodes"] + 15) / 2
+
+    def test_complex_rhs_keeps_full_contour(self, rng, monkeypatch):
+        p = _random_dichotomous(rng, n_a=8, n_m=8)
+        f = p.f + 1j * rng.standard_normal(p.f.shape)
+        p = WeakSylvesterProblem(p.a, p.m, f)
+        assert not (np.iscomplexobj(p.a.mat) or np.iscomplexobj(p.m.mat))
+        t, seen = self._traced_solve(monkeypatch, p)
+        assert (seen["a"], seen["b"]) == (-np.pi / 2, np.pi / 2)
+        assert np.max(np.abs(t - solve_weak_spectral(p))) <= 1e-8
+
 
 class TestBounds:
     def test_dichotomy_example(self):
@@ -278,6 +328,61 @@ class TestProblemValidation:
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_quadrature_rejects_nonfinite_integrand(value):
-    from relgap.quadrature import integrate_adaptive
     with pytest.raises(ConvergenceError, match="not finite"):
-        integrate_adaptive(lambda s: np.array([[value]]), 0.0, 1.0, tol=1e-10)
+        integrate_adaptive(lambda s: np.full((s.size, 1, 1), value), 0.0, 1.0, tol=1e-10)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("node", [0, 7, 14])
+def test_quadrature_rejects_one_nonfinite_node(value, node):
+    def f(s):
+        vals = np.cos(s)[:, None, None] * np.ones((1, 2, 2))
+        vals[node, 1, 0] = value
+        return vals
+
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_adaptive(f, 0.0, 1.0, tol=1e-10)
+
+
+def _reference_panel(f, a, b):
+    """The per-node Kronrod panel: one scalar call of ``f`` per node."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    vals = [np.asarray(f(mid + half * x)) for x in quadrature._NODES]
+    k15 = half * sum(w * v for w, v in zip(quadrature._W_KRONROD, vals))
+    if not np.all(np.isfinite(k15)):
+        raise ConvergenceError(f"integrand is not finite on the panel [{a:.6g}, {b:.6g}]")
+    g7 = half * sum(w * v for w, v in zip(quadrature._W_GAUSS, vals))
+    err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
+    return k15, err
+
+
+def test_batched_panel_matches_per_node_reference(monkeypatch):
+    # a matrix-valued integrand with a sharp peak, so that many panels are needed
+    rng = make_rng(31)
+    v = random_unitary(rng, 4, complex_field=True)
+    lam = np.array([0.5, 1.0, 2.0, 7.0])
+    c = rng.standard_normal((4, 4))
+
+    def node(x):
+        return (v * np.exp(-x * lam)) @ v.conj().T @ c / (1e-3 + (x - 0.3) ** 2)
+
+    def stacked(s):
+        x = s[:, None, None]
+        return (v * np.exp(-x * lam)) @ v.conj().T @ c / (1e-3 + (x - 0.3) ** 2)
+
+    calls = {"batched": 0, "reference": 0}
+
+    def counted(f, key):
+        def g(*args):
+            calls[key] += 1
+            return f(*args)
+        return g
+
+    val, err = integrate_adaptive(counted(stacked, "batched"), 0.0, 2.0, tol=1e-11)
+    monkeypatch.setattr(quadrature, "_panel", counted(_reference_panel, "reference"))
+    ref_val, ref_err = integrate_adaptive(node, 0.0, 2.0, tol=1e-11)
+    assert calls["batched"] == calls["reference"] > 20
+    scale = np.max(np.abs(ref_val))
+    assert np.max(np.abs(val - ref_val)) <= 1e-13 * scale
+    assert abs(err - ref_err) <= 1e-13 * scale
