@@ -37,26 +37,17 @@ from .sylvester import (
 )
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """``json.dump`` hook for what the reports hold beyond plain JSON types."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload) -> None:
-    json.dump(_jsonable(payload), sys.stdout, indent=2)
+    json.dump(payload, sys.stdout, indent=2, default=_json_default)
     sys.stdout.write("\n")
 
 

@@ -25,9 +25,7 @@ from .splines import (
     cubic_spline_clamped,
     cubic_spline_not_a_knot,
     derivative,
-    h1_mass,
-    l2_inner,
-    l2_mass,
+    l2_gram,
     modal_coefficients,
     piecewise_linear,
 )
@@ -128,11 +126,12 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str,
         if abs(k) > model.trunc:
             raise ValueError(f"target mode {k} outside truncation -{model.trunc}..{model.trunc}")
 
+    pps = [_interpolant(model, n_points, interp, k) for k in targets]
+    masses = np.diag(l2_gram(pps)).real
+    h1_masses = np.diag(l2_gram([derivative(pp) for pp in pps])).real
     cols = []
-    for k in targets:
-        pp = _interpolant(model, n_points, interp, k)
+    for k, pp, mass, h1_mass in zip(targets, pps, masses, h1_masses):
         coeff = modal_coefficients(pp, model.freqs) / np.sqrt(TWO_PI)
-        mass = l2_mass(pp)
         loss = (mass - float(np.sum(np.abs(coeff) ** 2))) / mass
         if loss > TRUNCATION_LOSS_TOL:
             warnings.warn(
@@ -141,7 +140,7 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str,
                 TruncationWarning,
                 stacklevel=2,
             )
-        energy = h1_mass(pp) - model.alpha * mass
+        energy = h1_mass - model.alpha * mass
         captured = float(np.sum(model.omegas * np.abs(coeff) ** 2))
         energy_loss = (energy - captured) / energy
         if energy_loss > ENERGY_LOSS_TOL:
@@ -169,28 +168,23 @@ def residual_competitor(model: MathieuModel, n_points: int, next_ev: float,
     if interp == "linear":
         raise ValueError("linear interpolants are outside the operator domain; "
                          "the residual competitor does not apply")
-    phis = []
-    for k in targets:
-        pp = _interpolant(model, n_points, interp, k)
-        scale = 1.0 / np.sqrt(l2_mass(pp))
-        phis.append(PiecewisePoly(knots=pp.knots, coeffs=pp.coeffs * scale))
-    kdim = len(phis)
+    pps = [_interpolant(model, n_points, interp, k) for k in targets]
+    scales = 1.0 / np.sqrt(np.diag(l2_gram(pps)).real)
+    phis = [PiecewisePoly(knots=pp.knots, coeffs=pp.coeffs * scale)
+            for pp, scale in zip(pps, scales)]
     derivs = [derivative(p) for p in phis]
-    a_form = np.zeros((kdim, kdim), dtype=np.complex128)
-    b_gram = np.zeros((kdim, kdim), dtype=np.complex128)
-    for i in range(kdim):
-        for j in range(kdim):
-            a_form[i, j] = (l2_inner(derivs[i], derivs[j])
-                            - model.alpha * l2_inner(phis[i], phis[j]))
-            b_gram[i, j] = l2_inner(phis[i], phis[j])
+    b_gram = l2_gram(phis)
+    a_form = l2_gram(derivs) - model.alpha * b_gram
     b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
+    # each residual is formed as a function before its Gram is taken: it is
+    # small, and expanding <r_i, r_j> through the forms would cancel
     residuals = []
     for i, phi in enumerate(phis):
         rho = float(np.real(a_form[i, i]))
         second = derivative(derivs[i])
         residuals.append(combine(second, -1.0, phi, -(model.alpha + rho)))
-    gram = np.array([[l2_inner(ri, rj) for rj in residuals] for ri in residuals])
+    gram = l2_gram(residuals)
     return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
                               next_ev, norm=norm)
 

@@ -231,6 +231,6 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     rho = np.real(np.sum(w.conj() * hw, axis=0))
     resid = hw - w * rho
     gram = resid.conj().T @ resid
-    ritz_vals = np.linalg.eigvalsh(w.conj().T @ h.mat @ w)
+    ritz_vals = np.linalg.eigvalsh(w.conj().T @ hw)
     return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
                               next_ev, norm=norm)

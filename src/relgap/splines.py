@@ -4,7 +4,8 @@ Not-a-knot and clamped cubic splines and continuous piecewise-linear
 interpolants over a knot grid.  The Fourier-type coefficients
 ``int p(t) exp(i f t) dt`` that expand an interpolant in a truncated
 exponential eigenbasis are evaluated in closed form, piece by piece, from the
-moments ``mu_r(z) = int_0^1 u^r exp(z u) du``.  L2 inner products use one
+moments ``mu_r(z) = int_0^1 u^r exp(z u) du``.  Exact L2 Gram matrices, one
+evaluation per function: each piecewise polynomial is evaluated once at one
 Gauss-Legendre rule per piece, which is exact for the degrees involved.
 """
 
@@ -136,11 +137,6 @@ def modal_coefficients(pp: PiecewisePoly, freqs) -> np.ndarray:
     return np.einsum("fj,rfj,rj->f", phase, mu, scaled)
 
 
-def l2_mass(pp: PiecewisePoly) -> float:
-    """``int |pp(t)|^2 dt`` over the full knot span (exact for degree <= 3)."""
-    return float(l2_inner(pp, pp).real)
-
-
 def derivative(pp: PiecewisePoly) -> PiecewisePoly:
     rows = [r * pp.coeffs[r] for r in range(1, pp.coeffs.shape[0])]
     if not rows:
@@ -148,27 +144,33 @@ def derivative(pp: PiecewisePoly) -> PiecewisePoly:
     return PiecewisePoly(knots=pp.knots, coeffs=np.vstack(rows))
 
 
-def h1_mass(pp: PiecewisePoly) -> float:
-    """``int |pp'(t)|^2 dt`` over the full knot span."""
-    return l2_mass(derivative(pp))
+def _shared_knots(pps) -> np.ndarray:
+    knots = pps[0].knots
+    for pp in pps[1:]:
+        if pp.knots.shape != knots.shape or not np.allclose(pp.knots, knots):
+            raise ValueError("the piecewise polynomials must share one knot grid")
+    return knots
 
 
-def l2_inner(pa: PiecewisePoly, pb: PiecewisePoly) -> complex:
-    """``int conj(pa(t)) pb(t) dt`` for pieces over the same knot grid
-    (exact for combined degree <= 15)."""
-    if pa.knots.shape != pb.knots.shape or not np.allclose(pa.knots, pb.knots):
-        raise ValueError("both piecewise polynomials must share one knot grid")
-    # GL_ORDER-point Gauss-Legendre on every piece
-    half = 0.5 * np.diff(pa.knots)
-    t = (0.5 * (pa.knots[:-1] + pa.knots[1:]))[:, None] + half[:, None] * _GL_X
-    w = half[:, None] * _GL_W
-    return complex(np.sum(w * np.conj(pa(t)) * pb(t)))
+def l2_gram(pps) -> np.ndarray:
+    """Gram matrix ``G[i, j] = int conj(p_i(t)) p_j(t) dt`` of piecewise
+    polynomials over one shared knot grid (exact for combined degree <= 15).
+
+    Each polynomial is evaluated once, at the ``GL_ORDER``-point
+    Gauss-Legendre nodes of every piece.
+    """
+    pps = list(pps)
+    knots = _shared_knots(pps)
+    half = 0.5 * np.diff(knots)
+    t = (0.5 * (knots[:-1] + knots[1:]))[:, None] + half[:, None] * _GL_X
+    w = (half[:, None] * _GL_W).ravel()
+    vals = np.array([pp(t).ravel() for pp in pps])
+    return (vals.conj() * w) @ vals.T
 
 
 def combine(pa: PiecewisePoly, ca, pb: PiecewisePoly, cb) -> PiecewisePoly:
     """The piecewise polynomial ``ca * pa + cb * pb`` on a shared knot grid."""
-    if pa.knots.shape != pb.knots.shape or not np.allclose(pa.knots, pb.knots):
-        raise ValueError("both piecewise polynomials must share one knot grid")
+    _shared_knots((pa, pb))
     deg = max(pa.coeffs.shape[0], pb.coeffs.shape[0])
     out = np.zeros((deg, pa.coeffs.shape[1]), dtype=np.result_type(
         pa.coeffs.dtype, pb.coeffs.dtype, type(ca), type(cb)))

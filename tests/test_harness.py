@@ -3,6 +3,7 @@ import pytest
 
 from relgap.harness import (
     TruncationWarning,
+    _interpolant,
     build_test_space,
     mathieu_model,
     residual_competitor,
@@ -10,8 +11,11 @@ from relgap.harness import (
     rows_to_markdown,
     run_benchmark,
 )
-from relgap.matcore import Projection
-from relgap.ritz import ritz_bounds
+from relgap.matcore import Projection, eig_herm, fractional_power
+from relgap.ritz import dk_bound_from_gram, ritz_bounds
+from relgap.splines import PiecewisePoly, combine, derivative
+
+from conftest import pairwise_l2_inner
 
 THETA = np.pi - 1e-4
 ALPHA = 0.2499
@@ -158,6 +162,63 @@ class TestRunBenchmark:
         assert abs(a.true_err - b.true_err) / b.true_err < 1e-8
         assert a.dk_bound == pytest.approx(b.dk_bound, rel=1e-12)
         assert abs(a.ritz_bound - b.ritz_bound) / b.ritz_bound < 1e-5
+
+
+def _pairwise_residual_competitor(model, n_points, next_ev, norm, targets, interp):
+    """Reference competitor: every Gram entry from its own pairwise inner product."""
+    phis = []
+    for k in targets:
+        pp = _interpolant(model, n_points, interp, k)
+        scale = 1.0 / np.sqrt(pairwise_l2_inner(pp, pp).real)
+        phis.append(PiecewisePoly(knots=pp.knots, coeffs=pp.coeffs * scale))
+    kdim = len(phis)
+    derivs = [derivative(p) for p in phis]
+    a_form = np.zeros((kdim, kdim), dtype=np.complex128)
+    b_gram = np.zeros((kdim, kdim), dtype=np.complex128)
+    for i in range(kdim):
+        for j in range(kdim):
+            a_form[i, j] = (pairwise_l2_inner(derivs[i], derivs[j])
+                            - model.alpha * pairwise_l2_inner(phis[i], phis[j]))
+            b_gram[i, j] = pairwise_l2_inner(phis[i], phis[j])
+    b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
+    ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
+    residuals = []
+    for i, phi in enumerate(phis):
+        rho = float(np.real(a_form[i, i]))
+        residuals.append(combine(derivative(derivs[i]), -1.0, phi, -(model.alpha + rho)))
+    gram = np.array([[pairwise_l2_inner(ri, rj) for rj in residuals] for ri in residuals])
+    return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
+                              next_ev, norm=norm)
+
+
+@pytest.mark.parametrize("n_points", [5, 8, 16, 32])
+@pytest.mark.parametrize("norm", ["hs", "op"])
+@pytest.mark.parametrize("interp", ["cubic", "clamped"])
+def test_residual_competitor_matches_pairwise_reference(model64, interp, norm, n_points):
+    next_ev = float(model64.sorted_eigenvalues()[2])
+    got = residual_competitor(model64, n_points, next_ev, norm=norm, interp=interp)
+    want = _pairwise_residual_competitor(model64, n_points, next_ev, norm, (0, -1), interp)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_spline_evaluation_budget(model64, monkeypatch):
+    # each trial function, derivative and residual is evaluated once per Gram
+    # matrix it enters, never once per pair
+    calls = []
+    evaluate = PiecewisePoly.__call__
+
+    def counting(self, t):
+        calls.append(1)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(PiecewisePoly, "__call__", counting)
+    targets = (0, -1)
+    k = len(targets)
+    build_test_space(model64, 16, "cubic", targets=targets)
+    assert len(calls) <= 2 * k
+    calls.clear()
+    residual_competitor(model64, 16, 2.0, targets=targets, interp="clamped")
+    assert len(calls) <= 4 * k
 
 
 class TestEmission:

@@ -7,12 +7,12 @@ from relgap.splines import (
     cubic_spline_clamped,
     cubic_spline_not_a_knot,
     derivative,
-    h1_mass,
-    l2_inner,
-    l2_mass,
+    l2_gram,
     modal_coefficients,
     piecewise_linear,
 )
+
+from conftest import pairwise_l2_inner
 
 
 
@@ -196,7 +196,9 @@ class TestMassAndInner:
         pp = cubic_spline_not_a_knot(x, y)
         t = np.linspace(0, 1, 200001)
         dense = np.trapezoid(np.abs(pp(t)) ** 2, t)
-        assert l2_mass(pp) == pytest.approx(dense, rel=1e-8)
+        gram = l2_gram([pp, derivative(pp)])
+        assert gram[0, 0].real == pytest.approx(dense, rel=1e-8)
+        assert gram[0, 0].imag == pytest.approx(0.0, abs=1e-14 * dense)
 
     def test_h1_mass_vs_dense(self, rng):
         x = np.linspace(0, 1, 6)
@@ -204,14 +206,26 @@ class TestMassAndInner:
         pp = cubic_spline_not_a_knot(x, y)
         t = np.linspace(0, 1, 200001)
         dense = np.trapezoid(derivative(pp)(t) ** 2, t)
-        assert h1_mass(pp) == pytest.approx(dense, rel=1e-8)
+        assert l2_gram([pp, derivative(pp)])[1, 1] == pytest.approx(dense, rel=1e-8)
 
     def test_inner_is_hermitian(self, rng):
         x = np.linspace(0, 1, 5)
         pa = cubic_spline_not_a_knot(x, rng.standard_normal(5) + 1j * rng.standard_normal(5))
         pb = cubic_spline_not_a_knot(x, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        assert l2_inner(pa, pb) == pytest.approx(np.conj(l2_inner(pb, pa)))
-        assert l2_inner(pa, pa).real == pytest.approx(l2_mass(pa))
+        gram = l2_gram([pa, pb, derivative(pa)])
+        np.testing.assert_allclose(gram, gram.conj().T, rtol=1e-14, atol=1e-14)
+        assert l2_gram([pa])[0, 0] == pytest.approx(gram[0, 0], rel=1e-14)
+
+    def test_off_diagonal_matches_pairwise_rule(self, rng):
+        x = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 5)]))
+        pps = [cubic_spline_clamped(x, rng.standard_normal(7) + 1j * rng.standard_normal(7),
+                                    1.0 - 2.0j, 0.5j),
+               piecewise_linear(x, rng.standard_normal(7)),
+               cubic_spline_not_a_knot(x, rng.standard_normal(7) + 1j * rng.standard_normal(7))]
+        pps.append(derivative(pps[0]))
+        gram = l2_gram(pps)
+        want = np.array([[pairwise_l2_inner(pa, pb) for pb in pps] for pa in pps])
+        np.testing.assert_allclose(gram, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_combine(self, rng):
         x = np.linspace(0, 1, 5)
@@ -225,4 +239,8 @@ class TestMassAndInner:
         pa = piecewise_linear([0.0, 1.0], [1.0, 2.0])
         pb = piecewise_linear([0.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="knot grid"):
-            l2_inner(pa, pb)
+            l2_gram([pa, pb])
+        with pytest.raises(ValueError, match="knot grid"):
+            l2_gram([pa, pa, pb])
+        with pytest.raises(ValueError, match="knot grid"):
+            combine(pa, 1.0, pb, 1.0)
