@@ -4,7 +4,9 @@ Quantifies how far two positive semidefinite operators H and M are from each
 other in the form-relative sense: the smallest eta with
 ``|h(u,v) - m(u,v)| <= eta * sqrt(h[u] m[v])``, the two-sided constant eps
 with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]``, and per-eigenvalue matching
-diagnostics.
+diagnostics.  eta, eps and ``|||S|||`` all come from the eigenvalues of the
+difference pencil ``M^{+1/2} (H - M) M^{+1/2}``; the operator S itself is
+formed only where a product with it is needed.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ class FormPair:
         km = self.dec_m.vectors[:, ~_range_mask(self.dec_m)]
         if kh.shape[1] != km.shape[1]:
             return 1.0
-        if kh.shape[1] == 0:
-            return 0.0
         resid = km - kh @ (kh.conj().T @ km)
         return min(1.0, op_norm(resid))
 
@@ -102,33 +102,48 @@ def s_operator(fp: FormPair) -> np.ndarray:
     return two_sided_fn(fp.dec_h, fp.dec_m, coupling_kernel)
 
 
+def _pencil(fp: FormPair) -> np.ndarray:
+    """Ascending eigenvalues x of ``M^{+1/2} (H - M) M^{+1/2}`` on range(M) (none if
+    M has rank 0); ``|||S|||^2 = sum x^2 / (1 + x)``.  ``H - M`` is taken once from the
+    exact inputs, so a small x keeps the relative accuracy that forming S loses at
+    about ``eps * cond / eta``."""
+    fp.ensure_shared_kernel()
+    keep = _range_mask(fp.dec_m)
+    r = fp.dec_m.vectors[:, keep] * fp.dec_m.eigenvalues[keep] ** -0.5  # M^{+1/2} on range(M)
+    x = np.linalg.eigvalsh(r.conj().T @ (fp.h.mat - fp.m.mat) @ r)
+    if not np.all(x > -1.0):  # a NaN fails too
+        raise ValueError(f"the pencil (H, M) has eigenvalue 1 + {np.min(x):.6e} <= 0 on range(M)")
+    return x
+
+
+def _eta(x: np.ndarray) -> float:
+    """``||S|| = max |x| / sqrt(1 + x)`` over the pencil eigenvalues x (0 if none)."""
+    return float(np.max(np.abs(x) / np.sqrt(1.0 + x), initial=0.0))
+
+
+def _epsilon(x: np.ndarray) -> float:
+    """``eps = max |x|`` over the pencil eigenvalues x; an empty pencil has none."""
+    if x.size == 0:
+        raise ValueError("M has numerical rank 0; the pencil (H, M) is empty")
+    return float(np.max(np.abs(x)))
+
+
 def epsilon_two_sided(fp: FormPair) -> float:
     """The smallest eps with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]`` on the
-    common range: max over pencil eigenvalues nu of ``|nu - 1|``.
+    common range: max over the difference-pencil eigenvalues x of ``|x|``.
 
     A value >= 1 means the pair is not two-sided comparable.
     """
-    fp.ensure_shared_kernel()
-    keep = _range_mask(fp.dec_m)
-    r = fp.dec_m.vectors[:, keep]
-    if r.shape[1] == 0:
-        raise ValueError("M has numerical rank 0; the pencil (H, M) is empty")
-    d = fp.dec_m.eigenvalues[keep] ** -0.5  # M^{+1/2} r = r diag(d)
-    nu = np.linalg.eigvalsh(d[:, None] * (r.conj().T @ fp.h.mat @ r) * d)
-    return float(np.max(np.abs(nu - 1.0)))
+    return _epsilon(_pencil(fp))
 
 
 def eta_exact(fp: FormPair) -> ClosenessReport:
     """Exact smallest eta for the pair, together with the S operator and,
-    when the pair is two-sided comparable, the epsilon route value."""
-    s = s_operator(fp)
-    eta = op_norm(s)
-    try:
-        eps = epsilon_two_sided(fp)
-    except ValueError:
-        eps = None
+    when M has positive rank, the epsilon route value."""
+    x = _pencil(fp)
+    eps = _epsilon(x) if x.size else None
     eta_eps = eta_from_epsilon(eps) if eps is not None and eps < 1.0 else None
-    return ClosenessReport(eta=eta, s_matrix=s, epsilon=eps, eta_from_eps=eta_eps)
+    return ClosenessReport(eta=_eta(x), s_matrix=s_operator(fp), epsilon=eps, eta_from_eps=eta_eps)
 
 
 @dataclass(frozen=True)
@@ -177,19 +192,16 @@ def _cluster_gap_terms(lam: np.ndarray, i: int) -> list[float]:
 def spectral_comparison(fp: FormPair) -> SpectralComparison:
     """Eigenvalue matching report: relative error bounds, the argmin index
     map, cluster-gap conditions, and per-eigenpair closeness margins."""
-    eps = epsilon_two_sided(fp)
+    x = _pencil(fp)
+    eps = _epsilon(x)
     if eps >= 1.0:
         raise ValueError(
             f"spectral comparison requires a two-sided comparable pair (eps={eps:.4f} >= 1)"
         )
-    eta = op_norm(s_operator(fp))
+    eta = _eta(x)
 
-    lam_h_all, lam_m_all = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
     keep_h, keep_m = _range_mask(fp.dec_h), _range_mask(fp.dec_m)
-    lam_h = lam_h_all[keep_h]
-    lam_m = lam_m_all[keep_m]
-    if lam_h.size != lam_m.size:  # cannot happen once kernels agree
-        raise ValueError("positive spectra have different cardinality")
+    lam_h, lam_m = fp.dec_h.eigenvalues[keep_h], fp.dec_m.eigenvalues[keep_m]
 
     diff = np.abs(lam_h - lam_m)
     rel_m = diff / lam_m
@@ -199,12 +211,9 @@ def spectral_comparison(fp: FormPair) -> SpectralComparison:
 
     argmin_map = np.array([int(np.argmin(np.abs(lh - lam_m))) for lh in lam_h])
 
-    gap_max = np.zeros(lam_h.size, dtype=bool)
-    gap_min = np.zeros(lam_h.size, dtype=bool)
-    for i in range(lam_h.size):
-        terms = _cluster_gap_terms(lam_h, i) + [1.0]
-        gap_max[i] = ratio < max(terms)
-        gap_min[i] = ratio < min(terms)
+    terms = [_cluster_gap_terms(lam_h, i) + [1.0] for i in range(lam_h.size)]
+    gap_max = np.array([ratio < max(t) for t in terms], dtype=bool)
+    gap_min = np.array([ratio < min(t) for t in terms], dtype=bool)
 
     vec_h = fp.dec_h.vectors[:, keep_h]
     vec_m = fp.dec_m.vectors[:, keep_m]

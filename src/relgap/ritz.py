@@ -22,6 +22,7 @@ from .matcore import (
     op_norm,
     require_positive,
 )
+from .sylvester import _dichotomy_coefficient
 
 ETA_CROSS_CHECK_TOL = 1e-7
 
@@ -153,7 +154,7 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
     elif eta_k >= 1.0:
         notes.append(f"eta_k={eta_k:.6e} >= 1, bound formula not applicable")
     else:
-        prefix = np.sqrt(next_ev * ritz_max) / (next_ev - ritz_max)
+        prefix = _dichotomy_coefficient(ritz_max, next_ev)
         bound_op = prefix * eta_k / np.sqrt(1.0 - eta_k)
         bound_hs = prefix * float(np.sqrt(np.sum(etas ** 2))) / np.sqrt(1.0 - eta_k)
     hyp = (next_ev > ritz_max and eta_k < 1.0
@@ -186,8 +187,7 @@ def single_vector_bound(next_ev: float, ritz_min: float, eta_k: float) -> float 
         raise ValueError(f"next_ev must be finite, got {next_ev}")
     if not (0.0 <= eta_k < 1.0) or next_ev <= ritz_min:
         return None
-    return float(np.sqrt(next_ev * ritz_min) / (next_ev - ritz_min)
-                 * eta_k / np.sqrt(1.0 - eta_k))
+    return float(_dichotomy_coefficient(ritz_min, next_ev) * eta_k / np.sqrt(1.0 - eta_k))
 
 
 def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,

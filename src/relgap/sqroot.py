@@ -112,6 +112,6 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
 
 def sqrt_form_bound(eta: float) -> float:
     """Closeness constant inherited by the square roots: eta / 2."""
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     return eta / 2.0

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, s_operator
+from .forms import FormPair, _eta, _pencil, s_operator
 from .matcore import (
     HermitianMatrix,
     Projection,
@@ -21,7 +21,7 @@ from .matcore import (
     spectral_projector,
     two_sided_fn,
 )
-from .sylvester import relative_gap
+from .sylvester import _dichotomy_coefficient, relative_gap
 
 KATO_STRICT = 1e-12
 COMMUTE_RTOL = 1e-10
@@ -118,10 +118,6 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
 
-def _interval_in_resolvent(lam: np.ndarray, a: float, b: float) -> bool:
-    return not np.any((lam >= a) & (lam <= b))
-
-
 def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float,
                     eta: float | None = None,
                     l1: float | None = None, l2: float | None = None,
@@ -136,25 +132,32 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
     ``[d1, d2]`` produce the additive coefficient bound.  The compared band
     projections are not pinned down by the hypotheses alone; the band
     defaults to ``[l2, d1]`` (the spectral cluster separated by the two
-    gaps) and may be overridden via ``band``.
+    gaps) and may be overridden via ``band`` (finite, ``lo <= hi``).  A caller's
+    ``eta`` must be finite and nonnegative; the default comes from the difference pencil.
     """
     if not 0.0 < d1 < d2:
         raise ValueError(f"need 0 < d1 < d2, got d1={d1}, d2={d2}")
+    if eta is not None and not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+    if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
+        raise ValueError(f"band must be finite with lo <= hi, got {band}")
     dec_h, dec_m = eig_herm(h), eig_herm(m)
     if eta is None:
-        eta = op_norm(s_operator(FormPair(h, m)))
+        eta = _eta(_pencil(FormPair(h, m)))
     notes: list[str] = []
     double = l1 is not None or l2 is not None
     if double and (l1 is None or l2 is None):
         raise ValueError("double-interval mode needs both l1 and l2")
 
-    resolvent_ok = (_interval_in_resolvent(dec_h.eigenvalues, d1, d2)
-                    and _interval_in_resolvent(dec_m.eigenvalues, d1, d2))
-    if not resolvent_ok:
-        notes.append(f"[{d1}, {d2}] intersects a spectrum")
+    def spectrum_free(a: float, b: float) -> bool:
+        free = not any(np.any((d.eigenvalues >= a) & (d.eigenvalues <= b)) for d in (dec_h, dec_m))
+        if not free:
+            notes.append(f"[{a}, {b}] intersects a spectrum")
+        return free
 
+    resolvent_ok = spectrum_free(d1, d2)
     if not double:
-        coef = np.sqrt(d2 * d1) / (d2 - d1)
+        coef = _dichotomy_coefficient(d1, d2)
         small_ok = eta < 1.0 / coef
         if not small_ok:
             notes.append(f"eta={eta:.6e} not below (d2-d1)/sqrt(d2 d1)={1.0 / coef:.6e}")
@@ -163,11 +166,8 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
     else:
         if not 0.0 < l1 < l2 < d1:
             raise ValueError(f"need 0 < l1 < l2 < d1 < d2, got {l1}, {l2}, {d1}, {d2}")
-        low_ok = (_interval_in_resolvent(dec_h.eigenvalues, l1, l2)
-                  and _interval_in_resolvent(dec_m.eigenvalues, l1, l2))
-        if not low_ok:
-            notes.append(f"[{l1}, {l2}] intersects a spectrum")
-        coef = np.sqrt(d2 * d1) / (d2 - d1) + np.sqrt(l2 * l1) / (l2 - l1)
+        low_ok = spectrum_free(l1, l2)
+        coef = _dichotomy_coefficient(d1, d2) + _dichotomy_coefficient(l1, l2)
         small_ok = coef * eta < 1.0
         if not small_ok:
             notes.append(f"coefficient * eta = {coef * eta:.6e} not below 1")

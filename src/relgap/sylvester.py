@@ -87,7 +87,7 @@ class WeakSylvesterProblem:
 def solve_weak_spectral(p: WeakSylvesterProblem) -> np.ndarray:
     """Unique solution via kernel division in the eigenbases of A and M:
     ``t_ij = f_ij * sqrt(lam_i mu_j) / (lam_i - mu_j)``."""
-    return two_sided_fn(p.dec_a, p.dec_m, lambda lam, mu: np.sqrt(lam * mu) / (lam - mu), p.f)
+    return two_sided_fn(p.dec_a, p.dec_m, lambda lam, mu: _dichotomy_coefficient(mu, lam), p.f)
 
 
 def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
@@ -139,8 +139,9 @@ def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:
     return op_norm(two_sided_fn(p.dec_a, p.dec_m, coupling_kernel, t) - p.f)
 
 
-def _dichotomy_coefficient(m_norm: float, big_d: float) -> float:
-    return np.sqrt(big_d * m_norm) / (big_d - m_norm)
+def _dichotomy_coefficient(a: float, b: float) -> float:
+    """The gap coefficient ``sqrt(a b) / (b - a)``, positive for ``0 < a < b``."""
+    return np.sqrt(b * a) / (b - a)
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,13 @@ def sylvester_bounds(p: WeakSylvesterProblem, mode: str,
     gap = p.gap
     notes: list[str] = []
 
-    if mode == "dichotomy":
+    if mode in ("dichotomy", "symmetric"):
+        if mode == "symmetric" and f_norm is None:
+            raise ValueError("symmetric mode needs the norm value of F")
         if m_norm < big_d:
-            bound = _dichotomy_coefficient(m_norm, big_d) * op_norm(p.f)
-            return SylvesterBounds(gap=gap, dichotomy_bound=bound)
+            bound = _dichotomy_coefficient(m_norm, big_d) * (
+                op_norm(p.f) if mode == "dichotomy" else f_norm)
+            return SylvesterBounds(gap=gap, **{f"{mode}_bound": bound})
         notes.append(f"dichotomy fails: ||M||={m_norm:.6e} >= 1/||A^-1||={big_d:.6e}")
         return SylvesterBounds(gap=gap, notes=tuple(notes))
 
@@ -187,39 +191,25 @@ def sylvester_bounds(p: WeakSylvesterProblem, mode: str,
         if d_minus is None or d_plus is None:
             raise ValueError("two_interval mode needs d_minus and d_plus")
         m_min = float(mu.min())
-        ok = True
         if not (0.0 < d_minus < d_plus):
-            ok = False
             notes.append("need 0 < d_minus < d_plus")
         if np.any((lam > d_minus) & (lam < d_plus)):
-            ok = False
             notes.append("sigma(A) intersects (d_minus, d_plus)")
         if not d_minus < m_min:
-            ok = False
             notes.append(f"d_minus={d_minus} not below min sigma(M)={m_min:.6e}")
         if not m_norm < d_plus:
-            ok = False
             notes.append(f"||M||={m_norm:.6e} not below d_plus={d_plus}")
+        ok = not notes  # every note so far is a failed hypothesis
         if np.all(lam >= d_plus) or np.all(lam <= d_minus):
             # degenerates to one-sided dichotomy; the formula still applies
             notes.append("sigma(A) lies on one side only")
         if not ok:
             return SylvesterBounds(gap=gap, notes=tuple(notes))
-        coef = (np.sqrt(m_min * d_minus) / (m_min - d_minus)
-                + np.sqrt(d_plus * m_norm) / (d_plus - m_norm))
+        coef = _dichotomy_coefficient(d_minus, m_min) + _dichotomy_coefficient(m_norm, d_plus)
         return SylvesterBounds(gap=gap, two_interval_bound=coef * op_norm(p.f),
                                notes=tuple(notes))
 
     if mode == "hs":
         return SylvesterBounds(gap=gap, hs_bound=hs_norm(p.f) / gap)
-
-    if mode == "symmetric":
-        if f_norm is None:
-            raise ValueError("symmetric mode needs the norm value of F")
-        if m_norm < big_d:
-            bound = _dichotomy_coefficient(m_norm, big_d) * f_norm
-            return SylvesterBounds(gap=gap, symmetric_bound=bound)
-        notes.append(f"dichotomy fails: ||M||={m_norm:.6e} >= 1/||A^-1||={big_d:.6e}")
-        return SylvesterBounds(gap=gap, notes=tuple(notes))
 
     raise ValueError(f"unknown bound mode {mode!r}")

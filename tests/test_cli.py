@@ -126,6 +126,18 @@ def test_ritz_estimate(tmp_path, capsys):
     assert 0.0 <= rep["eta_disagreement"] <= rep["eta_tol"]
 
 
+def test_subspace_bound_nan_pencil_exit_code(tmp_path, monkeypatch, capsys):
+    # a NaN from the eta eigensolver is an error, never a NaN bound
+    rng = make_rng(5)
+    hp, mp = tmp_path / "h.mtx", tmp_path / "m.mtx"
+    save_matrix(hp, hermitian_from_spectrum(rng, [0.5, 1.0, 3.0, 4.0]).mat)
+    save_matrix(mp, hermitian_from_spectrum(rng, [0.6, 1.1, 3.2, 4.1]).mat)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(np.shape(a)[-1], np.nan))
+    assert main(["subspace", "bound", "--h", str(hp), "--m", str(mp),
+                 "--d1", "1.5", "--d2", "2.5"]) == 1
+    assert "pencil" in capsys.readouterr().err
+
+
 def test_ritz_estimate_nan_cross_check_exit_code(tmp_path, monkeypatch, capsys):
     import relgap.ritz
 

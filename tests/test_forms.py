@@ -4,13 +4,14 @@ from hypothesis import given, strategies as st
 
 from relgap.forms import (
     FormPair,
+    _pencil,
     epsilon_two_sided,
     eta_exact,
     eta_from_epsilon,
     s_operator,
     spectral_comparison,
 )
-from relgap.matcore import HermitianMatrix, eig_herm, op_norm
+from relgap.matcore import HermitianMatrix, eig_herm, hs_norm, op_norm
 
 from conftest import make_rng, random_pd, random_unitary
 
@@ -204,3 +205,128 @@ def test_s_operator_structure_on_eigenpairs(rng):
             lhs = v.conj() @ s @ u
             rhs = (lam - mu) / np.sqrt(lam * mu) * (v.conj() @ u)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# closed-form pairs: H and M diagonal in one unitary basis, stored exactly
+# ---------------------------------------------------------------------------
+
+_HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
+_FOURIER4 = 1j ** np.outer(np.arange(4), np.arange(4))
+
+
+def _dyadic_unitary(rng, complex_field):
+    """A random 16x16 unitary with entries in {+-1, +-i} / 4: a 4x4 Hadamard
+    (real) or Fourier (complex) Kronecker square with permuted, phase-flipped
+    rows and columns.  Its entries, and every product U diag(d) U* with
+    short dyadic d, are exact in floating point, so the design x is the exact
+    x of the stored pair; rounding a generic rotated pair on storage would
+    move x by about u * cond."""
+    base = np.kron(_FOURIER4, _FOURIER4) if complex_field else np.kron(_HADAMARD4, _HADAMARD4)
+    phases = np.array([1, 1j, -1, -1j]) if complex_field else np.array([1.0, -1.0])
+    rows, cols = (phases[rng.integers(0, phases.size, 16)] for _ in range(2))
+    return rows[:, None] * base[rng.permutation(16)][:, rng.permutation(16)] * cols / 4.0
+
+
+def _stored_exactly(stored, u, d) -> bool:
+    """Whether the float matrix equals ``U diag(d) U*`` in exact arithmetic.
+
+    Both sides are scaled by one power of two to integers and compared as
+    Python numbers, where ``int == float`` is exact."""
+    scale = 2 ** int(53 - np.min(np.frexp(d)[1]))
+    ints = np.array([int(v * scale) for v in d], dtype=object)
+    g = np.rint(16 * u[:, None, :] * u.conj()[None, :, :])  # [i, j, k] in {+-1, +-i}
+    return all(a == b for part in (np.real, np.imag)
+               for a, b in zip((part(stored) * (16.0 * scale)).ravel().tolist(),
+                               (part(g).astype(int).astype(object) @ ints).ravel()))
+
+
+def _closed_form_pair(seed, log2_cond, q, complex_field=False, kernel=0):
+    """H = U diag(m (1 + x)) U* and M = U diag(m) U* with m = 2^e, e in
+    [0, log2_cond], and x = j 2^-q (|j| <= 3) on the channels where the
+    stored matrices stay exact; ``kernel`` channels are zero in both.
+    Returns the pair and the design x on range(M)."""
+    rng = make_rng(50_000 + seed)
+    e = np.sort(rng.integers(0, log2_cond + 1, 16))
+    e[0], e[-1] = 0, log2_cond
+    j = rng.integers(-3, 4, 16).astype(float)
+    j[-1] = 3.0
+    x = np.where(e - q >= log2_cond - 48, j * 2.0 ** -q, 0.0)
+    m = np.where(np.arange(16) < kernel, 0.0, 2.0 ** e)
+    u = _dyadic_unitary(rng, complex_field)
+    h_mat, m_mat = (u * (m * (1.0 + x))) @ u.conj().T, (u * m) @ u.conj().T
+    assert _stored_exactly(h_mat, u, m * (1.0 + x)) and _stored_exactly(m_mat, u, m)
+    return _pair(h_mat, m_mat), x[kernel:]
+
+
+# (log2 cond, q): cond 1.3e2, 5.2e5 and 8.6e9; eta about 1e-2, 1e-6 and 1e-10
+CLOSED_FORM_CASES = [(c, q) for c in (7, 19, 33) for q in (8, 21, 34)]
+CLOSED_FORM_RTOL = 1e-10
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+class TestClosedFormPencil:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("log2_cond, q", CLOSED_FORM_CASES)
+    def test_eta_and_eps_match_closed_form(self, log2_cond, q, complex_field):
+        fp, x = _closed_form_pair(log2_cond + q, log2_cond, q, complex_field)
+        rep = eta_exact(fp)
+        assert _rel(rep.eta, np.max(np.abs(x) / np.sqrt(1.0 + x))) <= CLOSED_FORM_RTOL
+        assert _rel(rep.epsilon, np.max(np.abs(x))) <= CLOSED_FORM_RTOL
+        assert _rel(epsilon_two_sided(fp), np.max(np.abs(x))) <= CLOSED_FORM_RTOL
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("log2_cond, q", CLOSED_FORM_CASES)
+    def test_pencil_eigenvalues_and_hs_identity(self, log2_cond, q, complex_field):
+        # each x carries an absolute error up to about u * cond(M): below
+        # CLOSED_FORM_RTOL * max|x| on these pairs up to cond 1e6, but not at 8.6e9
+        fp, x = _closed_form_pair(log2_cond + q, log2_cond, q, complex_field)
+        got = _pencil(fp)
+        cond = 2.0 ** log2_cond
+        atol = (CLOSED_FORM_RTOL * np.max(np.abs(x)) if cond <= 1e6
+                else np.finfo(float).eps * cond)
+        assert np.max(np.abs(got - np.sort(x))) <= atol
+        # |||S||| = ||x / sqrt(1 + x)||_2, a 1.02-Lipschitz map for |x| < 0.02
+        hs = [np.sqrt(np.sum(v ** 2 / (1.0 + v))) for v in (got, x)]
+        assert abs(hs[0] - hs[1]) <= 1.02 * np.sqrt(x.size) * atol
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_shared_kernel(self, complex_field):
+        fp, x = _closed_form_pair(7, 19, 21, complex_field, kernel=3)
+        lam = fp.dec_m.eigenvalues
+        assert np.count_nonzero(lam > 1e-12 * lam[-1]) == x.size == 13
+        rep = eta_exact(fp)
+        assert _rel(rep.eta, np.max(np.abs(x) / np.sqrt(1.0 + x))) <= CLOSED_FORM_RTOL
+        assert _rel(rep.epsilon, np.max(np.abs(x))) <= CLOSED_FORM_RTOL
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_s_route_agrees_where_accurate(self, complex_field):
+        # the formed S is accurate on a well-conditioned pair with eta 1e-2
+        fp, x = _closed_form_pair(15, 7, 8, complex_field)
+        s = eta_exact(fp).s_matrix
+        assert _rel(op_norm(s), np.max(np.abs(x) / np.sqrt(1.0 + x))) <= 1e-12
+        assert _rel(hs_norm(s), np.sqrt(np.sum(x ** 2 / (1.0 + x)))) <= 1e-12
+
+    def test_s_route_misses_where_pencil_holds(self):
+        # forming S loses about eps * cond / eta; on these pairs the pencil
+        # stays within CLOSED_FORM_RTOL (above) while the S route does not
+        worst = 0.0
+        for log2_cond, q in CLOSED_FORM_CASES:
+            if 2.0 ** log2_cond > 1e6:
+                continue
+            for complex_field in (False, True):
+                fp, x = _closed_form_pair(log2_cond + q, log2_cond, q, complex_field)
+                exact = np.max(np.abs(x) / np.sqrt(1.0 + x))
+                worst = max(worst, _rel(op_norm(s_operator(fp)), exact))
+        assert worst > CLOSED_FORM_RTOL
+
+
+def test_nan_pencil_rejected(monkeypatch):
+    # a NaN eigenvalue never becomes a NaN eta
+    fp = _pair(np.diag([1.0, 2.0]), np.diag([1.1, 2.1]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(np.shape(a)[-1], np.nan))
+    with pytest.raises(ValueError, match="pencil"):
+        eta_exact(fp)

@@ -110,6 +110,11 @@ class TestFormBound:
         with pytest.raises(ValueError, match="nonnegative"):
             sqrt_form_bound(-0.1)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, eta):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sqrt_form_bound(eta)
+
     def test_chain_through_forms(self):
         # eta of the square-root pair is at most half the eta of the pair
         for trial in range(60):

@@ -222,6 +222,21 @@ class TestSubspaceBounds:
         with pytest.raises(ValueError, match="0 < d1 < d2"):
             subspace_bounds(h, h, 3.0, 2.0)
 
+    @pytest.mark.parametrize("eta", [-1.0, np.nan, np.inf])
+    def test_bad_caller_eta_rejected(self, rng, eta):
+        # a negative eta gave a bound below the truth, a NaN eta a NaN bound
+        h, m = _congruent_pair(rng, [1.0, 2.0, 8.0, 9.0])
+        with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+            subspace_bounds(h, m, 3.0, 6.0, eta=eta)
+
+    @pytest.mark.parametrize("band", [(np.nan, 3.0), (1.0, np.inf), (3.0, 1.0)],
+                             ids=["nan-lo", "inf-hi", "reversed"])
+    def test_bad_caller_band_rejected(self, rng, band):
+        # a NaN end selected empty projections and reported a true value of 0
+        h, m = _congruent_pair(rng, [0.2, 0.3, 1.0, 1.1, 5.0, 6.0], strength=0.01)
+        with pytest.raises(ValueError, match="band must be finite with lo <= hi"):
+            subspace_bounds(h, m, 2.0, 4.0, l1=0.45, l2=0.8, band=band)
+
 
 class TestHsSubspaceBounds:
     def test_identical_commuting(self, rng):
