@@ -231,8 +231,9 @@ def test_decompositions_per_public_call(large_decompositions):
 
     # from_span's n-by-k SVD builds the Ritz input, so it runs outside the count
     ritz_h, ritz_p = _pair(rng)[0], random_projection(rng, N, RANK)
-    # eigh/eigvalsh, SVDs and 2-norms per call; the n-by-n ones in sqrt_pair and
-    # the Sylvester path are the reported norms of T, X, F and the residual
+    # eigh/eigvalsh, SVDs and 2-norms per call; the 2-norms in sqrt_pair and the
+    # Sylvester path are reported values (||T||, ||X||, the coupling defect, ||F||
+    # and the residual)
     budget = {
         "eta_exact": (lambda: eta_exact(FormPair(*_pair(rng))), 3),
         "subspace_bounds": (lambda: subspace_bounds(*_pair(rng), D1, D2), 3),
