@@ -2,8 +2,10 @@
 spectral projectors and the operator / Hilbert-Schmidt norms used repo-wide.
 
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
-once, on first use, and every consumer shares that read-only result.  Real
-inputs stay real, complex inputs stay complex.
+once, on first use, and every consumer shares that read-only result.  An
+exactly diagonal matrix (every off-diagonal entry zero) decomposes by sorting
+its diagonal, without LAPACK.  Real inputs stay real, complex inputs stay
+complex.
 """
 
 from __future__ import annotations
@@ -81,10 +83,21 @@ class HermitianMatrix:
         return np.array(self.mat, dtype=dtype)
 
     @cached_property
+    def _diagonal(self) -> np.ndarray | None:
+        """The diagonal when every off-diagonal entry is exactly zero, else None."""
+        d = np.diag(self.mat)
+        return d if np.count_nonzero(self.mat) == np.count_nonzero(d) else None
+
+    @cached_property
     def decomposition(self) -> "SpectralDecomposition":
         """The eigendecomposition, computed on first access and shared by every
-        later consumer.  A LAPACK convergence failure is reported as a
-        :class:`ConvergenceError` naming the off-diagonal residual."""
+        later consumer.  An exactly diagonal matrix decomposes by sorting its
+        diagonal, with no LAPACK call.  A LAPACK convergence failure is
+        reported as a :class:`ConvergenceError` naming the off-diagonal residual."""
+        d = self._diagonal
+        if d is not None:
+            order = np.argsort(d, kind="stable")
+            return SpectralDecomposition(d[order], np.eye(self.n)[:, order])
         try:
             lam, v = np.linalg.eigh(self.mat)
         except np.linalg.LinAlgError as exc:

@@ -38,7 +38,10 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     cancellation (``H11 - (W* H^{-1} W)^{-1}`` would lose ``eps cond / eta``
     absolute accuracy in eta).  The two routes differ in how they apply
     ``H^{-1}``: the eigenbasis route through H's cached eigendecomposition,
-    the LU route through one LU solve that never reads the eigenbasis.
+    the LU route through one LU solve that never reads the eigenbasis.  Its
+    diagonal case: for an exactly diagonal ``H = diag(d)`` the LU factors are
+    ``I`` and ``diag(d)``, and the solve is the row scaling by ``1 / d``, the
+    reciprocal pivots the LU solve's triangular step multiplies by.
     """
     dec = eig_herm(h)
     require_positive(dec, "H", definite=True)
@@ -61,7 +64,8 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
 
     v = dec.vectors
     eta_eig = defect_values((v / dec.eigenvalues) @ (v.conj().T @ rw))
-    eta_lu = defect_values(np.linalg.solve(h.mat, rw))
+    d = h._diagonal
+    eta_lu = defect_values(np.linalg.solve(h.mat, rw) if d is None else rw * (1.0 / d)[:, None])
     return eta_eig, eta_lu
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms import FormPair, _eta, _pencil
 from .matcore import (HermitianMatrix, coupling_kernel, eig_herm, fractional_power, op_norm,
                       require_positive, two_sided_fn)
 from .quadrature import integrate_adaptive
@@ -54,8 +55,10 @@ def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
     coupled = two_sided_fn(dec_m, dec_h,
                            lambda mu, lam: (mu / lam) ** 0.25 + (lam / mu) ** 0.25, x)
     defect = op_norm(coupled - t)
-    return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x),
-                            sylvester_defect=defect)
+    # ||T|| = ||S|| is eta of the pair, read from the difference pencil
+    # rather than from the formed T, which loses about eps * cond / eta
+    norm_t = _eta(_pencil(FormPair(h, m)))
+    return SqrtPerturbation(t=t, x=x, norm_t=norm_t, norm_x=op_norm(x), sylvester_defect=defect)
 
 
 @dataclass(frozen=True)

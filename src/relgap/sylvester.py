@@ -111,15 +111,17 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
     a_half = fractional_power(p.dec_a, 0.5).mat
     m_half = fractional_power(p.dec_m, 0.5).mat
     amat, mmat, f = p.a.mat, p.m.mat, p.f
+    f_c = f.astype(np.complex128)  # a real F would be cast into a (15, n, n) copy
     eye_a = np.eye(p.a.n)
     eye_m = np.eye(p.m.n)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         w = (d + 1j * d * np.tan(s))[:, None, None]
-        left = np.linalg.solve(amat - w * eye_a, np.broadcast_to(f, s.shape + f.shape))
+        left = np.linalg.solve(amat - w * eye_a, np.broadcast_to(f_c, s.shape + f.shape))
         # left (M - w)^{-1}, solved as the transpose system
         full = np.linalg.solve(np.swapaxes(mmat - w * eye_m, 1, 2),
                                np.swapaxes(left, 1, 2))
+        del left  # at most three (15, n, n) stacks are live at once
         return (a_half @ np.swapaxes(full, 1, 2) @ m_half) * (d / np.cos(s) ** 2)[:, None, None]
 
     if np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat):

@@ -12,6 +12,7 @@ from relgap.forms import (
     spectral_comparison,
 )
 from relgap.matcore import HermitianMatrix, eig_herm, hs_norm, op_norm
+from relgap.sqroot import sqrt_pair
 
 from conftest import make_rng, random_pd, random_unitary
 
@@ -292,6 +293,15 @@ class TestClosedFormPencil:
         # |||S||| = ||x / sqrt(1 + x)||_2, a 1.02-Lipschitz map for |x| < 0.02
         hs = [np.sqrt(np.sum(v ** 2 / (1.0 + v))) for v in (got, x)]
         assert abs(hs[0] - hs[1]) <= 1.02 * np.sqrt(x.size) * atol
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("log2_cond, q", CLOSED_FORM_CASES)
+    def test_sqrt_pair_norm_t(self, log2_cond, q, complex_field):
+        # ||T|| = ||S||, the eta of the pair, whichever of H and M comes first
+        fp, x = _closed_form_pair(log2_cond + q, log2_cond, q, complex_field)
+        eta = np.max(np.abs(x) / np.sqrt(1.0 + x))
+        assert _rel(sqrt_pair(fp.h, fp.m).norm_t, eta) <= CLOSED_FORM_RTOL
+        assert _rel(sqrt_pair(fp.m, fp.h).norm_t, eta) <= CLOSED_FORM_RTOL
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_shared_kernel(self, complex_field):

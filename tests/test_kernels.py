@@ -1,7 +1,8 @@
 """The shared eigendecomposition and the two-sided spectral kernel.
 
 Each HermitianMatrix is decomposed at most once and every consumer reads
-that result; the entrywise-kernel evaluations of S, T, X, the Sylvester
+that result; an exactly diagonal one is decomposed and solved without
+LAPACK.  The entrywise-kernel evaluations of S, T, X, the Sylvester
 solution and its residual agree with the dense fractional-power formulas
 kept below as references.
 """
@@ -10,8 +11,14 @@ import numpy as np
 import pytest
 
 from relgap.forms import FormPair, epsilon_two_sided, eta_exact, s_operator
-from relgap.matcore import HermitianMatrix, eig_herm, spectral_projector_below
-from relgap.ritz import ritz_bounds
+from relgap.matcore import (
+    HermitianMatrix,
+    Projection,
+    eig_herm,
+    require_positive,
+    spectral_projector_below,
+)
+from relgap.ritz import eta_routes, ritz_bounds
 from relgap.sqroot import sqrt_pair
 from relgap.subspace import hs_subspace_bounds, subspace_bounds
 from relgap.sylvester import (
@@ -161,6 +168,90 @@ def test_decomposition_is_cached_and_read_only():
         dec.vectors[0, 0] = 5.0
 
 
+# ---------------------------------------------------------------------------
+# exactly diagonal matrices: sorted diagonal, no LAPACK
+# ---------------------------------------------------------------------------
+
+def _diagonal_cases():
+    rng = make_rng(60)
+    wide = rng.standard_normal(40) * 10.0 ** rng.uniform(-6.0, 6.0, 40)
+    return {
+        "n1": np.array([2.5]),
+        "n1-negative": np.array([-3.0]),
+        "ties-zeros-negatives": rng.choice([-2.0, 0.0, 1.0, 4.0], size=12),
+        "all-zero": np.zeros(5),
+        "wide": wide,
+        "wide-ties": np.concatenate([wide, wide[:10], -wide[10:15]])[rng.permutation(55)],
+    }
+
+
+DIAGONAL_CASES = _diagonal_cases()
+
+
+def _eigenspace_projector(vectors, values, value):
+    basis = vectors[:, values == value]
+    return basis @ basis.conj().T
+
+
+@pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
+def test_diagonal_decomposes_by_sorting(d, monkeypatch):
+    ref_lam, ref_v = np.linalg.eigh(np.diag(d))
+
+    def no_lapack(*_, **__):
+        raise AssertionError("a diagonal matrix reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    dec = HermitianMatrix(np.diag(d)).decomposition
+    assert dec.eigenvalues.tobytes() == ref_lam.tobytes()
+    assert not (dec.eigenvalues.flags.writeable or dec.vectors.flags.writeable)
+    np.testing.assert_array_equal(dec.vectors.T @ dec.vectors, np.eye(d.size))
+    for value in np.unique(d):
+        np.testing.assert_allclose(_eigenspace_projector(dec.vectors, dec.eigenvalues, value),
+                                   _eigenspace_projector(ref_v, ref_lam, value), atol=1e-14)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-300], ids=["subnormal", "1e-300"])
+def test_any_off_diagonal_entry_takes_lapack(tiny, monkeypatch):
+    # the detection is exact: one nonzero off-diagonal entry, however small,
+    # sends the matrix to LAPACK
+    mat = np.diag([3.0, 1.0, 2.0, 5.0])
+    mat[0, 2] = mat[2, 0] = tiny
+    h = HermitianMatrix(mat)
+    assert h.mat[0, 2] == tiny
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    np.testing.assert_array_equal(h.decomposition.eigenvalues, eigh(mat)[0])
+    assert len(calls) == 1
+
+
+def test_require_positive_rejects_negative_diagonal():
+    dec = HermitianMatrix(np.diag([2.0, -1e-3, 5.0])).decomposition
+    with pytest.raises(ValueError, match="positive definite"):
+        require_positive(dec, "H", definite=True)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        require_positive(dec, "H", definite=False)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_eta_routes_on_diagonal(complex_field, monkeypatch):
+    rng = make_rng(61)
+    n, k = 30, 3
+    lam = rng.uniform(0.5, 20.0, n)
+    p = random_projection(rng, n, k, complex_field)
+    eta_eig, eta_lu = eta_routes(HermitianMatrix(np.diag(lam)), p)
+    # a rotated copy of the same spectrum and trial space has the same etas
+    q = random_unitary(rng, n, complex_field=False)
+    rotated = eta_routes(HermitianMatrix((q * lam) @ q.T), Projection(q @ p.basis))
+    for got in (eta_eig, eta_lu):
+        for ref in rotated:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(ref))
+    # with the diagonal test switched off the LU route is np.linalg.solve:
+    # the same bits
+    monkeypatch.setattr(HermitianMatrix, "_diagonal", property(lambda self: None))
+    assert eta_routes(HermitianMatrix(np.diag(lam)), p)[1].tobytes() == eta_lu.tobytes()
+
+
 N = 40
 RANK = 5
 D1, D2 = 1.5, 2.5
@@ -178,8 +269,9 @@ def _pair(rng):
 @pytest.fixture
 def large_decompositions(monkeypatch):
     """Record eigh/eigvalsh calls on matrices of dimension >= N/2, svd calls
-    with either dimension >= N/2, and 2-norms of matrices with both dimensions
-    >= N/2 (numpy's 2-norm runs its own SVD, which patching svd misses)."""
+    with either dimension >= N/2, 2-norms of matrices with both dimensions
+    >= N/2 (numpy's 2-norm runs its own SVD, which patching svd misses), and
+    solves whose coefficient matrix has dimension >= N/2."""
     counts = []
 
     def counting(fn, large):
@@ -198,6 +290,7 @@ def large_decompositions(monkeypatch):
         "svd": lambda shape, *_, **__: max(shape[-2:]) >= N // 2,
         "norm": lambda shape, ord=None, *_, **__: (ord == 2 and len(shape) == 2
                                                   and min(shape) >= N // 2),
+        "solve": square,
     }
     for name, large in checks.items():
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), large))
@@ -249,6 +342,12 @@ def test_decompositions_per_public_call(large_decompositions):
     # the Ritz estimate works on n-by-k blocks: no n-sized SVD, no complement basis
     h, p = _pair(rng)[0], random_projection(rng, N, RANK)
     assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("svd", "norm")) == 0
+    assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("solve",)) == 1
+    # an exactly diagonal H decomposes by sorting and its LU route is a row
+    # scaling: no n-sized eigh/eigvalsh/svd and no n-by-n solve at all
+    diag_h = HermitianMatrix(np.diag(rng.uniform(0.5, 10.0, N)))
+    assert _counted(counts, lambda: ritz_bounds(diag_h, p, next_ev=3.0),
+                    ("eigh", "eigvalsh", "svd", "solve")) == 0
     # the subspace truths come from n-by-k blocks and eta from the difference
     # pencil: no n-by-n SVD or 2-norm at all
     h, m = _pair(rng)
