@@ -80,6 +80,8 @@ def mathieu_model(theta: float, alpha: float, trunc: int) -> MathieuModel:
     definite, i.e. ``alpha < min_k (k + theta/2pi)^2``."""
     if not 0.0 < theta < TWO_PI:
         raise ValueError(f"theta must lie in (0, 2 pi), got {theta}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if trunc < 2:
         raise ValueError(f"truncation order must be >= 2, got {trunc}")
     ks = np.arange(-trunc, trunc + 1, dtype=np.int64)
@@ -130,9 +132,9 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str,
     pps = [_interpolant(model, n_points, interp, k) for k in targets]
     masses = np.diag(l2_gram(pps)).real
     h1_masses = np.diag(l2_gram([derivative(pp) for pp in pps])).real
+    coeffs = modal_coefficients(pps, model.freqs) / np.sqrt(TWO_PI)
     cols = []
-    for k, pp, mass, h1_mass in zip(targets, pps, masses, h1_masses):
-        coeff = modal_coefficients(pp, model.freqs) / np.sqrt(TWO_PI)
+    for k, coeff, mass, h1_mass in zip(targets, coeffs, masses, h1_masses):
         loss = (mass - float(np.sum(np.abs(coeff) ** 2))) / mass
         if loss > TRUNCATION_LOSS_TOL:
             warnings.warn(

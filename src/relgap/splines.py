@@ -4,7 +4,9 @@ Not-a-knot and clamped cubic splines and continuous piecewise-linear
 interpolants over a knot grid.  The Fourier-type coefficients
 ``int p(t) exp(i f t) dt`` that expand an interpolant in a truncated
 exponential eigenbasis are evaluated in closed form, piece by piece, from the
-moments ``mu_r(z) = int_0^1 u^r exp(z u) du``.  Exact L2 Gram matrices, one
+moments ``mu_r(z) = int_0^1 u^r exp(z u) du``; a batch of interpolants on one
+grid takes the moments once per distinct piece width and one phase table, and
+gets one row of coefficients per interpolant.  Exact L2 Gram matrices, one
 evaluation per function: each piecewise polynomial is evaluated once at one
 Gauss-Legendre rule per piece, which is exact for the degrees involved.
 """
@@ -125,16 +127,31 @@ def _moments(z: np.ndarray, degree: int) -> np.ndarray:
     return mu
 
 
-def modal_coefficients(pp: PiecewisePoly, freqs) -> np.ndarray:
-    """``int pp(t) exp(i f t) dt`` over the full knot span, one value per
-    frequency, in closed form: the piece ``[a_j, a_j + h_j]`` contributes
-    ``exp(i f a_j) sum_r coeffs[r, j] h_j^(r+1) mu_r(i f h_j)``."""
+def modal_coefficients(pps, freqs) -> np.ndarray:
+    """``int p(t) exp(i f t) dt`` over the full knot span for each piecewise
+    polynomial ``p`` of ``pps`` (one shared knot grid), one row per polynomial
+    and one column per frequency, in closed form: the piece
+    ``[a_j, a_j + h_j]`` contributes
+    ``exp(i f a_j) sum_r coeffs[r, j] h_j^(r+1) mu_r(i f h_j)``.
+
+    The moments are evaluated once per distinct piece width (an equidistant
+    grid has a handful) up to the largest degree in the batch, and the phase
+    table ``exp(i f a_j)`` once per call.
+    """
+    pps = list(pps)
+    knots = _shared_knots(pps)
     freqs = np.asarray(freqs, dtype=np.float64)
-    h = np.diff(pp.knots)
-    mu = _moments(1j * np.outer(freqs, h), pp.degree)
-    scaled = pp.coeffs * h ** np.arange(1, pp.degree + 2)[:, None]
-    phase = np.exp(1j * np.outer(freqs, pp.knots[:-1]))
-    return np.einsum("fj,rfj,rj->f", phase, mu, scaled)
+    h = np.diff(knots)
+    widths, piece_width = np.unique(h, return_inverse=True)
+    degree = max(pp.degree for pp in pps)
+    # a C-contiguous gather keeps einsum's summation order, and so its
+    # rounding, the same as on moments evaluated piece by piece
+    mu = np.ascontiguousarray(_moments(1j * np.outer(freqs, widths), degree)[:, :, piece_width])
+    phase = np.exp(1j * np.outer(freqs, knots[:-1]))
+    return np.array([
+        np.einsum("fj,rfj,rj->f", phase, mu[: pp.degree + 1],
+                  pp.coeffs * h ** np.arange(1, pp.degree + 2)[:, None])
+        for pp in pps])
 
 
 def derivative(pp: PiecewisePoly) -> PiecewisePoly:
@@ -147,7 +164,7 @@ def derivative(pp: PiecewisePoly) -> PiecewisePoly:
 def _shared_knots(pps) -> np.ndarray:
     knots = pps[0].knots
     for pp in pps[1:]:
-        if pp.knots.shape != knots.shape or not np.allclose(pp.knots, knots):
+        if not np.array_equal(pp.knots, knots):
             raise ValueError("the piecewise polynomials must share one knot grid")
     return knots
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from relgap.matcore import HermitianMatrix, Projection
+from relgap.splines import _moments
 
 SEED = int(os.environ.get("RELGAP_SEED", "20260808"))
 
@@ -73,3 +74,15 @@ def pairwise_l2_inner(pa, pb) -> complex:
     half = 0.5 * np.diff(pa.knots)
     t = (0.5 * (pa.knots[:-1] + pa.knots[1:]))[:, None] + half[:, None] * x
     return complex(np.sum(half[:, None] * w * np.conj(pa(t)) * pb(t)))
+
+
+def per_piece_modal(pp, freqs) -> np.ndarray:
+    """Reference ``int pp(t) exp(i f t) dt``, one value per frequency: the
+    moments ``mu_r(i f h_j)`` evaluated for every piece ``j``, then one
+    ``einsum`` over pieces and degrees against the phase ``exp(i f a_j)``."""
+    freqs = np.asarray(freqs, dtype=np.float64)
+    h = np.diff(pp.knots)
+    mu = _moments(1j * np.outer(freqs, h), pp.degree)
+    scaled = pp.coeffs * h ** np.arange(1, pp.degree + 2)[:, None]
+    phase = np.exp(1j * np.outer(freqs, pp.knots[:-1]))
+    return np.einsum("fj,rfj,rj->f", phase, mu, scaled)

@@ -218,6 +218,15 @@ def test_bench_markdown(tmp_path):
     assert md.read_text().startswith("| quantity | N=8 |")
 
 
+def test_bench_non_finite_alpha_exit_code(tmp_path, capsys):
+    code = main(["bench", "mathieu", "--theta", str(np.pi), "--alpha", "nan",
+                 "--K", "8", "--ns", "8", "--interp", "linear",
+                 "--out", str(tmp_path / "rows.csv")])
+    assert code == 1
+    assert "alpha must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_error_exit_code(tmp_path, capsys):
     hp = tmp_path / "h.mtx"
     save_matrix(hp, np.diag([1.0, -1.0]))

@@ -58,6 +58,12 @@ class TestMathieuModel:
         with pytest.raises(ValueError, match=">= 2"):
             mathieu_model(np.pi, 0.0, 1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # NaN slips past the positive-definiteness test, -inf passes it
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            mathieu_model(np.pi, alpha, 4)
+
     def test_eigenfunctions_quasi_periodic_and_normalized(self, model64):
         t = np.linspace(0, 2 * np.pi, 20001)
         z = model64.eigenfunction_samples(3, t)

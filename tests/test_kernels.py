@@ -14,6 +14,7 @@ from relgap.forms import FormPair, epsilon_two_sided, eta_exact, s_operator
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
+    SpectralDecomposition,
     eig_herm,
     require_positive,
     spectral_projector_below,
@@ -208,6 +209,47 @@ def test_diagonal_decomposes_by_sorting(d, monkeypatch):
     for value in np.unique(d):
         np.testing.assert_allclose(_eigenspace_projector(dec.vectors, dec.eigenvalues, value),
                                    _eigenspace_projector(ref_v, ref_lam, value), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the orthonormality check of a permutation eigenbasis: exact, O(n^2)
+# ---------------------------------------------------------------------------
+
+def _permutation_cases():
+    perm = np.eye(9)[:, make_rng(62).permutation(9)]
+    signed = perm.copy()
+    signed[:, 4] *= -1.0
+    return {"identity": np.eye(6), "n1": np.eye(1), "random": perm,
+            "random-complex": perm.astype(np.complex128), "signed": signed}
+
+
+PERMUTATION_CASES = _permutation_cases()
+
+
+@pytest.mark.parametrize("v", PERMUTATION_CASES.values(), ids=PERMUTATION_CASES.keys())
+def test_permutation_eigenbasis_accepted(v, monkeypatch):
+    # a 0/1 permutation needs no V* V product; a signed one takes the
+    # generic route, whose defect is exactly 0 as well
+    products = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: products.append(a) or norm(*a, **kw))
+    dec = SpectralDecomposition(np.arange(v.shape[0], dtype=float), v)
+    np.testing.assert_array_equal(dec.vectors, v.real)
+    assert len(products) == (1 if (v == -1).any() else 0)
+
+
+def _duplicated_column():
+    v = np.eye(5)
+    v[:, 3] = v[:, 1]  # five ones, row 3 empty, row 1 holds two
+    return v
+
+
+@pytest.mark.parametrize("v", [_duplicated_column(), _duplicated_column().T,
+                               np.eye(5)[:, ::-1] * (1.0 + 1e-9)],
+                         ids=["duplicated-column", "duplicated-row", "scaled"])
+def test_near_permutation_rejected(v):
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SpectralDecomposition(np.arange(5.0), v)
 
 
 @pytest.mark.parametrize("tiny", [5e-324, 1e-300], ids=["subnormal", "1e-300"])

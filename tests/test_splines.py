@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from relgap import harness, splines
 from relgap.splines import (
     PiecewisePoly,
     combine,
@@ -12,8 +15,7 @@ from relgap.splines import (
     piecewise_linear,
 )
 
-from conftest import pairwise_l2_inner
-
+from conftest import pairwise_l2_inner, per_piece_modal
 
 
 def _eval_deriv(pp, t, order=1):
@@ -173,7 +175,7 @@ class TestModalCoefficients:
             x[1:-1] += rng.uniform(-0.2, 0.2, pieces - 1) * (x[1] - x[0])
             pp = _interpolant(interp, x, f(x), df(x[0]), df(x[-1]))
             assert np.iscomplexobj(pp.coeffs) == (field == "complex")
-            got = modal_coefficients(pp, MODAL_FREQS)
+            got = modal_coefficients([pp], MODAL_FREQS)[0]
             resolved = np.abs(MODAL_FREQS) * np.max(np.diff(x)) <= 40.0
             np.testing.assert_allclose(got[resolved], _gl_modal_reference(pp, MODAL_FREQS[resolved]),
                                        rtol=1e-12, atol=1e-12)
@@ -184,9 +186,81 @@ class TestModalCoefficients:
     def test_constant_function_dc_only(self):
         x = np.linspace(0, 2 * np.pi, 7)
         pp = piecewise_linear(x, np.ones(7))
-        got = modal_coefficients(pp, np.array([0.0, 1.0, 2.0]))
+        got = modal_coefficients([pp], np.array([0.0, 1.0, 2.0]))[0]
         assert got[0] == pytest.approx(2 * np.pi)
         np.testing.assert_allclose(got[1:], 0.0, atol=1e-12)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the model of the paper's tables (scripts/run_tables.py)
+TABLE_THETA, TABLE_ALPHA = np.pi - 1e-4, 0.2499
+# the phase speeds k + theta/2pi, k = -320..320, of the linear table's model
+TABLE_FREQS = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, 320).freqs
+
+
+def _modal_grids(rng):
+    """An equidistant grid (a handful of distinct piece widths) and a jittered
+    one (every width distinct), both with 140 knots on [0, 2 pi]."""
+    even = np.linspace(0.0, 2 * np.pi, 140)
+    jittered = even.copy()
+    jittered[1:-1] += rng.uniform(-0.3, 0.3, 138) * (even[1] - even[0])
+    assert np.unique(np.diff(even)).size < 20
+    assert np.unique(np.diff(jittered)).size == 139
+    return {"linspace": even, "jittered": jittered}
+
+
+class TestModalBatch:
+    """A batch on one grid gives, bit for bit, what each polynomial gives
+    alone, and what the moments evaluated piece by piece give."""
+
+    @pytest.mark.parametrize("grid", ["linspace", "jittered"])
+    @pytest.mark.parametrize("batch", ["linear", "cubic", "mixed"])
+    @pytest.mark.parametrize("freqs", ["modal", "table"])
+    def test_batch_is_bitwise_per_polynomial(self, rng, grid, batch, freqs):
+        x = _modal_grids(rng)[grid]
+        freqs = MODAL_FREQS if freqs == "modal" else TABLE_FREQS
+        y = [np.exp(-1j * nu * x) for nu in (0.49998, -0.50002, 2.3)]
+        linear = [piecewise_linear(x, v) for v in y]
+        cubic = [cubic_spline_not_a_knot(x, v) for v in y]
+        pps = {"linear": linear, "cubic": cubic,
+               "mixed": [linear[0], cubic[1], derivative(cubic[2]), linear[2]]}[batch]
+        got = modal_coefficients(pps, freqs)
+        assert got.shape == (len(pps), freqs.size)
+        for row, pp in zip(got, pps):
+            assert _same_bits(row, modal_coefficients([pp], freqs)[0])
+            assert _same_bits(row, per_piece_modal(pp, freqs))
+
+    def test_moments_once_per_distinct_width(self, monkeypatch):
+        model = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, 320)
+        sizes = []
+        moments = splines._moments
+        monkeypatch.setattr(splines, "_moments", lambda z, degree: sizes.append(z.size)
+                            or moments(z, degree))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", harness.TruncationWarning)
+            harness.build_test_space(model, 140, "linear")
+        widths = np.unique(np.diff(np.linspace(0.0, 2 * np.pi, 140))).size
+        assert 0 < sum(sizes) <= model.freqs.size * widths
+
+    @pytest.mark.parametrize("trunc, interp, ns", [(320, "linear", (100, 120, 140)),
+                                                   (64, "cubic", range(5, 11))])
+    def test_tables_bitwise_per_piece(self, monkeypatch, trunc, interp, ns):
+        model = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, trunc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", harness.TruncationWarning)
+            bases = [harness.build_test_space(model, n, interp) for n in ns]
+            rows = harness.run_benchmark(model, ns, interp)
+            monkeypatch.setattr(harness, "modal_coefficients", lambda pps, freqs: np.array(
+                [per_piece_modal(pp, freqs) for pp in pps]))
+            ref_bases = [harness.build_test_space(model, n, interp) for n in ns]
+            ref_rows = harness.run_benchmark(model, ns, interp)
+        assert rows == ref_rows
+        for p, ref in zip(bases, ref_bases):
+            assert _same_bits(p.basis, ref.basis)
 
 
 class TestMassAndInner:
@@ -244,3 +318,18 @@ class TestMassAndInner:
             l2_gram([pa, pa, pb])
         with pytest.raises(ValueError, match="knot grid"):
             combine(pa, 1.0, pb, 1.0)
+
+    def test_nearly_equal_grids_rejected(self):
+        # a grid that differs by 1e-9 is a different grid: nothing would be
+        # integrated on the one it was built for
+        x = np.linspace(0.0, 1.0, 6)
+        moved = x.copy()
+        moved[3] += 1e-9
+        pa = cubic_spline_not_a_knot(x, np.sin(x))
+        pb = cubic_spline_not_a_knot(moved, np.sin(moved))
+        with pytest.raises(ValueError, match="share one knot grid"):
+            l2_gram([pa, pb])
+        with pytest.raises(ValueError, match="share one knot grid"):
+            combine(pa, 1.0, pb, 1.0)
+        with pytest.raises(ValueError, match="share one knot grid"):
+            modal_coefficients([pa, pb], [0.0, 1.0])
