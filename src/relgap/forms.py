@@ -4,9 +4,9 @@ Quantifies how far two positive semidefinite operators H and M are from each
 other in the form-relative sense: the smallest eta with
 ``|h(u,v) - m(u,v)| <= eta * sqrt(h[u] m[v])``, the two-sided constant eps
 with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]``, and per-eigenvalue matching
-diagnostics.  eta, eps and ``|||S|||`` all come from the eigenvalues of the
-difference pencil ``M^{+1/2} (H - M) M^{+1/2}``; the operator S itself is
-formed only where a product with it is needed.
+diagnostics.  Every quantity reads ``H - M``, taken once from the exact inputs:
+eta and eps from the difference pencil ``M^{+1/2} (H - M) M^{+1/2}``, S as
+``H^{+1/2} (H - M) M^{+1/2}``; no two nearly equal products cancel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .matcore import (
     HermitianMatrix,
     SpectralDecomposition,
     ZERO_TOL,
-    coupling_kernel,
+    _pseudo_power,
     eig_herm,
     op_norm,
     require_positive,
@@ -55,10 +55,6 @@ class FormPair:
         object.__setattr__(self, "dec_m", eig_herm(self.m))
         require_positive(self.dec_h, "H", definite=False)
         require_positive(self.dec_m, "M", definite=False)
-
-    @property
-    def n(self) -> int:
-        return self.h.n
 
     def kernel_angle(self) -> float:
         """Sine of the largest principal angle between ker(H) and ker(M)."""
@@ -97,16 +93,19 @@ def eta_from_epsilon(eps: float) -> float:
 
 
 def s_operator(fp: FormPair) -> np.ndarray:
-    """The matrix ``H^{1/2} M^{+1/2} - H^{+1/2} M^{1/2}`` (pseudo powers)."""
+    """``S = H^{1/2} M^{+1/2} - H^{+1/2} M^{1/2}`` (pseudo powers), formed as
+    ``H^{+1/2} (H - M) M^{+1/2}``: equal under the shared pseudo-power cutoff,
+    and free of the cancellation between the two products."""
     fp.ensure_shared_kernel()
-    return two_sided_fn(fp.dec_h, fp.dec_m, coupling_kernel)
+    return two_sided_fn(fp.dec_h, fp.dec_m,
+                        lambda lam, mu: _pseudo_power(lam, -0.5) * _pseudo_power(mu, -0.5),
+                        fp.h.mat - fp.m.mat)
 
 
 def _pencil(fp: FormPair) -> np.ndarray:
     """Ascending eigenvalues x of ``M^{+1/2} (H - M) M^{+1/2}`` on range(M) (none if
     M has rank 0); ``|||S|||^2 = sum x^2 / (1 + x)``.  ``H - M`` is taken once from the
-    exact inputs, so a small x keeps the relative accuracy that forming S loses at
-    about ``eps * cond / eta``."""
+    exact inputs, so a small x keeps its relative accuracy."""
     fp.ensure_shared_kernel()
     keep = _range_mask(fp.dec_m)
     r = fp.dec_m.vectors[:, keep] * fp.dec_m.eigenvalues[keep] ** -0.5  # M^{+1/2} on range(M)

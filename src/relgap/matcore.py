@@ -139,10 +139,6 @@ class SpectralDecomposition:
         if gram_defect > 1e-11:
             raise ValueError(f"eigenvector columns are not orthonormal (defect {gram_defect:.3e})")
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
 
 @dataclass(frozen=True)
 class Projection:

@@ -162,6 +162,8 @@ def derivative(pp: PiecewisePoly) -> PiecewisePoly:
 
 
 def _shared_knots(pps) -> np.ndarray:
+    if not pps:
+        raise ValueError("empty batch: need at least one piecewise polynomial")
     knots = pps[0].knots
     for pp in pps[1:]:
         if not np.array_equal(pp.knots, knots):

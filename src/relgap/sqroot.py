@@ -3,9 +3,12 @@
 Relates the relative difference of H and M to the relative difference of
 their square roots: ``||X|| <= ||T|| / 2`` for
 ``T = M^{1/2} H^{-1/2} - M^{-1/2} H^{1/2}`` and
-``X = M^{1/4} H^{-1/4} - M^{-1/4} H^{1/4}``, with the coupling Sylvester
-identity ``M^{1/4} X H^{-1/4} + M^{-1/4} X H^{1/4} = T`` and its exponential
-integral solution evaluated by quadrature as an independent check.
+``X = M^{1/4} H^{-1/4} - M^{-1/4} H^{1/4}``.  T is ``-S*``, formed from the
+exact difference ``H - M``; X solves the coupling Sylvester identity
+``M^{1/4} X H^{-1/4} + M^{-1/4} X H^{1/4} = T``, which in the eigenbases of M
+and H divides T by ``(mu/lam)^{1/4} + (lam/mu)^{1/4} >= 2`` and cannot cancel.
+Its exponential integral solution is evaluated by quadrature as an
+independent check.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, _eta, _pencil
-from .matcore import (HermitianMatrix, coupling_kernel, eig_herm, fractional_power, op_norm,
-                      require_positive, two_sided_fn)
+from .forms import FormPair, s_operator
+from .matcore import (HermitianMatrix, eig_herm, fractional_power, op_norm, require_positive,
+                      two_sided_fn)
 from .quadrature import integrate_adaptive
 
 
@@ -34,31 +37,29 @@ class SqrtPerturbation:
         return self.norm_t / 2.0 - self.norm_x
 
 
-def _definite_pair(h: HermitianMatrix, m: HermitianMatrix):
-    """The eigendecompositions of H and M, checked to be positive definite
-    and of one size."""
+def _definite_pair(h: HermitianMatrix, m: HermitianMatrix) -> FormPair:
+    """The pair (H, M), checked to be positive definite and of one size."""
     if h.n != m.n:
         raise ValueError(f"dimension mismatch: {h.n} vs {m.n}")
-    dec_h, dec_m = eig_herm(h), eig_herm(m)
-    require_positive(dec_h, "H", definite=True)
-    require_positive(dec_m, "M", definite=True)
-    return dec_h, dec_m
+    require_positive(eig_herm(h), "H", definite=True)
+    require_positive(eig_herm(m), "M", definite=True)
+    return FormPair(h, m)
 
 
 def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
     """T, X and their norms for a positive definite pair, with the defect of
     the coupling identity reported."""
-    dec_h, dec_m = _definite_pair(h, m)
+    fp = _definite_pair(h, m)
+
+    def coupling(mu, lam):
+        return (mu / lam) ** 0.25 + (lam / mu) ** 0.25
+
     # T, X and the coupling operator all act between the eigenbases of M and H
-    t = two_sided_fn(dec_m, dec_h, coupling_kernel)
-    x = two_sided_fn(dec_m, dec_h, lambda mu, lam: (mu / lam) ** 0.25 - (lam / mu) ** 0.25)
-    coupled = two_sided_fn(dec_m, dec_h,
-                           lambda mu, lam: (mu / lam) ** 0.25 + (lam / mu) ** 0.25, x)
-    defect = op_norm(coupled - t)
-    # ||T|| = ||S|| is eta of the pair, read from the difference pencil
-    # rather than from the formed T, which loses about eps * cond / eta
-    norm_t = _eta(_pencil(FormPair(h, m)))
-    return SqrtPerturbation(t=t, x=x, norm_t=norm_t, norm_x=op_norm(x), sylvester_defect=defect)
+    t = -s_operator(fp).conj().T
+    x = two_sided_fn(fp.dec_m, fp.dec_h, lambda mu, lam: 1.0 / coupling(mu, lam), t)
+    defect = op_norm(two_sided_fn(fp.dec_m, fp.dec_h, coupling, x) - t)
+    return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x),
+                            sylvester_defect=defect)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    dec_h, dec_m = _definite_pair(h, m)
+    fp = _definite_pair(h, m)
+    dec_h, dec_m = fp.dec_h, fp.dec_m
 
     mu = dec_m.eigenvalues
     lam = dec_h.eigenvalues
@@ -86,7 +88,7 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
     rate = 1.0 / np.sqrt(mu.max()) + 1.0 / np.sqrt(lam.max())
     scale = 2.0 / rate
 
-    t_pair = two_sided_fn(dec_m, dec_h, coupling_kernel)
+    t_pair = -s_operator(fp).conj().T
     core = fractional_power(dec_m, -0.25).mat @ t_pair @ fractional_power(dec_h, -0.25).mat
 
     def integrand(s: np.ndarray) -> np.ndarray:

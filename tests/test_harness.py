@@ -13,7 +13,7 @@ from relgap.harness import (
 )
 from relgap.matcore import Projection, eig_herm, fractional_power
 from relgap.ritz import dk_bound_from_gram, ritz_bounds
-from relgap.splines import PiecewisePoly, combine, derivative
+from relgap.splines import PiecewisePoly, combine, derivative, l2_gram, modal_coefficients
 
 from conftest import pairwise_l2_inner
 
@@ -261,3 +261,17 @@ def test_truncation_note_survives_csv_and_markdown(model64):
     md = rows_to_markdown(rows)
     assert f"| note | {rows[0].note} |" in md
     assert f"| hypothesis ok | {str(rows[0].hypothesis_ok).lower()} |" in md
+
+
+@pytest.mark.parametrize("call", [
+    lambda model: l2_gram([]),
+    lambda model: modal_coefficients([], model.freqs),
+    lambda model: build_test_space(model, 8, "cubic", targets=()),
+    lambda model: residual_competitor(model, 8, 3.0, targets=()),
+    lambda model: run_benchmark(model, [8], "cubic", targets=()),
+], ids=["l2_gram", "modal_coefficients", "build_test_space", "residual_competitor",
+        "run_benchmark"])
+def test_empty_batch_rejected(model64, call):
+    # an empty batch of interpolants is named, not an IndexError
+    with pytest.raises(ValueError, match="empty batch"):
+        call(model64)

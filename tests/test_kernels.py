@@ -366,9 +366,9 @@ def test_decompositions_per_public_call(large_decompositions):
 
     # from_span's n-by-k SVD builds the Ritz input, so it runs outside the count
     ritz_h, ritz_p = _pair(rng)[0], random_projection(rng, N, RANK)
-    # eigh/eigvalsh, SVDs and 2-norms per call; the 2-norms in sqrt_pair and the
-    # Sylvester path are reported values (||T||, ||X||, the coupling defect, ||F||
-    # and the residual)
+    # eigh/eigvalsh, SVDs and 2-norms per call; sqrt_pair makes two eigh and the
+    # 2-norms of T, X and the coupling defect, the Sylvester path those of ||F||
+    # and the residual, all reported values
     budget = {
         "eta_exact": (lambda: eta_exact(FormPair(*_pair(rng))), 3),
         "subspace_bounds": (lambda: subspace_bounds(*_pair(rng), D1, D2), 3),
@@ -396,3 +396,5 @@ def test_decompositions_per_public_call(large_decompositions):
     assert _counted(counts, lambda: subspace_bounds(h, m, D1, D2), ("svd",)) == 0
     assert _counted(counts, lambda: subspace_bounds(h, m, D1, D2), ("norm",)) == 0
     assert _counted(counts, hs_bounds, ("norm",)) == 0
+    # T and X come from the formed S: no difference-pencil eigvalsh in sqrt_pair
+    assert _counted(counts, lambda: sqrt_pair(*_pair(rng)), ("eigvalsh",)) == 0

@@ -212,6 +212,18 @@ class TestSubspaceBounds:
         assert rep.hypothesis_ok, rep.notes
         assert rep.true_value <= rep.bound + 1e-12
 
+    def test_double_interval_small_eta_fails(self, rng):
+        # coefficient 3.13 here, so a caller's eta of 0.5 breaks coef * eta < 1
+        h, m = _congruent_pair(rng, [0.2, 0.3, 1.0, 1.1, 5.0, 6.0], strength=0.01)
+        rep = subspace_bounds(h, m, 2.0, 4.0, eta=0.5, l1=0.45, l2=0.8)
+        assert not rep.hypothesis_ok
+        assert any("coefficient * eta" in n and "not below 1" in n for n in rep.notes)
+
+    def test_double_interval_bad_order_rejected(self, rng):
+        h = hermitian_from_spectrum(rng, [0.2, 1.0, 5.0])
+        with pytest.raises(ValueError, match="0 < l1 < l2 < d1 < d2"):
+            subspace_bounds(h, h, 2.0, 4.0, l1=0.8, l2=0.45)
+
     def test_double_interval_needs_both_ends(self, rng):
         h = hermitian_from_spectrum(rng, [0.2, 1.0, 5.0])
         with pytest.raises(ValueError, match="both l1 and l2"):
@@ -261,6 +273,34 @@ class TestHsSubspaceBounds:
         q = Projection(np.eye(2)[:, :1])
         with pytest.raises(ValueError, match="commute"):
             hs_subspace_bounds(h, h, q, q)
+
+    def test_compression_spectrum_not_positive(self):
+        # the shared kernel e1 stays in range(Q)^perp, so A and W are singular
+        h = HermitianMatrix(np.diag([0.0, 1.0, 4.0]))
+        m = HermitianMatrix(np.diag([0.0, 1.1, 3.9]))
+        q = Projection(np.eye(3)[:, 2:])
+        rep = hs_subspace_bounds(h, m, q, q)
+        assert rep.bound_qperp_p is None and rep.bound_pperp_q is None
+        assert rep.bound_diff is None and rep.bound_combined is None
+        assert not rep.hypothesis_ok
+        assert any("gap(sigma(A), sigma(M)): compression spectrum not positive" in n
+                   for n in rep.notes)
+
+    def test_relative_gap_zero(self):
+        eye = HermitianMatrix(np.eye(3))
+        q = Projection(np.eye(3)[:, :1])
+        rep = hs_subspace_bounds(eye, eye, q, q)
+        assert rep.bound_qperp_p is None and rep.bound_pperp_q is None
+        assert rep.bound_diff is None and rep.bound_combined is None
+        assert not rep.hypothesis_ok
+        assert any("gap(sigma(A), sigma(M)): relative gap is zero" in n for n in rep.notes)
+
+    def test_p_noncommuting_rejected(self):
+        h = HermitianMatrix(np.diag([1.0, 3.0]))
+        m = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        q = Projection(np.eye(2)[:, :1])
+        with pytest.raises(ValueError, match="P does not commute with M"):
+            hs_subspace_bounds(h, m, q, q)
 
     def test_rotated_instances_all_inequalities(self):
         applicable = 0

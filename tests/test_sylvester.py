@@ -288,6 +288,25 @@ class TestBounds:
         assert b.two_interval_bound is None
         assert b.notes
 
+    @pytest.mark.parametrize("d_minus, d_plus, note", [
+        (2.0, 0.5, "need 0 < d_minus < d_plus"),
+        (1.0, 2.0, "d_minus=1.0 not below min sigma(M)"),
+        (0.5, 1.2, "not below d_plus=1.2"),
+    ], ids=["order", "d_minus", "d_plus"])
+    def test_two_interval_hypothesis_notes(self, d_minus, d_plus, note):
+        p = _problem([0.2, 3.0], [0.9, 1.4], np.ones((2, 2)))
+        b = sylvester_bounds(p, "two_interval", d_minus=d_minus, d_plus=d_plus)
+        assert b.two_interval_bound is None
+        assert any(note in n for n in b.notes), b.notes
+
+    def test_two_interval_one_sided_still_bounded(self):
+        # sigma(A) above d_plus only: the formula still applies, with a note
+        p = _problem([2.5, 3.5], [0.9, 1.4], np.ones((2, 2)))
+        b = sylvester_bounds(p, "two_interval", d_minus=0.5, d_plus=2.0)
+        assert b.notes == ("sigma(A) lies on one side only",)
+        assert b.two_interval_bound is not None
+        assert op_norm(solve_weak_spectral(p)) <= b.two_interval_bound
+
     def test_symmetric_mode_uses_caller_norm(self):
         p = _problem([4.0, 5.0], [1.0], [[1.0], [1.0]])
         b = sylvester_bounds(p, "symmetric", f_norm=hs_norm(p.f))
