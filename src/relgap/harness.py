@@ -3,7 +3,9 @@
 The model operator has known eigenpairs ``omega_k = (k + theta/2pi)^2 - alpha``
 with exponential eigenfunctions; truncating to modes -K..K makes it an exactly
 diagonal matrix, so the model's H costs no LAPACK: it decomposes by sorting
-its diagonal and the Ritz LU route solves by row scaling.  Trial spaces are
+its diagonal and the Ritz LU route solves by row scaling.  Every other product
+with H or its permutation eigenbasis is a row scaling, gather or scatter, so
+a table row costs O(nk) in the dimension n.  Trial spaces are
 built by equidistant cubic or linear interpolation of chosen eigenfunctions,
 and each run compares the true subspace error against the relative
 a-posteriori bound and the residual competitor bound, row by row.

@@ -4,13 +4,16 @@ spectral projectors and the operator / Hilbert-Schmidt norms used repo-wide.
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
 once, on first use, and every consumer shares that read-only result.  An
 exactly diagonal matrix (every off-diagonal entry zero) decomposes by sorting
-its diagonal, without LAPACK.  Real inputs stay real, complex inputs stay
-complex.
+its diagonal, without LAPACK, and its eigenbasis is a permutation of the
+identity: :meth:`HermitianMatrix.apply`, :meth:`SpectralDecomposition.to_eigenbasis`
+and :meth:`SpectralDecomposition.from_eigenbasis` then act by row scaling,
+gather and scatter instead of n x n products.  Real inputs stay real, complex
+inputs stay complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -88,6 +91,15 @@ class HermitianMatrix:
         d = np.diag(self.mat)
         return d if np.count_nonzero(self.mat) == np.count_nonzero(d) else None
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``H x``; for an exactly diagonal H the row scaling ``d_i x_i``, in C
+        order like the product it replaces."""
+        d = self._diagonal
+        if d is None:
+            return self.mat @ x
+        x = np.asarray(x)
+        return np.multiply(d.reshape(d.shape + (1,) * (x.ndim - 1)), x, order="C")
+
     @cached_property
     def decomposition(self) -> "SpectralDecomposition":
         """The eigendecomposition, computed on first access and shared by every
@@ -97,7 +109,9 @@ class HermitianMatrix:
         d = self._diagonal
         if d is not None:
             order = np.argsort(d, kind="stable")
-            return SpectralDecomposition(d[order], np.eye(self.n)[:, order])
+            vectors = np.zeros((self.n, self.n))
+            vectors[order, np.arange(self.n)] = 1.0
+            return SpectralDecomposition(d[order], vectors)
         try:
             lam, v = np.linalg.eigh(self.mat)
         except np.linalg.LinAlgError as exc:
@@ -114,11 +128,14 @@ class SpectralDecomposition:
 
     Orthonormality is checked on construction: exactly and in O(n^2) when the
     columns are a permutation of the identity (the eigenbasis of a diagonal
-    matrix), through the n x n product ``V* V`` otherwise.
+    matrix), through the n x n product ``V* V`` otherwise.  ``perm`` records
+    that permutation, ``V[:, j] = e_{perm[j]}``, and is None for any other
+    basis.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    perm: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.array(self.eigenvalues, dtype=np.float64))
@@ -134,10 +151,29 @@ class SpectralDecomposition:
         # equal to its sum, and one per row: a 0/1 permutation, V* V = I exactly
         if (np.count_nonzero(v) == lam.size and np.all(v.sum(axis=0) == 1)
                 and np.all(v.sum(axis=1) == 1)):
+            perm = np.empty(lam.size, dtype=np.intp)
+            perm[np.argmax(v, axis=1)] = np.arange(lam.size)
+            perm.setflags(write=False)
+            object.__setattr__(self, "perm", perm)
             return
         gram_defect = np.linalg.norm(v.conj().T @ v - np.eye(lam.size), "fro")
         if gram_defect > 1e-11:
             raise ValueError(f"eigenvector columns are not orthonormal (defect {gram_defect:.3e})")
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """``V* x``; on a permutation basis the row gather ``x[perm]``."""
+        if self.perm is None:
+            return self.vectors.conj().T @ x
+        return np.asarray(x)[self.perm]
+
+    def from_eigenbasis(self, y: np.ndarray) -> np.ndarray:
+        """``V y``; on a permutation basis the row scatter ``out[perm] = y``."""
+        if self.perm is None:
+            return self.vectors @ y
+        y = np.asarray(y)
+        out = np.empty(y.shape, dtype=y.dtype)
+        out[self.perm] = y
+        return out
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
         empty = np.zeros(0)
         return empty, empty
     w = p.basis
-    hw = h.mat @ w
+    hw = h.apply(w)
     h11 = w.conj().T @ hw
     h11 = (h11 + h11.conj().T) / 2.0
     h11_ihalf = fractional_power(eig_herm(h11), -0.5).mat
@@ -62,8 +62,9 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
         nu = np.linalg.eigvalsh(h11_ihalf @ (cross + cross.conj().T) @ h11_ihalf / 2.0)
         return np.sqrt(np.maximum(nu, 0.0))
 
-    v = dec.vectors
-    eta_eig = defect_values((v / dec.eigenvalues) @ (v.conj().T @ rw))
+    # V diag(1 / lam) V* [R W]
+    eta_eig = defect_values(dec.from_eigenbasis(
+        dec.to_eigenbasis(rw) * (1.0 / dec.eigenvalues)[:, None]))
     d = h._diagonal
     eta_lu = defect_values(np.linalg.solve(h.mat, rw) if d is None else rw * (1.0 / d)[:, None])
     return eta_eig, eta_lu
@@ -147,7 +148,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         raise ValueError(f"next_ev must be finite, got {next_ev}")
     etas, eta_gap, eta_tol = _cross_checked_etas(h, p)
     k = p.rank
-    ritz_vals = np.linalg.eigvalsh(p.basis.conj().T @ h.mat @ p.basis)
+    # (H W)* W rounds as (W* H) W, the product order the tables were pinned with
+    ritz_vals = np.linalg.eigvalsh(h.apply(p.basis).conj().T @ p.basis)
     ritz_min, ritz_max = float(ritz_vals[0]), float(ritz_vals[-1])
     eta_k = float(etas[-1])
 
@@ -166,7 +168,7 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
 
     dec_h = eig_herm(h)
     above = dec_h.eigenvalues > dec_h.eigenvalues[k - 1]   # (E_H(lambda_k))_perp
-    mixed = dec_h.vectors[:, above].conj().T @ p.basis
+    mixed = dec_h.to_eigenbasis(p.basis)[above]
     return RitzEstimate(
         etas=etas,
         eta_disagreement=eta_gap,
@@ -231,7 +233,7 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     gram_defect = np.linalg.norm(w.conj().T @ w - np.eye(k))
     if not gram_defect <= 1e-10:  # a NaN defect fails too
         raise ValueError(f"trial vectors are not orthonormal (defect {gram_defect:.3e})")
-    hw = h.mat @ w
+    hw = h.apply(w)
     rho = np.real(np.sum(w.conj() * hw, axis=0))
     resid = hw - w * rho
     gram = resid.conj().T @ resid

@@ -144,9 +144,9 @@ def modal_coefficients(pps, freqs) -> np.ndarray:
     h = np.diff(knots)
     widths, piece_width = np.unique(h, return_inverse=True)
     degree = max(pp.degree for pp in pps)
-    # a C-contiguous gather keeps einsum's summation order, and so its
-    # rounding, the same as on moments evaluated piece by piece
-    mu = np.ascontiguousarray(_moments(1j * np.outer(freqs, widths), degree)[:, :, piece_width])
+    # np.take returns the gather C-contiguous, the layout of moments evaluated
+    # piece by piece, so einsum sums in the same order and rounds the same
+    mu = np.take(_moments(1j * np.outer(freqs, widths), degree), piece_width, axis=2)
     phase = np.exp(1j * np.outer(freqs, knots[:-1]))
     return np.array([
         np.einsum("fj,rfj,rj->f", phase, mu[: pp.degree + 1],

@@ -7,8 +7,10 @@ their square roots: ``||X|| <= ||T|| / 2`` for
 exact difference ``H - M``; X solves the coupling Sylvester identity
 ``M^{1/4} X H^{-1/4} + M^{-1/4} X H^{1/4} = T``, which in the eigenbases of M
 and H divides T by ``(mu/lam)^{1/4} + (lam/mu)^{1/4} >= 2`` and cannot cancel.
-Its exponential integral solution is evaluated by quadrature as an
-independent check.
+``sylvester_defect`` multiplies X back by that sum in the same eigenbases: a
+round-trip check of the division's rounding, not a second route to X.  The
+independent check of X is its exponential integral solution, evaluated by
+quadrature (``integral_vs_spectral`` in ``relgap sqroot check``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class SqrtPerturbation:
     x: np.ndarray
     norm_t: float
     norm_x: float
-    sylvester_defect: float
+    sylvester_defect: float  # ||C(X) - T||, C the coupling operator: a round trip
 
     @property
     def margin(self) -> float:
@@ -47,8 +49,8 @@ def _definite_pair(h: HermitianMatrix, m: HermitianMatrix) -> FormPair:
 
 
 def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
-    """T, X and their norms for a positive definite pair, with the defect of
-    the coupling identity reported."""
+    """T, X and their norms for a positive definite pair, with the round-trip
+    defect of the coupling identity reported."""
     fp = _definite_pair(h, m)
 
     def coupling(mu, lam):

@@ -2,9 +2,9 @@
 
 Each HermitianMatrix is decomposed at most once and every consumer reads
 that result; an exactly diagonal one is decomposed and solved without
-LAPACK.  The entrywise-kernel evaluations of S, T, X, the Sylvester
-solution and its residual agree with the dense fractional-power formulas
-kept below as references.
+LAPACK, and it and its eigenbasis are applied by index.  The entrywise-kernel
+evaluations of S, T, X, the Sylvester solution and its residual agree with
+the dense fractional-power formulas kept below as references.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from relgap.matcore import (
     require_positive,
     spectral_projector_below,
 )
-from relgap.ritz import eta_routes, ritz_bounds
+from relgap.ritz import dk_residual_bound, eta_routes, ritz_bounds
 from relgap.sqroot import sqrt_pair
 from relgap.subspace import hs_subspace_bounds, subspace_bounds
 from relgap.sylvester import (
@@ -204,8 +204,12 @@ def test_diagonal_decomposes_by_sorting(d, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_lapack)
     dec = HermitianMatrix(np.diag(d)).decomposition
     assert dec.eigenvalues.tobytes() == ref_lam.tobytes()
-    assert not (dec.eigenvalues.flags.writeable or dec.vectors.flags.writeable)
+    assert not (dec.eigenvalues.flags.writeable or dec.vectors.flags.writeable
+                or dec.perm.flags.writeable)
     np.testing.assert_array_equal(dec.vectors.T @ dec.vectors, np.eye(d.size))
+    # V[:, j] = e_{perm[j]}, ties in their diagonal order
+    np.testing.assert_array_equal(dec.perm, np.argsort(d, kind="stable"))
+    np.testing.assert_array_equal(dec.vectors, np.eye(d.size)[:, dec.perm])
     for value in np.unique(d):
         np.testing.assert_allclose(_eigenspace_projector(dec.vectors, dec.eigenvalues, value),
                                    _eigenspace_projector(ref_v, ref_lam, value), atol=1e-14)
@@ -236,6 +240,10 @@ def test_permutation_eigenbasis_accepted(v, monkeypatch):
     dec = SpectralDecomposition(np.arange(v.shape[0], dtype=float), v)
     np.testing.assert_array_equal(dec.vectors, v.real)
     assert len(products) == (1 if (v == -1).any() else 0)
+    if (v == -1).any():
+        assert dec.perm is None
+    else:
+        np.testing.assert_array_equal(np.eye(v.shape[0])[:, dec.perm], v.real)
 
 
 def _duplicated_column():
@@ -250,6 +258,63 @@ def _duplicated_column():
 def test_near_permutation_rejected(v):
     with pytest.raises(ValueError, match="not orthonormal"):
         SpectralDecomposition(np.arange(5.0), v)
+
+
+# ---------------------------------------------------------------------------
+# perm and the products by index: row scaling, gather and scatter
+# ---------------------------------------------------------------------------
+
+def _operands(rng, n):
+    """Real and complex blocks, an F-ordered block (the layout of an SVD
+    basis), a vector, and a block holding signed zeros."""
+    z = rng.standard_normal((n, 3))
+    zeros = z.copy()
+    zeros[::2, 0] = -0.0
+    zeros[1::2, 1] = 0.0
+    return [z, z + 1j * rng.standard_normal((n, 3)), np.asfortranarray(z), z[:, 0], zeros]
+
+
+def _bases():
+    cases = {name: SpectralDecomposition(np.arange(v.shape[0], dtype=float), v)
+             for name, v in PERMUTATION_CASES.items() if not (v == -1).any()}
+    cases["diagonal-ties"] = HermitianMatrix(
+        np.diag(DIAGONAL_CASES["wide-ties"])).decomposition
+    return cases
+
+
+BASES = _bases()
+
+
+@pytest.mark.parametrize("dec", BASES.values(), ids=BASES.keys())
+def test_eigenbasis_helpers_exact_on_permutation(dec):
+    v = dec.vectors
+    for x in _operands(make_rng(64), v.shape[0]):
+        # array_equal treats -0.0 and +0.0 as equal: a BLAS sum may flip the
+        # sign of a zero, an index operation does not
+        assert np.array_equal(dec.to_eigenbasis(x), v.conj().T @ x)
+        assert np.array_equal(dec.from_eigenbasis(x), v @ x)
+
+
+@pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
+def test_apply_exact_on_diagonal(d):
+    h = HermitianMatrix(np.diag(d))
+    for x in _operands(make_rng(65), d.size):
+        hx = h.apply(x)
+        assert np.array_equal(hx, h.mat @ x)
+        assert hx.dtype == (h.mat @ x).dtype and hx.flags.c_contiguous
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_helpers_are_products_on_dense(complex_field):
+    rng = make_rng(66)
+    h = hermitian_from_spectrum(rng, rng.uniform(0.5, 20.0, 30), complex_field)
+    dec = h.decomposition
+    assert dec.perm is None
+    for x in _operands(rng, h.n):
+        for got, ref in ((dec.to_eigenbasis(x), dec.vectors.conj().T @ x),
+                         (dec.from_eigenbasis(x), dec.vectors @ x),
+                         (h.apply(x), h.mat @ x)):
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("tiny", [5e-324, 1e-300], ids=["subnormal", "1e-300"])
@@ -292,6 +357,62 @@ def test_eta_routes_on_diagonal(complex_field, monkeypatch):
     # the same bits
     monkeypatch.setattr(HermitianMatrix, "_diagonal", property(lambda self: None))
     assert eta_routes(HermitianMatrix(np.diag(lam)), p)[1].tobytes() == eta_lu.tobytes()
+
+
+def _table_path_outputs(h, p, next_ev):
+    est = ritz_bounds(h, p, next_ev)
+    return (*eta_routes(h, p), est.etas,
+            np.array([est.eta_disagreement, est.ritz_min, est.ritz_max, est.bound_op,
+                      est.bound_hs, est.true_op, est.true_hs, est.hypothesis_ok]),
+            np.array([dk_residual_bound(h, p.basis, next_ev, norm) for norm in ("op", "hs")]))
+
+
+def _poison(h):
+    """Overwrite H's matrix and its cached eigenbasis with NaN in place."""
+    dec = h.decomposition
+    object.__setattr__(h, "mat", np.full_like(h.mat, np.nan))
+    object.__setattr__(dec, "vectors", np.full_like(dec.vectors, np.nan))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_diagonal_path_never_reads_dense_arrays(complex_field):
+    # every product with a diagonal H or its eigenbasis goes by index, so
+    # NaN in the dense arrays changes no output bit
+    rng = make_rng(67)
+    n, k = 40, 2
+    lam = rng.uniform(0.5, 20.0, n)
+    # a tilt of the two lowest eigenvectors: every bound is defined
+    p = Projection.from_span(np.eye(n)[:, np.argsort(lam)[:k]]
+                             + 0.02 * random_projection(rng, n, k, complex_field).basis)
+    next_ev = float(np.sort(lam)[k])
+    h = HermitianMatrix(np.diag(lam))
+    assert h._diagonal is not None and h.decomposition.perm is not None
+    before = _table_path_outputs(h, p, next_ev)
+    assert np.all(np.isfinite(np.concatenate(before)))
+    _poison(h)
+    after = _table_path_outputs(h, p, next_ev)
+    for got, ref in zip(after, before):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("call", ["eta_routes", "ritz_bounds", "dk_residual_bound"])
+def test_dense_path_reads_poisoned_arrays(call):
+    # the same poisoning of a dense H reaches every output: the test above bites
+    rng = make_rng(68)
+    h = hermitian_from_spectrum(rng, rng.uniform(0.5, 20.0, 40), complex_field=False)
+    p = random_projection(rng, 40, 2)
+    _poison(h)
+    with np.errstate(all="ignore"):
+        try:
+            if call == "eta_routes":
+                out = np.concatenate(eta_routes(h, p))
+            elif call == "ritz_bounds":
+                out = np.array(ritz_bounds(h, p, 30.0).ritz_max)
+            else:
+                out = np.array(dk_residual_bound(h, p.basis, 30.0), dtype=float)
+        except (np.linalg.LinAlgError, RuntimeError, ValueError):
+            return
+    assert not np.all(np.isfinite(out))
 
 
 N = 40
