@@ -3,9 +3,9 @@ spectral projectors and the operator / Hilbert-Schmidt norms used repo-wide.
 
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
 once, on first use, and every consumer shares that read-only result.  An
-exactly diagonal matrix (every off-diagonal entry zero) decomposes by sorting
-its diagonal, without LAPACK, and its eigenbasis is a permutation of the
-identity: :meth:`HermitianMatrix.apply`, :meth:`SpectralDecomposition.to_eigenbasis`
+exactly diagonal matrix (every off-diagonal entry zero) decomposes in
+O(n log n) past its input copy, by a sort without LAPACK, into a permutation
+basis: :meth:`HermitianMatrix.apply`, :meth:`SpectralDecomposition.to_eigenbasis`
 and :meth:`SpectralDecomposition.from_eigenbasis` then act by row scaling,
 gather and scatter instead of n x n products.  Real inputs stay real, complex
 inputs stay complex.
@@ -41,9 +41,7 @@ def _tidy_field(mat: np.ndarray) -> np.ndarray:
         raise ValueError("matrix has non-finite entries (nan or inf)")
     if np.iscomplexobj(mat):
         mat = mat.astype(np.complex128)
-        if not np.any(mat.imag):
-            return mat.real.copy()
-        return mat.copy()
+        return mat if np.any(mat.imag) else mat.real.copy()
     return mat.astype(np.float64)
 
 
@@ -51,8 +49,9 @@ def _tidy_field(mat: np.ndarray) -> np.ndarray:
 class HermitianMatrix:
     """A dense self-adjoint matrix over the real or complex scalars.
 
-    The constructor rejects inputs whose asymmetry exceeds
-    ``1e-13 * ||A||_F`` and symmetrizes the rest exactly.
+    The constructor keeps an exactly Hermitian input bit for bit (in a
+    read-only copy), rejects other inputs whose asymmetry exceeds
+    ``1e-13 * ||A||_F`` and stores ``(A + A*) / 2`` of the rest.
     """
 
     mat: np.ndarray
@@ -63,15 +62,17 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         if mat.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
-        scale = np.linalg.norm(mat, "fro")
-        defect = np.linalg.norm(mat - mat.conj().T, "fro")
-        if defect > HERMITICITY_RTOL * max(scale, 1e-300):
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
-                f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * scale:.3e}"
-            )
-        mat = (mat + mat.conj().T) / 2.0
-        object.__setattr__(self, "mat", _tidy_field(mat))
+        adjoint = mat.conj().T
+        if not np.array_equal(mat, adjoint):
+            scale = np.linalg.norm(mat, "fro")
+            defect = np.linalg.norm(mat - adjoint, "fro")
+            if defect > HERMITICITY_RTOL * max(scale, 1e-300):
+                raise ValueError(
+                    f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
+                    f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * scale:.3e}"
+                )
+            mat = _tidy_field((mat + adjoint) / 2.0)
+        object.__setattr__(self, "mat", mat)
         self.mat.setflags(write=False)
 
     @property
@@ -109,9 +110,7 @@ class HermitianMatrix:
         d = self._diagonal
         if d is not None:
             order = np.argsort(d, kind="stable")
-            vectors = np.zeros((self.n, self.n))
-            vectors[order, np.arange(self.n)] = 1.0
-            return SpectralDecomposition(d[order], vectors)
+            return SpectralDecomposition._permutation(d[order], order)
         try:
             lam, v = np.linalg.eigh(self.mat)
         except np.linalg.LinAlgError as exc:
@@ -159,6 +158,23 @@ class SpectralDecomposition:
         gram_defect = np.linalg.norm(v.conj().T @ v - np.eye(lam.size), "fro")
         if gram_defect > 1e-11:
             raise ValueError(f"eigenvector columns are not orthonormal (defect {gram_defect:.3e})")
+
+    @classmethod
+    def _permutation(cls, eigenvalues: np.ndarray, perm: np.ndarray) -> "SpectralDecomposition":
+        """The decomposition with basis ``V[:, j] = e_{perm[j]}``, built from the
+        index array past the dense checks: ``perm`` is checked in O(n) and V is
+        one scatter of ones into zeros."""
+        n = perm.size
+        if (eigenvalues.shape != (n,) or np.any(np.diff(eigenvalues) < 0)
+                or not np.array_equal(np.bincount(perm, minlength=n), np.ones(n))):
+            raise ValueError("need nondecreasing eigenvalues and a permutation of range(n)")
+        vectors = np.zeros((n, n))
+        vectors[perm, np.arange(n)] = 1.0
+        dec = object.__new__(cls)
+        for name, value in (("eigenvalues", eigenvalues), ("vectors", vectors), ("perm", perm)):
+            value.setflags(write=False)
+            object.__setattr__(dec, name, value)
+        return dec
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """``V* x``; on a permutation basis the row gather ``x[perm]``."""

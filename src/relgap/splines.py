@@ -147,7 +147,10 @@ def modal_coefficients(pps, freqs) -> np.ndarray:
     # np.take returns the gather C-contiguous, the layout of moments evaluated
     # piece by piece, so einsum sums in the same order and rounds the same
     mu = np.take(_moments(1j * np.outer(freqs, widths), degree), piece_width, axis=2)
-    phase = np.exp(1j * np.outer(freqs, knots[:-1]))
+    arg = np.outer(freqs, knots[:-1])
+    phase = np.empty(arg.shape, dtype=np.complex128)  # exp(i arg), without complex temporaries
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
     return np.array([
         np.einsum("fj,rfj,rj->f", phase, mu[: pp.degree + 1],
                   pp.coeffs * h ** np.arange(1, pp.degree + 2)[:, None])

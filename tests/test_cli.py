@@ -91,6 +91,33 @@ def test_subspace_bound_hs_mode(tmp_path, capsys):
     assert rep["hypothesis_ok"] is True
 
 
+@pytest.fixture
+def pair_files(tmp_path):
+    h = hermitian_from_spectrum(make_rng(6), [0.5, 1.0, 3.0, 4.0]).mat
+    hp, mp = tmp_path / "h.mtx", tmp_path / "m.mtx"
+    save_matrix(hp, h)
+    save_matrix(mp, h)
+    return ["subspace", "bound", "--h", str(hp), "--m", str(mp), "--d1", "1.5"]
+
+
+def test_subspace_bound_without_d2_is_usage_error(pair_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(pair_files)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--d2" in errors[0]
+
+
+@pytest.mark.parametrize("d2", [[], ["--d2", "2.5"]], ids=["d2-omitted", "d2-given"])
+def test_subspace_bound_hs_d2_optional(pair_files, capsys, d2):
+    assert main(pair_files + ["--hs"] + d2) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["hypothesis_ok"] is True
+    assert rep["true_diff"] == pytest.approx(0.0, abs=1e-10)
+
+
 def test_parser_built_once_without_leaking_options(tmp_path, capsys):
     assert build_parser() is build_parser()
     rng = make_rng(6)

@@ -10,6 +10,7 @@ the dense fractional-power formulas kept below as references.
 import numpy as np
 import pytest
 
+from relgap import matcore
 from relgap.forms import FormPair, epsilon_two_sided, eta_exact, s_operator
 from relgap.matcore import (
     HermitianMatrix,
@@ -213,6 +214,41 @@ def test_diagonal_decomposes_by_sorting(d, monkeypatch):
     for value in np.unique(d):
         np.testing.assert_allclose(_eigenspace_projector(dec.vectors, dec.eigenvalues, value),
                                    _eigenspace_projector(ref_v, ref_lam, value), atol=1e-14)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex-zero-imag"])
+@pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
+def test_diagonal_decomposition_matches_public_constructor(d, complex_field):
+    # the sort-order construction yields what the checked constructor
+    # derives from the dense basis, bit for bit
+    dec = HermitianMatrix(np.diag(d) + (0j if complex_field else 0.0)).decomposition
+    ref = SpectralDecomposition(np.sort(d, kind="stable"),
+                                np.eye(d.size)[:, np.argsort(d, kind="stable")])
+    for name in ("eigenvalues", "vectors", "perm"):
+        got, want = getattr(dec, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_diagonal_build_copies_once(monkeypatch):
+    # the model's H at the linear table's size: one input copy, no
+    # symmetrized copy, no second pass over the dense eigenbasis
+    n = 641
+    copies = []
+    tidy = matcore._tidy_field
+    monkeypatch.setattr(matcore, "_tidy_field",
+                        lambda a: copies.append(np.shape(a)) or tidy(a))
+    h = HermitianMatrix(np.diag(make_rng(61).uniform(1.0, 100.0, n)))
+    assert h.decomposition.perm is not None
+    assert copies.count((n, n)) <= 1
+
+
+@pytest.mark.parametrize("perm", [np.array([0, 0, 2]), np.array([0, 1, 3]), np.array([1, 2])],
+                         ids=["repeated", "out-of-range", "short"])
+def test_permutation_construction_checks_indices(perm):
+    with pytest.raises(ValueError):
+        SpectralDecomposition._permutation(np.arange(3.0), perm)
 
 
 # ---------------------------------------------------------------------------

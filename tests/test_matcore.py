@@ -22,14 +22,52 @@ from relgap.matcore import (
 from conftest import hermitian_from_spectrum, make_rng, random_hermitian
 
 
+def _exact_hermitian_cases():
+    rng = make_rng(70)
+    a = rng.standard_normal((7, 7))
+    z = a + 1j * rng.standard_normal((7, 7))
+    return {"real": a + a.T, "complex": z + z.conj().T, "diagonal": np.diag(a[0]),
+            "complex-diagonal": np.diag(a[0]) + 0j, "int": np.array([[2, -1], [-1, 2]])}
+
+
+EXACT_HERMITIAN_CASES = _exact_hermitian_cases()
+
+
 class TestHermitianMatrix:
+    @pytest.mark.parametrize("a", EXACT_HERMITIAN_CASES.values(),
+                             ids=EXACT_HERMITIAN_CASES.keys())
+    def test_exact_hermitian_kept_bit_for_bit(self, a):
+        # (a + a*) / 2 changes no bit of an exactly Hermitian input here, so
+        # storing the input copy as given matches the symmetrized route
+        h = HermitianMatrix(a)
+        tidy = _tidy_field(a)
+        assert h.mat.dtype == tidy.dtype and h.mat.tobytes() == tidy.tobytes()
+        assert h.mat.tobytes() == _tidy_field((tidy + tidy.conj().T) / 2.0).tobytes()
+        assert not h.mat.flags.writeable and not np.shares_memory(h.mat, a)
+        before = h.mat.copy()
+        a[...] = 0
+        np.testing.assert_array_equal(h.mat, before)
+
     def test_symmetrizes(self):
-        h = HermitianMatrix(np.array([[1.0, 2.0 + 1e-15], [2.0, 3.0]]))
-        np.testing.assert_allclose(h.mat, h.mat.conj().T)
+        real = np.array([[1.0, 2.0 + 1e-15], [2.0, 3.0]])
+        for a in (real, real + 1j * np.array([[1e-16, 0.5 + 1e-16], [-0.5, 0.0]])):
+            h = HermitianMatrix(a)
+            np.testing.assert_array_equal(h.mat, h.mat.conj().T)
+            assert h.mat.tobytes() == _tidy_field((a + a.conj().T) / 2.0).tobytes()
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianMatrix(np.array([[1.0, 2.0], [0.5, 3.0]]))
+        a = np.array([[1.0, 2.0], [0.5, 3.0]])
+        defect, scale = np.linalg.norm(a - a.T), np.linalg.norm(a)
+        message = (f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
+                   f"1e-13 * ||A||_F = {1e-13 * scale:.3e}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HermitianMatrix(a)
+
+    def test_huge_exact_symmetric_accepted(self):
+        # a + a overflows above DBL_MAX / 2; an exactly symmetric input is
+        # stored without that sum, so it is accepted
+        a = np.array([[1e308, -1.5e308], [-1.5e308, 1.7e308]])
+        assert HermitianMatrix(a).mat.tobytes() == a.tobytes()
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
