@@ -21,7 +21,9 @@ from .matcore import (
     HermitianMatrix,
     Projection,
     eig_herm,
+    hs_norm,
     load_matrix,
+    op_norm,
     save_matrix,
     spectral_projector_below,
 )
@@ -67,8 +69,8 @@ def _cmd_sylvester_solve(args) -> int:
         "residual": weak_residual(prob, t),
         "dichotomy": dataclasses.asdict(sylvester_bounds(prob, "dichotomy")),
         "hs": dataclasses.asdict(sylvester_bounds(prob, "hs")),
-        "norm_t_op": float(np.linalg.norm(t, 2)),
-        "norm_t_hs": float(np.linalg.norm(t, "fro")),
+        "norm_t_op": op_norm(t),
+        "norm_t_hs": hs_norm(t),
     }
     _emit(report)
     return 0
@@ -109,8 +111,7 @@ def _cmd_sqroot_check(args) -> int:
         "norm_t": pair.norm_t,
         "norm_x": pair.norm_x,
         "half_rule_margin": pair.margin,
-        "sylvester_defect": pair.sylvester_defect,
-        "integral_vs_spectral": float(np.linalg.norm(integral.x - pair.x, 2)),
+        "integral_vs_spectral": op_norm(integral.x - pair.x),
         "exp_identity_defect": integral.identity_defect,
     })
     return 0

@@ -64,12 +64,17 @@ class HermitianMatrix:
             raise ValueError("dimension must be >= 1")
         adjoint = mat.conj().T
         if not np.array_equal(mat, adjoint):
-            scale = np.linalg.norm(mat, "fro")
-            defect = np.linalg.norm(mat - adjoint, "fro")
-            if defect > HERMITICITY_RTOL * max(scale, 1e-300):
+            # norms of A / max|a_ij| (over real and imaginary parts): no square
+            # overflows, and a difference past DBL_MAX is an inf that fails
+            parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+            peak = max(float(np.max(np.abs(part))) for part in parts)
+            scale = float(np.linalg.norm(mat / peak, "fro"))
+            with np.errstate(over="ignore"):
+                defect = float(np.linalg.norm((mat - adjoint) / peak, "fro"))
+            if not defect <= HERMITICITY_RTOL * scale:
                 raise ValueError(
-                    f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
-                    f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * scale:.3e}"
+                    f"matrix is not Hermitian: asymmetry {peak * defect:.3e} exceeds "
+                    f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * peak * scale:.3e}"
                 )
             mat = _tidy_field((mat + adjoint) / 2.0)
         object.__setattr__(self, "mat", mat)
@@ -125,11 +130,10 @@ class HermitianMatrix:
 class SpectralDecomposition:
     """Ascending eigenvalues plus orthonormal eigenvector columns (read-only).
 
-    Orthonormality is checked on construction: exactly and in O(n^2) when the
-    columns are a permutation of the identity (the eigenbasis of a diagonal
-    matrix), through the n x n product ``V* V`` otherwise.  ``perm`` records
-    that permutation, ``V[:, j] = e_{perm[j]}``, and is None for any other
-    basis.
+    Orthonormality is checked on construction through the n x n product
+    ``V* V``.  ``perm`` is set only by :meth:`_permutation`, the eigenbasis of
+    an exactly diagonal matrix: ``V[:, j] = e_{perm[j]}``.  It is None for any
+    other decomposition.
     """
 
     eigenvalues: np.ndarray
@@ -146,15 +150,6 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues/vectors shapes are inconsistent")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
-        # n nonzeros with unit column and row sums leave one nonzero per column,
-        # equal to its sum, and one per row: a 0/1 permutation, V* V = I exactly
-        if (np.count_nonzero(v) == lam.size and np.all(v.sum(axis=0) == 1)
-                and np.all(v.sum(axis=1) == 1)):
-            perm = np.empty(lam.size, dtype=np.intp)
-            perm[np.argmax(v, axis=1)] = np.arange(lam.size)
-            perm.setflags(write=False)
-            object.__setattr__(self, "perm", perm)
-            return
         gram_defect = np.linalg.norm(v.conj().T @ v - np.eye(lam.size), "fro")
         if gram_defect > 1e-11:
             raise ValueError(f"eigenvector columns are not orthonormal (defect {gram_defect:.3e})")
@@ -286,18 +281,12 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
     """``V diag(lam ** p) V*`` by spectral calculus, with the pseudo-inverse
     convention for negative exponents (zero maps to zero).
 
-    Raises if the power demands positivity but a significantly negative
-    eigenvalue is present, or if a mapped eigenvalue is not finite.
+    Raises unless the spectrum passes :func:`require_positive` as semidefinite
+    (negative or non-integer ``p`` only) and every mapped eigenvalue is finite.
     """
     lam = dec.eigenvalues
-    scale = np.max(np.abs(lam)) if lam.size else 0.0
-    if p != round(p) or p < 0:
-        lam_min = lam.min() if lam.size else 0.0
-        if lam_min < -ZERO_TOL * scale:
-            raise ValueError(
-                f"power {p} requires a nonnegative spectrum; "
-                f"offending eigenvalue {lam_min:.6e}"
-            )
+    if lam.size and (p != round(p) or p < 0):
+        require_positive(dec, f"matrix raised to power {p}", definite=False)
     mapped = _pseudo_power(lam, p)
     if not np.all(np.isfinite(mapped)):
         bad = lam[~np.isfinite(mapped)]
@@ -315,12 +304,12 @@ def coupling_kernel(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def two_sided_fn(dec_l: SpectralDecomposition, dec_r: SpectralDecomposition,
                  kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 x: np.ndarray | None = None) -> np.ndarray:
+                 x: np.ndarray) -> np.ndarray:
     """``U_l (k(lam_i, mu_j) o (U_l* X U_r)) U_r*`` for the eigenbases of two
     decompositions; ``kernel`` gets the left eigenvalues as a column and the
-    right ones as a row.  ``X`` defaults to the identity (equal dimensions)."""
+    right ones as a row."""
     ul, ur = dec_l.vectors, dec_r.vectors
-    core = ul.conj().T @ (ur if x is None else x @ ur)
+    core = ul.conj().T @ (x @ ur)
     weights = kernel(dec_l.eigenvalues[:, None], dec_r.eigenvalues[None, :])
     return ul @ (weights * core) @ ur.conj().T
 

@@ -7,9 +7,7 @@ their square roots: ``||X|| <= ||T|| / 2`` for
 exact difference ``H - M``; X solves the coupling Sylvester identity
 ``M^{1/4} X H^{-1/4} + M^{-1/4} X H^{1/4} = T``, which in the eigenbases of M
 and H divides T by ``(mu/lam)^{1/4} + (lam/mu)^{1/4} >= 2`` and cannot cancel.
-``sylvester_defect`` multiplies X back by that sum in the same eigenbases: a
-round-trip check of the division's rounding, not a second route to X.  The
-independent check of X is its exponential integral solution, evaluated by
+The independent check of X is its exponential integral solution, evaluated by
 quadrature (``integral_vs_spectral`` in ``relgap sqroot check``).
 """
 
@@ -31,7 +29,6 @@ class SqrtPerturbation:
     x: np.ndarray
     norm_t: float
     norm_x: float
-    sylvester_defect: float  # ||C(X) - T||, C the coupling operator: a round trip
 
     @property
     def margin(self) -> float:
@@ -49,19 +46,12 @@ def _definite_pair(h: HermitianMatrix, m: HermitianMatrix) -> FormPair:
 
 
 def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
-    """T, X and their norms for a positive definite pair, with the round-trip
-    defect of the coupling identity reported."""
+    """T, X and their norms for a positive definite pair."""
     fp = _definite_pair(h, m)
-
-    def coupling(mu, lam):
-        return (mu / lam) ** 0.25 + (lam / mu) ** 0.25
-
-    # T, X and the coupling operator all act between the eigenbases of M and H
     t = -s_operator(fp).conj().T
-    x = two_sided_fn(fp.dec_m, fp.dec_h, lambda mu, lam: 1.0 / coupling(mu, lam), t)
-    defect = op_norm(two_sided_fn(fp.dec_m, fp.dec_h, coupling, x) - t)
-    return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x),
-                            sylvester_defect=defect)
+    x = two_sided_fn(fp.dec_m, fp.dec_h,
+                     lambda mu, lam: 1.0 / ((mu / lam) ** 0.25 + (lam / mu) ** 0.25), t)
+    return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x))
 
 
 @dataclass(frozen=True)

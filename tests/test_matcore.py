@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
+    SpectralDecomposition,
     _tidy_field,
     eig_herm,
     fractional_power,
@@ -68,6 +70,19 @@ class TestHermitianMatrix:
         # stored without that sum, so it is accepted
         a = np.array([[1e308, -1.5e308], [-1.5e308, 1.7e308]])
         assert HermitianMatrix(a).mat.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("a", [[[1e200, 1e200], [0.0, 1.0]],
+                                   [[1e300, -1e300], [1e300, 1.0]],
+                                   [[1.7e308, -1.7e308], [1.7e308, 1.0]],
+                                   [[1.0, 1.2e308 + 1.2e308j], [0.0, 1.0]]],
+                             ids=["1e200", "1e300", "difference-overflows", "complex"])
+    def test_rejects_huge_asymmetric_without_overflow(self, a):
+        # squaring entries above 1e154 overflows: the norms are taken of
+        # A / max|a_ij| so the check cannot compare inf with inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not Hermitian"):
+                HermitianMatrix(np.array(a))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
@@ -156,6 +171,24 @@ class TestSpectralCalculus:
         dec = eig_herm(np.diag([-1.0, 2.0]))
         with pytest.raises(ValueError, match="-1"):
             fractional_power(dec, 0.5)
+
+    def test_negative_power_needs_semidefinite_spectrum(self):
+        # the require_positive rule: reject min < -1e-12 * max, so a relative
+        # rounding-level negative eigenvalue passes and maps to zero
+        for d in ([-3.0, -1.0], [-5.0, 1.0], [-2e-12, 1.0]):
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                fractional_power(eig_herm(np.diag(d)), 0.5)
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                fractional_power(eig_herm(np.diag(d)), -1.0)
+        out = fractional_power(eig_herm(np.diag([-0.5e-12, 1.0])), -0.5)
+        np.testing.assert_array_equal(out.mat, np.diag([0.0, 1.0]))
+        # integer powers >= 0 need no positivity
+        out = fractional_power(eig_herm(np.diag([-3.0, 1.0])), 2.0)
+        np.testing.assert_array_equal(out.mat, np.diag([9.0, 1.0]))
+        # an empty spectrum skips the check and fails only as a 0 x 0 matrix
+        empty = SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            fractional_power(empty, -0.5)
 
     def test_nonfinite_rejected(self):
         # 1e-300 survives the 1e-12 relative cutoff, and its -2 power overflows
