@@ -285,7 +285,7 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
     (negative or non-integer ``p`` only) and every mapped eigenvalue is finite.
     """
     lam = dec.eigenvalues
-    if lam.size and (p != round(p) or p < 0):
+    if p != round(p) or p < 0:
         require_positive(dec, f"matrix raised to power {p}", definite=False)
     mapped = _pseudo_power(lam, p)
     if not np.all(np.isfinite(mapped)):
