@@ -5,10 +5,11 @@ with exponential eigenfunctions; truncating to modes -K..K makes it an exactly
 diagonal matrix, so the model's H costs no LAPACK: it decomposes by sorting
 its diagonal and the Ritz LU route solves by row scaling.  Every other product
 with H or its permutation eigenbasis is a row scaling, gather or scatter, so
-a table row costs O(nk) in the dimension n.  Trial spaces are
-built by equidistant cubic or linear interpolation of chosen eigenfunctions,
-and each run compares the true subspace error against the relative
-a-posteriori bound and the residual competitor bound, row by row.
+a table row costs O(nk) in the dimension n.  Trial spaces are built by
+equidistant interpolation of chosen eigenfunctions on ``linspace(0, 2 pi, N)``
+(cubic or linear), expanded in the eigenbasis at one FFT per interpolant, and
+each run compares the true subspace error against the relative a-posteriori
+bound and the residual competitor bound, row by row.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class MathieuModel:
     def dim(self) -> int:
         return 2 * self.trunc + 1
 
-    @property
-    def freqs(self) -> np.ndarray:
-        """Phase speeds k + theta/2pi of the eigenfunctions, mode order."""
-        return self.ks + self.theta / TWO_PI
-
     def hmatrix(self) -> HermitianMatrix:
         return HermitianMatrix(np.diag(self.omegas))
 
@@ -84,6 +80,8 @@ def mathieu_model(theta: float, alpha: float, trunc: int) -> MathieuModel:
         raise ValueError(f"theta must lie in (0, 2 pi), got {theta}")
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    if not isinstance(trunc, (int, np.integer)):
+        raise ValueError(f"truncation order must be an integer, got {trunc!r}")
     if trunc < 2:
         raise ValueError(f"truncation order must be >= 2, got {trunc}")
     ks = np.arange(-trunc, trunc + 1, dtype=np.int64)
@@ -134,7 +132,7 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str,
     pps = [_interpolant(model, n_points, interp, k) for k in targets]
     masses = np.diag(l2_gram(pps)).real
     h1_masses = np.diag(l2_gram([derivative(pp) for pp in pps])).real
-    coeffs = modal_coefficients(pps, model.freqs) / np.sqrt(TWO_PI)
+    coeffs = modal_coefficients(pps, model.ks, model.theta / TWO_PI) / np.sqrt(TWO_PI)
     cols = []
     for k, coeff, mass, h1_mass in zip(targets, coeffs, masses, h1_masses):
         loss = (mass - float(np.sum(np.abs(coeff) ** 2))) / mass

@@ -2,13 +2,13 @@
 
 Not-a-knot and clamped cubic splines and continuous piecewise-linear
 interpolants over a knot grid.  The Fourier-type coefficients
-``int p(t) exp(i f t) dt`` that expand an interpolant in a truncated
-exponential eigenbasis are evaluated in closed form, piece by piece, from the
-moments ``mu_r(z) = int_0^1 u^r exp(z u) du``; a batch of interpolants on one
-grid takes the moments once per distinct piece width and one phase table, and
-gets one row of coefficients per interpolant.  Exact L2 Gram matrices, one
-evaluation per function: each piecewise polynomial is evaluated once at one
-Gauss-Legendre rule per piece, which is exact for the degrees involved.
+``int p(t) exp(i (k + shift) t) dt`` that expand an interpolant on the grid
+``linspace(0, 2 pi, J + 1)`` in a truncated exponential eigenbasis are
+evaluated in closed form from the moments ``mu_r(z) = int_0^1 u^r exp(z u) du``,
+taken once per batch; the sum over pieces is a length-J DFT read at ``k mod J``,
+one FFT per interpolant.  Exact L2 Gram matrices, one evaluation per function:
+each piecewise polynomial is evaluated once at one Gauss-Legendre rule per
+piece, which is exact for the degrees involved.
 """
 
 from __future__ import annotations
@@ -127,33 +127,35 @@ def _moments(z: np.ndarray, degree: int) -> np.ndarray:
     return mu
 
 
-def modal_coefficients(pps, freqs) -> np.ndarray:
-    """``int p(t) exp(i f t) dt`` over the full knot span for each piecewise
-    polynomial ``p`` of ``pps`` (one shared knot grid), one row per polynomial
-    and one column per frequency, in closed form: the piece
-    ``[a_j, a_j + h_j]`` contributes
-    ``exp(i f a_j) sum_r coeffs[r, j] h_j^(r+1) mu_r(i f h_j)``.
+def modal_coefficients(pps, ks, shift) -> np.ndarray:
+    """``int_0^{2 pi} p(t) exp(i (k + shift) t) dt`` for each piecewise
+    polynomial ``p`` of ``pps`` and each integer ``k`` of ``ks``, one row per
+    polynomial and one column per ``k``, in closed form.
 
-    The moments are evaluated once per distinct piece width (an equidistant
-    grid has a handful) up to the largest degree in the batch, and the phase
-    table ``exp(i f a_j)`` once per call.
+    The shared knots must be exactly ``linspace(0, 2 pi, J + 1)``.  With
+    ``h = 2 pi / J``, piece ``j`` contributes ``exp(2 pi i k j / J) exp(i shift j h)
+    sum_r coeffs[r, j] h^(r+1) mu_r(i (k + shift) h)``, so the sum over pieces is a
+    length-J inverse DFT of the rows ``coeffs[r] h^(r+1) exp(i shift j h)``, read
+    at ``k mod J``; the moments are evaluated once, for the whole batch.
     """
     pps = list(pps)
     knots = _shared_knots(pps)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    h = np.diff(knots)
-    widths, piece_width = np.unique(h, return_inverse=True)
-    degree = max(pp.degree for pp in pps)
-    # np.take returns the gather C-contiguous, the layout of moments evaluated
-    # piece by piece, so einsum sums in the same order and rounds the same
-    mu = np.take(_moments(1j * np.outer(freqs, widths), degree), piece_width, axis=2)
-    arg = np.outer(freqs, knots[:-1])
-    phase = np.empty(arg.shape, dtype=np.complex128)  # exp(i arg), without complex temporaries
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or ks.dtype.kind not in "iu":
+        raise ValueError(f"ks must be a 1-d array of integers, got {ks.dtype} {ks.shape}")
+    shift = float(shift)
+    if not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
+    pieces = knots.size - 1
+    if not np.array_equal(knots, np.linspace(0.0, 2.0 * np.pi, pieces + 1)):
+        raise ValueError("modal coefficients need the knots linspace(0, 2 pi, J + 1)")
+    h = 2.0 * np.pi / pieces
+    mu = _moments(1j * h * (ks + shift), max(pp.degree for pp in pps))
+    factor = np.exp(1j * shift * knots[:-1]) * h ** np.arange(1, mu.shape[0] + 1)[:, None]
+    # norm="forward" leaves the inverse transform unscaled: the plain sum over j
     return np.array([
-        np.einsum("fj,rfj,rj->f", phase, mu[: pp.degree + 1],
-                  pp.coeffs * h ** np.arange(1, pp.degree + 2)[:, None])
+        np.einsum("rf,rf->f", mu[: pp.degree + 1],
+                  np.fft.ifft(pp.coeffs * factor[: pp.degree + 1], norm="forward")[:, ks % pieces])
         for pp in pps])
 
 

@@ -58,6 +58,17 @@ class TestMathieuModel:
         with pytest.raises(ValueError, match=">= 2"):
             mathieu_model(np.pi, 0.0, 1)
 
+    @pytest.mark.parametrize("trunc", [np.pi - 1e-4, 64.0, np.nan, "64"])
+    def test_non_integral_truncation_rejected(self, trunc):
+        # np.arange would turn pi - 1e-4 into the asymmetric modes -2..3 and fail
+        # on NaN; the modal expansion needs integer modes
+        with pytest.raises(ValueError, match="truncation order must be an integer"):
+            mathieu_model(np.pi, 0.2, trunc)
+
+    def test_numpy_integer_truncation_accepted(self):
+        model = mathieu_model(np.pi, 0.2, np.int64(4))
+        np.testing.assert_array_equal(model.ks, np.arange(-4, 5))
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         # NaN slips past the positive-definiteness test, -inf passes it
@@ -265,7 +276,7 @@ def test_truncation_note_survives_csv_and_markdown(model64):
 
 @pytest.mark.parametrize("call", [
     lambda model: l2_gram([]),
-    lambda model: modal_coefficients([], model.freqs),
+    lambda model: modal_coefficients([], model.ks, model.theta / (2 * np.pi)),
     lambda model: build_test_space(model, 8, "cubic", targets=()),
     lambda model: residual_competitor(model, 8, 3.0, targets=()),
     lambda model: run_benchmark(model, [8], "cubic", targets=()),

@@ -146,8 +146,8 @@ def test_non_finite_input_rejected(interp, value):
             _interpolant(interp, knots, values, d_first, 0.0)
 
 
-MODAL_FREQS = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2,
-                        0.5, 17.0, 64.5, 320.5])
+MODAL_KS = np.array([0, 1, -1, 2, 17, -64, 320, -320])
+MODAL_SHIFTS = (0.0, 1e-9, -1e-9, 1e-6, 1e-4, 1e-2, 0.5)
 
 
 def _gl_modal_reference(pp: PiecewisePoly, freqs) -> np.ndarray:
@@ -163,32 +163,56 @@ def _gl_modal_reference(pp: PiecewisePoly, freqs) -> np.ndarray:
 class TestModalCoefficients:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("interp", ["linear", "not-a-knot", "clamped"])
-    def test_matches_by_parts_oracle(self, rng, interp, field):
-        # uneven pieces of [0, 2 pi]: |f h| falls on both sides of the
-        # Taylor/recurrence switch at 1, and up to ~400 radians per piece on
-        # the coarse grid; the Gauss-Legendre reference is used where the
-        # phase advance per piece stays below 40 radians
+    def test_matches_by_parts_oracle(self, interp, field):
+        # 7 and 128 equal pieces of [0, 2 pi]: |(k + shift) h| falls on both
+        # sides of the Taylor/recurrence switch at 1, and up to ~290 radians
+        # per piece on the coarse grid; the Gauss-Legendre reference is used
+        # where the phase advance per piece stays below 40 radians
         nu = 1.3 if field == "real" else -1.3 + 0.4j
         f, df = (lambda t: np.cos(nu * t) + 0.5 * t), (lambda t: -nu * np.sin(nu * t) + 0.5)
         for pieces in (7, 128):
             x = np.linspace(0, 2 * np.pi, pieces + 1)
-            x[1:-1] += rng.uniform(-0.2, 0.2, pieces - 1) * (x[1] - x[0])
             pp = _interpolant(interp, x, f(x), df(x[0]), df(x[-1]))
             assert np.iscomplexobj(pp.coeffs) == (field == "complex")
-            got = modal_coefficients([pp], MODAL_FREQS)[0]
-            resolved = np.abs(MODAL_FREQS) * np.max(np.diff(x)) <= 40.0
-            np.testing.assert_allclose(got[resolved], _gl_modal_reference(pp, MODAL_FREQS[resolved]),
-                                       rtol=1e-12, atol=1e-12)
-            high = np.abs(MODAL_FREQS) >= 0.5
-            want = np.array([_bypart_modal_oracle(pp, fr) for fr in MODAL_FREQS[high]])
-            np.testing.assert_allclose(got[high], want, rtol=1e-12, atol=1e-12)
+            for shift in MODAL_SHIFTS:
+                freqs = MODAL_KS + shift
+                got = modal_coefficients([pp], MODAL_KS, shift)[0]
+                resolved = np.abs(freqs) * (x[1] - x[0]) <= 40.0
+                np.testing.assert_allclose(got[resolved], _gl_modal_reference(pp, freqs[resolved]),
+                                           rtol=1e-12, atol=1e-12)
+                high = np.abs(freqs) >= 0.5
+                want = np.array([_bypart_modal_oracle(pp, fr) for fr in freqs[high]])
+                np.testing.assert_allclose(got[high], want, rtol=1e-12, atol=1e-12)
 
     def test_constant_function_dc_only(self):
         x = np.linspace(0, 2 * np.pi, 7)
         pp = piecewise_linear(x, np.ones(7))
-        got = modal_coefficients([pp], np.array([0.0, 1.0, 2.0]))[0]
+        got = modal_coefficients([pp], [0, 1, 2], 0.0)[0]
         assert got[0] == pytest.approx(2 * np.pi)
         np.testing.assert_allclose(got[1:], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("ks", [[0, 0.5], [0.0, 1.0], [[0, 1]], [1 + 0j]],
+                             ids=["half", "integral-float", "2-d", "complex"])
+    def test_non_integer_ks_rejected(self, ks):
+        pp = piecewise_linear(np.linspace(0, 2 * np.pi, 5), np.ones(5))
+        with pytest.raises(ValueError, match="ks must be a 1-d array of integers"):
+            modal_coefficients([pp], ks, 0.0)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        pp = piecewise_linear(np.linspace(0, 2 * np.pi, 5), np.ones(5))
+        with pytest.raises(ValueError, match="shift must be finite"):
+            modal_coefficients([pp], [0, 1], shift)
+
+    def test_other_grids_rejected(self, rng):
+        # the sum over pieces is a DFT only on the knots linspace(0, 2 pi, J + 1)
+        even = np.linspace(0.0, 2 * np.pi, 9)
+        jittered = even.copy()
+        jittered[1:-1] += rng.uniform(-0.2, 0.2, 7) * (even[1] - even[0])
+        for x in (jittered, np.linspace(0.0, 1.0, 9)):
+            pp = cubic_spline_not_a_knot(x, np.sin(x))
+            with pytest.raises(ValueError, match=r"linspace\(0, 2 pi, J \+ 1\)"):
+                modal_coefficients([pp], [0, 1], 0.0)
 
 
 def _same_bits(a, b) -> bool:
@@ -198,43 +222,43 @@ def _same_bits(a, b) -> bool:
 
 # the model of the paper's tables (scripts/run_tables.py)
 TABLE_THETA, TABLE_ALPHA = np.pi - 1e-4, 0.2499
-# the phase speeds k + theta/2pi, k = -320..320, of the linear table's model
-TABLE_FREQS = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, 320).freqs
+# the modes k = -320..320 of the linear table's model and its shift theta/2pi
+TABLE_KS = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, 320).ks
+TABLE_SHIFT = TABLE_THETA / (2 * np.pi)
 
 
-def _modal_grids(rng):
-    """An equidistant grid (a handful of distinct piece widths) and a jittered
-    one (every width distinct), both with 140 knots on [0, 2 pi]."""
-    even = np.linspace(0.0, 2 * np.pi, 140)
-    jittered = even.copy()
-    jittered[1:-1] += rng.uniform(-0.3, 0.3, 138) * (even[1] - even[0])
-    assert np.unique(np.diff(even)).size < 20
-    assert np.unique(np.diff(jittered)).size == 139
-    return {"linspace": even, "jittered": jittered}
+def _close_to_per_piece(row, pp, ks, shift) -> bool:
+    """Within 1e-13 of max|coef| of the moments evaluated piece by piece
+    (the two routes sum the pieces in different orders)."""
+    want = per_piece_modal(pp, ks + shift)
+    return np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestModalBatch:
     """A batch on one grid gives, bit for bit, what each polynomial gives
-    alone, and what the moments evaluated piece by piece give."""
+    alone, and to rounding what the moments evaluated piece by piece give."""
 
-    @pytest.mark.parametrize("grid", ["linspace", "jittered"])
+    @pytest.mark.parametrize("grid", ["linspace", "coarse"])
     @pytest.mark.parametrize("batch", ["linear", "cubic", "mixed"])
     @pytest.mark.parametrize("freqs", ["modal", "table"])
-    def test_batch_is_bitwise_per_polynomial(self, rng, grid, batch, freqs):
-        x = _modal_grids(rng)[grid]
-        freqs = MODAL_FREQS if freqs == "modal" else TABLE_FREQS
+    def test_batch_is_bitwise_per_polynomial(self, grid, batch, freqs):
+        # 139 pieces, or 7, so that k mod J wraps many times over the table modes
+        x = np.linspace(0.0, 2 * np.pi, {"linspace": 140, "coarse": 8}[grid])
+        cases = ([(MODAL_KS, shift) for shift in MODAL_SHIFTS] if freqs == "modal"
+                 else [(TABLE_KS, TABLE_SHIFT)])
         y = [np.exp(-1j * nu * x) for nu in (0.49998, -0.50002, 2.3)]
         linear = [piecewise_linear(x, v) for v in y]
         cubic = [cubic_spline_not_a_knot(x, v) for v in y]
         pps = {"linear": linear, "cubic": cubic,
                "mixed": [linear[0], cubic[1], derivative(cubic[2]), linear[2]]}[batch]
-        got = modal_coefficients(pps, freqs)
-        assert got.shape == (len(pps), freqs.size)
-        for row, pp in zip(got, pps):
-            assert _same_bits(row, modal_coefficients([pp], freqs)[0])
-            assert _same_bits(row, per_piece_modal(pp, freqs))
+        for ks, shift in cases:
+            got = modal_coefficients(pps, ks, shift)
+            assert got.shape == (len(pps), ks.size)
+            for row, pp in zip(got, pps):
+                assert _same_bits(row, modal_coefficients([pp], ks, shift)[0])
+                assert _close_to_per_piece(row, pp, ks, shift)
 
-    def test_moments_once_per_distinct_width(self, monkeypatch):
+    def test_moments_once_per_call(self, monkeypatch):
         model = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, 320)
         sizes = []
         moments = splines._moments
@@ -243,24 +267,25 @@ class TestModalBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", harness.TruncationWarning)
             harness.build_test_space(model, 140, "linear")
-        widths = np.unique(np.diff(np.linspace(0.0, 2 * np.pi, 140))).size
-        assert 0 < sum(sizes) <= model.freqs.size * widths
+        assert sizes == [model.ks.size]
 
     @pytest.mark.parametrize("trunc, interp, ns", [(320, "linear", (100, 120, 140)),
                                                    (64, "cubic", range(5, 11))])
-    def test_tables_bitwise_per_piece(self, monkeypatch, trunc, interp, ns):
+    def test_tables_match_per_piece(self, monkeypatch, trunc, interp, ns):
+        # every modal expansion the paper's tables make, checked as it is made
         model = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, trunc)
+        checked = []
+
+        def checked_modal(pps, ks, shift):
+            got = modal_coefficients(pps, ks, shift)
+            checked.extend(_close_to_per_piece(row, pp, ks, shift) for row, pp in zip(got, pps))
+            return got
+
+        monkeypatch.setattr(harness, "modal_coefficients", checked_modal)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", harness.TruncationWarning)
-            bases = [harness.build_test_space(model, n, interp) for n in ns]
-            rows = harness.run_benchmark(model, ns, interp)
-            monkeypatch.setattr(harness, "modal_coefficients", lambda pps, freqs: np.array(
-                [per_piece_modal(pp, freqs) for pp in pps]))
-            ref_bases = [harness.build_test_space(model, n, interp) for n in ns]
-            ref_rows = harness.run_benchmark(model, ns, interp)
-        assert rows == ref_rows
-        for p, ref in zip(bases, ref_bases):
-            assert _same_bits(p.basis, ref.basis)
+            harness.run_benchmark(model, ns, interp)
+        assert len(checked) >= 2 * len(ns) and all(checked)
 
 
 class TestMassAndInner:
@@ -332,4 +357,4 @@ class TestMassAndInner:
         with pytest.raises(ValueError, match="share one knot grid"):
             combine(pa, 1.0, pb, 1.0)
         with pytest.raises(ValueError, match="share one knot grid"):
-            modal_coefficients([pa, pb], [0.0, 1.0])
+            modal_coefficients([pa, pb], [0, 1], 0.0)
