@@ -48,9 +48,10 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+def _json_text(payload) -> str:
+    """The report as JSON text.  NaN and infinity are not JSON, so a report
+    holding one raises ValueError here, before anything reaches stdout."""
+    return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def _cmd_sylvester_solve(args) -> int:
@@ -63,7 +64,6 @@ def _cmd_sylvester_solve(args) -> int:
         t = solve_weak_spectral(prob)
     else:
         t = solve_weak_quadrature(prob, d=args.d, tol=args.tol)
-    save_matrix(args.out or sys.stdout, t)
     report = {
         "method": args.method,
         "residual": weak_residual(prob, t),
@@ -72,7 +72,9 @@ def _cmd_sylvester_solve(args) -> int:
         "norm_t_op": op_norm(t),
         "norm_t_hs": hs_norm(t),
     }
-    _emit(report)
+    text = _json_text(report)
+    save_matrix(args.out or sys.stdout, t)
+    sys.stdout.write(text)
     return 0
 
 
@@ -84,10 +86,10 @@ def _cmd_subspace_bound(args) -> int:
     if args.hs:
         q = spectral_projector_below(eig_herm(h), args.d1)
         p = spectral_projector_below(eig_herm(m), args.d1)
-        _emit(hs_subspace_bounds(h, m, q, p))
+        sys.stdout.write(_json_text(hs_subspace_bounds(h, m, q, p)))
         return 0
     report = subspace_bounds(h, m, args.d1, args.d2, l1=args.l1, l2=args.l2)
-    _emit(report)
+    sys.stdout.write(_json_text(report))
     return 0
 
 
@@ -98,7 +100,7 @@ def _cmd_ritz_estimate(args) -> int:
     norm = "hs" if args.hs else "op"
     est = ritz_bounds(h, p, args.next_ev, norm=norm)
     est = est.with_dk(dk_residual_bound(h, p.basis, args.next_ev, norm=norm))
-    _emit(est)
+    sys.stdout.write(_json_text(est))
     return 0
 
 
@@ -107,13 +109,13 @@ def _cmd_sqroot_check(args) -> int:
     m = HermitianMatrix(load_matrix(args.m))
     pair = sqrt_pair(h, m)
     integral = sqrt_integral_solution(h, m)
-    _emit({
+    sys.stdout.write(_json_text({
         "norm_t": pair.norm_t,
         "norm_x": pair.norm_x,
         "half_rule_margin": pair.margin,
         "integral_vs_spectral": op_norm(integral.x - pair.x),
         "exp_identity_defect": integral.identity_defect,
-    })
+    }))
     return 0
 
 

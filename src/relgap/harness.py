@@ -3,13 +3,14 @@
 The model operator has known eigenpairs ``omega_k = (k + theta/2pi)^2 - alpha``
 with exponential eigenfunctions; truncating to modes -K..K makes it an exactly
 diagonal matrix, so the model's H costs no LAPACK: it decomposes by sorting
-its diagonal and the Ritz LU route solves by row scaling.  Every other product
-with H or its permutation eigenbasis is a row scaling, gather or scatter, so
-a table row costs O(nk) in the dimension n.  Trial spaces are built by
-equidistant interpolation of chosen eigenfunctions on ``linspace(0, 2 pi, N)``
-(cubic or linear), expanded in the eigenbasis at one FFT per interpolant, and
-each run compares the true subspace error against the relative a-posteriori
-bound and the residual competitor bound, row by row.
+its diagonal and the Ritz LU route solves by row scaling.  Each model builds
+H and that decomposition once, and every later run shares them.  Every other
+product with H or its permutation eigenbasis is a row scaling, gather or
+scatter, so a table row costs O(nk) in the dimension n.  Trial spaces are
+built by equidistant interpolation of chosen eigenfunctions on
+``linspace(0, 2 pi, N)`` (cubic or linear), expanded in the eigenbasis at one
+FFT per interpolant, and each run compares the true subspace error against
+the relative a-posteriori bound and the residual competitor bound, row by row.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +63,10 @@ class MathieuModel:
     def dim(self) -> int:
         return 2 * self.trunc + 1
 
-    def hmatrix(self) -> HermitianMatrix:
+    @cached_property
+    def h(self) -> HermitianMatrix:
+        """The operator ``diag(omegas)``, built once and shared with its decomposition."""
         return HermitianMatrix(np.diag(self.omegas))
-
-    def sorted_eigenvalues(self) -> np.ndarray:
-        return np.sort(self.omegas)
 
     def eigenfunction_samples(self, k: int, t: np.ndarray) -> np.ndarray:
         """Normalized eigenfunction ``exp(-i (k + theta/2pi) t) / sqrt(2 pi)``."""
@@ -91,6 +92,7 @@ def mathieu_model(theta: float, alpha: float, trunc: int) -> MathieuModel:
             f"configuration is not positive definite: min omega = {omegas.min():.6e} "
             f"(alpha must be below min_k (k + theta/2pi)^2)"
         )
+    omegas.setflags(write=False)  # model.h caches diag(omegas)
     return MathieuModel(theta=theta, alpha=alpha, trunc=trunc, ks=ks, omegas=omegas)
 
 
@@ -172,21 +174,18 @@ def residual_competitor(model: MathieuModel, n_points: int, next_ev: float,
         raise ValueError("linear interpolants are outside the operator domain; "
                          "the residual competitor does not apply")
     pps = [_interpolant(model, n_points, interp, k) for k in targets]
-    scales = 1.0 / np.sqrt(np.diag(l2_gram(pps)).real)
-    phis = [PiecewisePoly(knots=pp.knots, coeffs=pp.coeffs * scale)
-            for pp, scale in zip(pps, scales)]
-    derivs = [derivative(p) for p in phis]
-    b_gram = l2_gram(phis)
-    a_form = l2_gram(derivs) - model.alpha * b_gram
+    derivs = [derivative(pp) for pp in pps]
+    g = l2_gram(pps)
+    scales = 1.0 / np.sqrt(np.diag(g).real)
+    # Gram matrices of the normalized interpolants phi_i = s_i pp_i
+    b_gram = scales[:, None] * g * scales
+    a_form = scales[:, None] * l2_gram(derivs) * scales - model.alpha * b_gram
     b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
     # each residual is formed as a function before its Gram is taken: it is
     # small, and expanding <r_i, r_j> through the forms would cancel
-    residuals = []
-    for i, phi in enumerate(phis):
-        rho = float(np.real(a_form[i, i]))
-        second = derivative(derivs[i])
-        residuals.append(combine(second, -1.0, phi, -(model.alpha + rho)))
+    residuals = [combine(derivative(dp), -s, pp, -s * (model.alpha + rho))
+                 for pp, dp, s, rho in zip(pps, derivs, scales, np.diag(a_form).real)]
     gram = l2_gram(residuals)
     return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
                               next_ev, norm=norm)
@@ -214,10 +213,7 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
     ns = list(ns)
     if not ns:
         raise ValueError("need at least one N")
-    h = model.hmatrix()
-    lam = model.sorted_eigenvalues()
-    k = len(tuple(targets))
-    next_ev = float(lam[k])
+    next_ev = float(eig_herm(model.h).eigenvalues[len(tuple(targets))])
     rows = []
     for n_points in ns:
         with warnings.catch_warnings(record=True) as caught:
@@ -225,7 +221,7 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
             p = build_test_space(model, n_points, interp, targets=targets)
         note = "; ".join(str(w.message) for w in caught
                          if issubclass(w.category, TruncationWarning))
-        est: RitzEstimate = ritz_bounds(h, p, next_ev, norm=norm)
+        est: RitzEstimate = ritz_bounds(model.h, p, next_ev, norm=norm)
         dk = None
         if with_dk and interp != "linear":
             dk = residual_competitor(model, n_points, next_ev, norm=norm,

@@ -99,11 +99,13 @@ class HermitianMatrix:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``H x``; for an exactly diagonal H the row scaling ``d_i x_i``, in C
-        order like the product it replaces."""
+        order like the product it replaces; x must have n rows."""
+        x = np.asarray(x)
+        if x.shape[:1] != (self.n,):
+            raise ValueError(f"operand of shape {x.shape} does not match dimension {self.n}")
         d = self._diagonal
         if d is None:
             return self.mat @ x
-        x = np.asarray(x)
         return np.multiply(d.reshape(d.shape + (1,) * (x.ndim - 1)), x, order="C")
 
     @cached_property
@@ -328,10 +330,10 @@ def hs_norm(a) -> float:
 def spectral_projector(dec: SpectralDecomposition, a: float, b: float) -> Projection:
     """Projection onto the span of eigenvectors with eigenvalue in ``[a, b]``.
 
-    An empty selection yields a valid rank-0 projection.
+    An empty selection yields a valid rank-0 projection; a NaN bound is an error.
     """
-    if a > b:
-        raise ValueError(f"interval bounds out of order: [{a}, {b}]")
+    if not a <= b:
+        raise ValueError(f"interval bounds out of order or NaN: [{a}, {b}]")
     keep = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
     return Projection(dec.vectors[:, keep])
 

@@ -135,8 +135,8 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
     gaps) and may be overridden via ``band`` (finite, ``lo <= hi``).  A caller's
     ``eta`` must be finite and nonnegative; the default comes from the difference pencil.
     """
-    if not 0.0 < d1 < d2:
-        raise ValueError(f"need 0 < d1 < d2, got d1={d1}, d2={d2}")
+    if not 0.0 < d1 < d2 < np.inf:
+        raise ValueError(f"need 0 < d1 < d2 < inf, got d1={d1}, d2={d2}")
     if eta is not None and not 0.0 <= eta < np.inf:
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     if band is not None and not -np.inf < band[0] <= band[1] < np.inf:

@@ -293,7 +293,7 @@ def test_criterion_8_eigenvalue_formula():
         return float((k + shift) ** 2 - Decimal("0.2499"))
 
     model = mathieu_model(THETA, ALPHA, 64)
-    lam = model.sorted_eigenvalues()
+    lam = model.h.decomposition.eigenvalues
     expected = sorted([omega(0), omega(-1), omega(1)])
     for got, want in zip(lam[:3], expected):
         assert abs(got - want) / abs(want) <= 1e-10

@@ -10,6 +10,15 @@ from relgap.matcore import load_matrix, save_matrix
 from conftest import hermitian_from_spectrum, make_rng
 
 
+def _reject_constant(token):
+    raise AssertionError(f"stdout holds {token}, which is not JSON")
+
+
+def _report(text):
+    """A JSON report from stdout, failing on the NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def matrix_files(tmp_path):
     rng = make_rng(77)
@@ -36,7 +45,7 @@ def test_sylvester_solve_spectral(matrix_files, tmp_path, capsys):
     code = main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
                  "--f", matrix_files["f"], "--out", str(out)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["method"] == "spectral"
     assert report["residual"] <= 1e-9
     assert report["dichotomy"]["dichotomy_bound"] >= report["norm_t_op"]
@@ -62,7 +71,7 @@ def test_sylvester_stdout_matrix(matrix_files, capsys):
                  "--f", matrix_files["f"]]) == 0
     out = capsys.readouterr().out
     assert out.startswith("3 2 real")
-    assert '"residual"' in out
+    assert "residual" in _report(out.split("\n", 4)[4])
 
 
 def test_subspace_bound(tmp_path, capsys):
@@ -73,7 +82,7 @@ def test_subspace_bound(tmp_path, capsys):
     save_matrix(mp, h)
     assert main(["subspace", "bound", "--h", str(hp), "--m", str(mp),
                  "--d1", "1.5", "--d2", "2.5"]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _report(capsys.readouterr().out)
     assert rep["hypothesis_ok"] is True
     assert rep["true_value"] == pytest.approx(0.0, abs=1e-10)
 
@@ -86,7 +95,7 @@ def test_subspace_bound_hs_mode(tmp_path, capsys):
     save_matrix(mp, h)
     assert main(["subspace", "bound", "--h", str(hp), "--m", str(mp),
                  "--d1", "1.5", "--d2", "2.5", "--hs"]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _report(capsys.readouterr().out)
     assert rep["true_diff"] == pytest.approx(0.0, abs=1e-10)
     assert rep["hypothesis_ok"] is True
 
@@ -113,7 +122,7 @@ def test_subspace_bound_without_d2_is_usage_error(pair_files, capsys):
 @pytest.mark.parametrize("d2", [[], ["--d2", "2.5"]], ids=["d2-omitted", "d2-given"])
 def test_subspace_bound_hs_d2_optional(pair_files, capsys, d2):
     assert main(pair_files + ["--hs"] + d2) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _report(capsys.readouterr().out)
     assert rep["hypothesis_ok"] is True
     assert rep["true_diff"] == pytest.approx(0.0, abs=1e-10)
 
@@ -127,13 +136,13 @@ def test_parser_built_once_without_leaking_options(tmp_path, capsys):
     save_matrix(mp, h)
     args = ["subspace", "bound", "--h", str(hp), "--m", str(mp), "--d1", "1.5"]
     assert main(args + ["--d2", "2.5", "--hs"]) == 0
-    assert "true_diff" in json.loads(capsys.readouterr().out)
+    assert "true_diff" in _report(capsys.readouterr().out)
     with pytest.raises(SystemExit) as exc:
         main(args + ["--hs", "--d2", "not-a-number"])
     assert exc.value.code == 2
     capsys.readouterr()
     assert main(args + ["--d2", "2.5"]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _report(capsys.readouterr().out)
     assert "true_value" in rep and "true_diff" not in rep
 
 
@@ -146,7 +155,7 @@ def test_ritz_estimate(tmp_path, capsys):
     save_matrix(bp, basis)
     assert main(["ritz", "estimate", "--h", str(hp), "--basis", str(bp),
                  "--next-ev", "5.0", "--hs"]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _report(capsys.readouterr().out)
     assert len(rep["etas"]) == 2
     assert rep["norm"] == "hs"
     assert "dk_bound" in rep and "hypothesis_ok" in rep
@@ -163,6 +172,24 @@ def test_subspace_bound_nan_pencil_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["subspace", "bound", "--h", str(hp), "--m", str(mp),
                  "--d1", "1.5", "--d2", "2.5"]) == 1
     assert "pencil" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--d1", "nan", "--hs"], "out of order or NaN"),
+    (["--d1", "3", "--d2", "inf"], "0 < d1 < d2 < inf"),
+    (["--d1", "5", "--d2", "1e308"], "not JSON compliant"),  # sqrt(d1 d2) overflows
+], ids=["hs-nan-d1", "infinite-d2", "infinite-bound"])
+def test_subspace_bound_non_finite_exit_code(tmp_path, capsys, args, message):
+    # each printed NaN or Infinity (or, with --hs, a rank-0 projection) and exited 0
+    rng = make_rng(5)
+    hp, mp = tmp_path / "h.mtx", tmp_path / "m.mtx"
+    save_matrix(hp, hermitian_from_spectrum(rng, [0.5, 1.0, 3.0, 4.0]).mat)
+    save_matrix(mp, hermitian_from_spectrum(rng, [0.6, 1.1, 3.2, 4.1]).mat)
+    assert main(["subspace", "bound", "--h", str(hp), "--m", str(mp)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("relgap: error: ") and message in err[0]
 
 
 def test_ritz_estimate_nan_cross_check_exit_code(tmp_path, monkeypatch, capsys):
@@ -200,7 +227,7 @@ def test_sqroot_check(tmp_path, capsys):
     save_matrix(hp, h)
     save_matrix(mp, m)
     assert main(["sqroot", "check", "--h", str(hp), "--m", str(mp)]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _report(capsys.readouterr().out)
     assert rep["half_rule_margin"] >= -1e-12
     assert rep["integral_vs_spectral"] <= 1e-8
 

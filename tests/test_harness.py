@@ -11,7 +11,7 @@ from relgap.harness import (
     rows_to_markdown,
     run_benchmark,
 )
-from relgap.matcore import Projection, eig_herm, fractional_power
+from relgap.matcore import HermitianMatrix, Projection, eig_herm, fractional_power
 from relgap.ritz import dk_bound_from_gram, ritz_bounds
 from relgap.splines import PiecewisePoly, combine, derivative, l2_gram, modal_coefficients
 
@@ -29,11 +29,11 @@ def model64():
 class TestMathieuModel:
     def test_half_integer_phase(self):
         model = mathieu_model(np.pi, 0.0, 3)
-        lam = model.sorted_eigenvalues()
+        lam = model.h.decomposition.eigenvalues
         np.testing.assert_allclose(lam[:3], [0.25, 0.25, 2.25])
 
     def test_reference_eigenvalues(self, model64):
-        lam = model64.sorted_eigenvalues()
+        lam = model64.h.decomposition.eigenvalues
         for got, want in zip(lam[:3], (8.4084e-5, 1.15916e-4, 2.0000523)):
             assert abs(got - want) / want < 1e-4  # quoted to few digits
         # the first three states are the k = 0, -1, +1 modes
@@ -45,8 +45,13 @@ class TestMathieuModel:
         np.testing.assert_array_equal(recomputed, model64.omegas)
 
     def test_coordinate_matrix_is_identity(self, model64):
-        h = model64.hmatrix()
+        h = model64.h
         np.testing.assert_array_equal(h.mat, np.diag(model64.omegas))
+
+    def test_omegas_read_only(self, model64):
+        # model.h is built once, so a write into omegas would leave it stale
+        with pytest.raises(ValueError, match="read-only"):
+            model64.omegas[0] = 1.0
 
     def test_not_positive_definite_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -129,12 +134,12 @@ class TestBuildTestSpace:
 
 class TestRunBenchmark:
     def test_invariant_targets_give_zero(self, model64):
-        h = model64.hmatrix()
+        h = model64.h
         cols = np.zeros((model64.dim, 2))
         cols[model64.trunc, 0] = 1.0      # mode 0
         cols[model64.trunc - 1, 1] = 1.0  # mode -1
         p = Projection(cols)
-        lam = model64.sorted_eigenvalues()
+        lam = model64.h.decomposition.eigenvalues
         est = ritz_bounds(h, p, float(lam[2]), norm="hs")
         assert est.true_hs == pytest.approx(0.0, abs=1e-12)
         assert est.bound_hs == pytest.approx(0.0, abs=1e-10)
@@ -212,7 +217,7 @@ def _pairwise_residual_competitor(model, n_points, next_ev, norm, targets, inter
 @pytest.mark.parametrize("norm", ["hs", "op"])
 @pytest.mark.parametrize("interp", ["cubic", "clamped"])
 def test_residual_competitor_matches_pairwise_reference(model64, interp, norm, n_points):
-    next_ev = float(model64.sorted_eigenvalues()[2])
+    next_ev = float(model64.h.decomposition.eigenvalues[2])
     got = residual_competitor(model64, n_points, next_ev, norm=norm, interp=interp)
     want = _pairwise_residual_competitor(model64, n_points, next_ev, norm, (0, -1), interp)
     assert got == pytest.approx(want, rel=1e-12)
@@ -235,7 +240,24 @@ def test_spline_evaluation_budget(model64, monkeypatch):
     assert len(calls) <= 2 * k
     calls.clear()
     residual_competitor(model64, 16, 2.0, targets=targets, interp="clamped")
-    assert len(calls) <= 4 * k
+    assert len(calls) <= 3 * k  # interpolants, derivatives, residuals
+
+
+def test_repeated_run_reuses_model_operator(monkeypatch):
+    model = mathieu_model(THETA, ALPHA, 64)
+    run_benchmark(model, [5], "cubic")
+    dec = model.h.decomposition
+    built = []
+    init = HermitianMatrix.__post_init__
+
+    def recording(self):
+        init(self)
+        built.append(self.n)
+
+    monkeypatch.setattr(HermitianMatrix, "__post_init__", recording)
+    run_benchmark(model, [5, 6], "cubic")
+    assert model.dim not in built
+    assert model.h.decomposition is dec
 
 
 class TestEmission:

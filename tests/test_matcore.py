@@ -239,6 +239,12 @@ class TestSpectralProjector:
         with pytest.raises(ValueError, match="order"):
             spectral_projector(dec, 2.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (0.0, np.nan)])
+    def test_nan_bound_rejected(self, a, b):
+        # a NaN bound fails every comparison, which selected a rank-0 projection
+        with pytest.raises(ValueError, match="NaN"):
+            spectral_projector(eig_herm(np.eye(2)), a, b)
+
     def test_monotone_in_cutoff(self, rng):
         a = random_hermitian(rng, 9, complex_field=True)
         dec = eig_herm(a)

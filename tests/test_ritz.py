@@ -370,6 +370,11 @@ class TestDkResidualBound:
         with pytest.raises(ValueError, match="not orthonormal"):
             dk_residual_bound(h, w, 10.0)
 
+    def test_row_mismatch_on_diagonal_h_rejected(self):
+        # the diagonal row scaling broadcast a 1 x 1 H over five rows: bound 0.0
+        with pytest.raises(ValueError, match=r"shape \(5, 2\) does not match dimension 1"):
+            dk_residual_bound(HermitianMatrix([[2.0]]), np.eye(5)[:, :2], 3.5)
+
     def test_op_mode_uses_smallest_ritz(self, rng):
         h = HermitianMatrix(np.diag([1.0, 2.0, 10.0]))
         w = np.eye(3)[:, :2]
@@ -397,6 +402,17 @@ class TestDkResidualBound:
             true_hs = hs_norm(
                 Projection(dec.vectors[:, :k]).complement().basis.conj().T @ p.basis)
             assert true_hs <= dk + 1e-10
+
+
+@pytest.mark.parametrize("bound", [
+    lambda h, w: ritz_bounds(h, Projection(w), 10.0),
+    lambda h, w: dk_residual_bound(h, w, 10.0),
+], ids=["ritz_bounds", "dk_residual_bound"])
+def test_row_mismatch_on_dense_h_rejected(rng, bound):
+    h = random_pd(rng, 3)
+    w = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    with pytest.raises(ValueError, match=r"shape \(4, 2\) does not match dimension 3"):
+        bound(h, w)
 
 
 def test_single_vector_bound_values():

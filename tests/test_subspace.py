@@ -234,6 +234,12 @@ class TestSubspaceBounds:
         with pytest.raises(ValueError, match="0 < d1 < d2"):
             subspace_bounds(h, h, 3.0, 2.0)
 
+    def test_infinite_d2_rejected(self, rng):
+        # d2 = inf made the coefficient inf / inf, a NaN bound
+        h = hermitian_from_spectrum(rng, [0.2, 1.0, 5.0])
+        with pytest.raises(ValueError, match="0 < d1 < d2 < inf"):
+            subspace_bounds(h, h, 3.0, np.inf)
+
     @pytest.mark.parametrize("eta", [-1.0, np.nan, np.inf])
     def test_bad_caller_eta_rejected(self, rng, eta):
         # a negative eta gave a bound below the truth, a NaN eta a NaN bound
