@@ -6,11 +6,12 @@ diagonal matrix, so the model's H costs no LAPACK: it decomposes by sorting
 its diagonal and the Ritz LU route solves by row scaling.  Each model builds
 H and that decomposition once, and every later run shares them.  Every other
 product with H or its permutation eigenbasis is a row scaling, gather or
-scatter, so a table row costs O(nk) in the dimension n.  Trial spaces are
-built by equidistant interpolation of chosen eigenfunctions on
-``linspace(0, 2 pi, N)`` (cubic or linear), expanded in the eigenbasis at one
-FFT per interpolant, and each run compares the true subspace error against
-the relative a-posteriori bound and the residual competitor bound, row by row.
+scatter, so a table row costs O(nk) in the dimension n.  The trial space is
+built by equidistant interpolation of the eigenfunctions of modes 0 and -1,
+the two lowest for every theta, on ``linspace(0, 2 pi, N)`` (cubic or
+linear), expanded in the eigenbasis at one FFT per interpolant.  Each run
+compares the true subspace error against the relative a-posteriori bound and
+the residual competitor bound, row by row.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .splines import (
 )
 
 TWO_PI = 2.0 * np.pi
+TARGETS = (0, -1)  # the two lowest modes, so next_ev is the third eigenvalue
 TRUNCATION_LOSS_TOL = 1e-6
 ENERGY_LOSS_TOL = 1e-3
 
@@ -110,10 +112,9 @@ def _interpolant(model: MathieuModel, n_points: int, interp: str, k: int) -> Pie
     return piecewise_linear(t, samples)
 
 
-def build_test_space(model: MathieuModel, n_points: int, interp: str,
-                     targets=(0, -1)) -> Projection:
-    """Trial space spanned by equidistant interpolants of the target
-    eigenfunctions, expanded in the truncated eigenbasis.
+def build_test_space(model: MathieuModel, n_points: int, interp: str) -> Projection:
+    """Trial space spanned by equidistant interpolants of the eigenfunctions of
+    the modes in TARGETS, expanded in the truncated eigenbasis.
 
     Samples sit at ``t_j = 2 pi j / (N - 1)`` including both endpoints, so the
     sampled data inherit the quasi-periodic boundary condition of the
@@ -126,17 +127,12 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str,
         raise ValueError("cubic interpolation needs at least 4 sample points")
     if interp == "linear" and n_points < 2:
         raise ValueError("linear interpolation needs at least 2 sample points")
-    targets = tuple(int(k) for k in targets)
-    for k in targets:
-        if abs(k) > model.trunc:
-            raise ValueError(f"target mode {k} outside truncation -{model.trunc}..{model.trunc}")
-
-    pps = [_interpolant(model, n_points, interp, k) for k in targets]
+    pps = [_interpolant(model, n_points, interp, k) for k in TARGETS]
     masses = np.diag(l2_gram(pps)).real
     h1_masses = np.diag(l2_gram([derivative(pp) for pp in pps])).real
     coeffs = modal_coefficients(pps, model.ks, model.theta / TWO_PI) / np.sqrt(TWO_PI)
     cols = []
-    for k, coeff, mass, h1_mass in zip(targets, coeffs, masses, h1_masses):
+    for k, coeff, mass, h1_mass in zip(TARGETS, coeffs, masses, h1_masses):
         loss = (mass - float(np.sum(np.abs(coeff) ** 2))) / mass
         if loss > TRUNCATION_LOSS_TOL:
             warnings.warn(
@@ -161,8 +157,7 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str,
 
 
 def residual_competitor(model: MathieuModel, n_points: int, next_ev: float,
-                        norm: str = "hs", targets=(0, -1),
-                        interp: str = "cubic") -> float | None:
+                        norm: str = "hs", interp: str = "cubic") -> float | None:
     """Residual competitor bound for a cubic trial space.
 
     The Rayleigh residuals ``r = -w'' - alpha w - rho w`` of the normalized
@@ -173,7 +168,7 @@ def residual_competitor(model: MathieuModel, n_points: int, next_ev: float,
     if interp == "linear":
         raise ValueError("linear interpolants are outside the operator domain; "
                          "the residual competitor does not apply")
-    pps = [_interpolant(model, n_points, interp, k) for k in targets]
+    pps = [_interpolant(model, n_points, interp, k) for k in TARGETS]
     derivs = [derivative(pp) for pp in pps]
     g = l2_gram(pps)
     scales = 1.0 / np.sqrt(np.diag(g).real)
@@ -206,26 +201,25 @@ class BenchmarkRow:
 
 
 def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
-                  with_dk: bool = True, targets=(0, -1)) -> list[BenchmarkRow]:
+                  with_dk: bool = True) -> list[BenchmarkRow]:
     """Benchmark rows for each N: true subspace error from exact spectral
     data, the relative a-posteriori bound with ``next_ev`` set to the exact
     next eigenvalue, and (cubic trial spaces only) the residual competitor."""
     ns = list(ns)
     if not ns:
         raise ValueError("need at least one N")
-    next_ev = float(eig_herm(model.h).eigenvalues[len(tuple(targets))])
+    next_ev = float(eig_herm(model.h).eigenvalues[len(TARGETS)])
     rows = []
     for n_points in ns:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
-            p = build_test_space(model, n_points, interp, targets=targets)
+            p = build_test_space(model, n_points, interp)
         note = "; ".join(str(w.message) for w in caught
                          if issubclass(w.category, TruncationWarning))
         est: RitzEstimate = ritz_bounds(model.h, p, next_ev, norm=norm)
         dk = None
         if with_dk and interp != "linear":
-            dk = residual_competitor(model, n_points, next_ev, norm=norm,
-                                     targets=targets, interp=interp)
+            dk = residual_competitor(model, n_points, next_ev, norm=norm, interp=interp)
         rows.append(BenchmarkRow(
             n_points=n_points,
             interp=interp,

@@ -97,16 +97,27 @@ class HermitianMatrix:
         d = np.diag(self.mat)
         return d if np.count_nonzero(self.mat) == np.count_nonzero(d) else None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``H x``; for an exactly diagonal H the row scaling ``d_i x_i``, in C
-        order like the product it replaces; x must have n rows."""
+    def _rows(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.shape[:1] != (self.n,):
             raise ValueError(f"operand of shape {x.shape} does not match dimension {self.n}")
-        d = self._diagonal
+        return x
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``H x``; for an exactly diagonal H the row scaling ``d_i x_i``, in C
+        order like the product it replaces; x must have n rows."""
+        x, d = self._rows(x), self._diagonal
         if d is None:
             return self.mat @ x
         return np.multiply(d.reshape(d.shape + (1,) * (x.ndim - 1)), x, order="C")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``H^{-1} b`` by one LU solve, or on an exactly diagonal H the row
+        scaling by ``1 / d`` (the LU's reciprocal pivots); b must have n rows."""
+        b, d = self._rows(b), self._diagonal
+        if d is None:
+            return np.linalg.solve(self.mat, b)
+        return b * (1.0 / d).reshape(d.shape + (1,) * (b.ndim - 1))
 
     @cached_property
     def decomposition(self) -> "SpectralDecomposition":

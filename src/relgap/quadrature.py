@@ -76,8 +76,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     with the achieved residual if the panel budget is exhausted first, and
     on a panel whose estimate is not finite.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_panels < 1:
         raise ValueError("max_panels must be at least 1")
     val, err = _panel(f, a, b)

@@ -38,10 +38,8 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     cancellation (``H11 - (W* H^{-1} W)^{-1}`` would lose ``eps cond / eta``
     absolute accuracy in eta).  The two routes differ in how they apply
     ``H^{-1}``: the eigenbasis route through H's cached eigendecomposition,
-    the LU route through one LU solve that never reads the eigenbasis.  Its
-    diagonal case: for an exactly diagonal ``H = diag(d)`` the LU factors are
-    ``I`` and ``diag(d)``, and the solve is the row scaling by ``1 / d``, the
-    reciprocal pivots the LU solve's triangular step multiplies by.
+    the LU route through ``HermitianMatrix.solve``, which never reads the
+    eigenbasis (on an exactly diagonal H, a row scaling by the LU's pivots).
     """
     dec = eig_herm(h)
     require_positive(dec, "H", definite=True)
@@ -65,8 +63,7 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     # V diag(1 / lam) V* [R W]
     eta_eig = defect_values(dec.from_eigenbasis(
         dec.to_eigenbasis(rw) * (1.0 / dec.eigenvalues)[:, None]))
-    d = h._diagonal
-    eta_lu = defect_values(np.linalg.solve(h.mat, rw) if d is None else rw * (1.0 / d)[:, None])
+    eta_lu = defect_values(h.solve(rw))
     return eta_eig, eta_lu
 
 

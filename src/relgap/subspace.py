@@ -99,7 +99,7 @@ def block_compress(h: HermitianMatrix, m: HermitianMatrix,
     dec_a, dec_m = (eig_herm(blk) if blk.size else SpectralDecomposition(np.zeros(0), blk)
                     for blk in (a, mc))
     rhs = two_sided_fn(dec_a, dec_m, coupling_kernel, bqp.conj().T @ p.basis)
-    defect = op_norm(bqp.conj().T @ s @ p.basis - rhs)
+    defect = op_norm(bqp.conj().T @ (s @ p.basis) - rhs)
     singular = tuple(name for name, lam in (("A", dec_a.eigenvalues), ("M", dec_m.eigenvalues))
                      if lam.size and lam[0] <= ZERO_TOL * max(np.max(np.abs(lam)), 1e-300))
     return BlockCompression(a=a, hc=_compression(h, q.basis), m=mc, w=_compression(m, bpp),
@@ -119,31 +119,23 @@ class BoundReport:
 
 
 def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float,
-                    eta: float | None = None,
-                    l1: float | None = None, l2: float | None = None,
-                    band: tuple[float, float] | None = None) -> BoundReport:
-    """Sin-theta type bound on spectral projection differences.
+                    l1: float | None = None, l2: float | None = None) -> BoundReport:
+    """Sin-theta type bound on spectral projection differences, with eta from
+    the difference pencil.
 
     Single-interval mode (``l1``/``l2`` omitted): compares ``E_H(d1)`` with
     ``E_M(d1)`` given the spectral-free interval ``[d1, d2]`` and returns
     ``sqrt(d2 d1)/(d2 - d1) * eta`` together with the true ``||P - Q||``.
 
     Double-interval mode: two spectral-free intervals ``[l1, l2]`` and
-    ``[d1, d2]`` produce the additive coefficient bound.  The compared band
-    projections are not pinned down by the hypotheses alone; the band
-    defaults to ``[l2, d1]`` (the spectral cluster separated by the two
-    gaps) and may be overridden via ``band`` (finite, ``lo <= hi``).  A caller's
-    ``eta`` must be finite and nonnegative; the default comes from the difference pencil.
+    ``[d1, d2]`` produce the additive coefficient bound for the band
+    projections ``E[l2, d1]``, the spectral cluster the two gaps isolate.
+    These are the only bands the hypotheses cover.
     """
     if not 0.0 < d1 < d2 < np.inf:
         raise ValueError(f"need 0 < d1 < d2 < inf, got d1={d1}, d2={d2}")
-    if eta is not None and not 0.0 <= eta < np.inf:
-        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
-    if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
-        raise ValueError(f"band must be finite with lo <= hi, got {band}")
     dec_h, dec_m = eig_herm(h), eig_herm(m)
-    if eta is None:
-        eta = _eta(_pencil(FormPair(h, m)))
+    eta = _eta(_pencil(FormPair(h, m)))
     notes: list[str] = []
     double = l1 is not None or l2 is not None
     if double and (l1 is None or l2 is None):
@@ -172,9 +164,8 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
         if not small_ok:
             notes.append(f"coefficient * eta = {coef * eta:.6e} not below 1")
         hypothesis_ok = resolvent_ok and low_ok and small_ok
-        if band is None:
-            band = (l2, d1)
-            notes.append(f"band projections default to E[{l2}, {d1}]")
+        band = (l2, d1)
+        notes.append(f"band projections E[{l2}, {d1}]")
 
     # ||P - Q|| = max(||(I-Q) W_P||, ||(I-P) W_Q||) for any two orthogonal projections
     q = spectral_projector(dec_h, *band)

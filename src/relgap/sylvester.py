@@ -91,7 +91,7 @@ def solve_weak_spectral(p: WeakSylvesterProblem) -> np.ndarray:
 
 
 def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
-                          tol: float = 1e-10, max_panels: int = 4096) -> np.ndarray:
+                          tol: float = 1e-10) -> np.ndarray:
     """Verification backend: evaluate the contour-integral representation
 
         T = -(1/2 pi) * int A^{1/2} (A - i z - d)^{-1} F (M - i z - d)^{-1} M^{1/2} dz
@@ -125,11 +125,9 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
         return (a_half @ np.swapaxes(full, 1, 2) @ m_half) * (d / np.cos(s) ** 2)[:, None, None]
 
     if np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat):
-        total, _err = integrate_adaptive(integrand, -np.pi / 2, np.pi / 2,
-                                         tol=tol * 2.0 * np.pi, max_panels=max_panels)
+        total, _err = integrate_adaptive(integrand, -np.pi / 2, np.pi / 2, tol=tol * 2.0 * np.pi)
         return -total / (2.0 * np.pi)
-    half, _err = integrate_adaptive(integrand, 0.0, np.pi / 2,
-                                    tol=tol * np.pi, max_panels=max_panels)
+    half, _err = integrate_adaptive(integrand, 0.0, np.pi / 2, tol=tol * np.pi)
     return -half.real / np.pi
 
 

@@ -66,6 +66,18 @@ def test_sylvester_solve_quadrature_matches(matrix_files, tmp_path, capsys):
     np.testing.assert_allclose(load_matrix(out_s), load_matrix(out_q), atol=1e-8)
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
+def test_sylvester_quadrature_bad_tol_exit_code(matrix_files, capsys, tol):
+    # --tol inf used to accept a single panel and print its T
+    code = main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+                 "--f", matrix_files["f"], "--method", "quadrature", f"--tol={tol}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("relgap: error: tol must be positive and finite")
+
+
 def test_sylvester_stdout_matrix(matrix_files, capsys):
     assert main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
                  "--f", matrix_files["f"]]) == 0
@@ -230,6 +242,18 @@ def test_sqroot_check(tmp_path, capsys):
     rep = _report(capsys.readouterr().out)
     assert rep["half_rule_margin"] >= -1e-12
     assert rep["integral_vs_spectral"] <= 1e-8
+
+
+def test_sqroot_check_isolated_fast_rate(tmp_path, capsys):
+    # one eigenvalue 1e8 times the other: the oracle must still see both rates
+    hp, mp = tmp_path / "h.mtx", tmp_path / "m.mtx"
+    save_matrix(hp, np.diag([1.0, 1e8]))
+    save_matrix(mp, np.diag([1.1, 1.05e8]))
+    assert main(["sqroot", "check", "--h", str(hp), "--m", str(mp)]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["norm_x"] > 0.04
+    assert rep["integral_vs_spectral"] <= 1e-8
+    assert rep["exp_identity_defect"] <= 1e-10
 
 
 def test_bench_csv(tmp_path, capsys):

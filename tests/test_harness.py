@@ -93,28 +93,27 @@ class TestBuildTestSpace:
     def test_cubic_alignment_improves_with_n(self, model64):
         e0 = np.zeros(model64.dim)
         e0[model64.trunc] = 1.0  # coordinate of mode k = 0
-        # only the coarsest interpolant loses form energy to the truncation
-        with pytest.warns(TruncationWarning, match="mode 0, N=8"):
-            spaces = [build_test_space(model64, 8, "cubic", targets=(0,))]
-        spaces += [build_test_space(model64, n, "cubic", targets=(0,)) for n in (16, 32)]
+        # only the coarsest interpolants lose form energy to the truncation
+        with pytest.warns(TruncationWarning) as caught:
+            spaces = [build_test_space(model64, 8, "cubic")]
+        assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=8", "mode -1, N=8"]
+        spaces += [build_test_space(model64, n, "cubic") for n in (16, 32)]
         errs = [np.linalg.norm(p.projector @ e0 - e0) for p in spaces]
         assert errs[0] > errs[1] > errs[2]
 
     def test_linear_small_n_is_valid_projection(self, model64):
-        with pytest.warns(TruncationWarning, match="mode 0, N=4: .* form energy"):
-            p = build_test_space(model64, 4, "linear", targets=(0,))
-        assert p.rank == 1
-        np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(1), atol=1e-12)
+        with pytest.warns(TruncationWarning) as caught:
+            p = build_test_space(model64, 4, "linear")
+        assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=4", "mode -1, N=4"]
+        assert all("form energy" in str(w.message) for w in caught)
+        assert p.rank == 2
+        np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(2), atol=1e-12)
 
     def test_reference_space_rank_two(self, model64):
         with pytest.warns(TruncationWarning) as caught:
             p = build_test_space(model64, 5, "cubic")
         assert p.rank == 2
         assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=5", "mode -1, N=5"]
-
-    def test_target_outside_truncation(self, model64):
-        with pytest.raises(ValueError, match="outside"):
-            build_test_space(model64, 8, "cubic", targets=(100,))
 
     def test_cubic_needs_four_points(self, model64):
         with pytest.raises(ValueError, match="4 sample points"):
@@ -129,7 +128,7 @@ class TestBuildTestSpace:
         # error outside the eigenbasis; the form-energy warning must fire
         model = mathieu_model(THETA, ALPHA, 8)
         with pytest.warns(TruncationWarning, match="form energy"):
-            build_test_space(model, 40, "linear", targets=(0,))
+            build_test_space(model, 40, "linear")
 
 
 class TestRunBenchmark:
@@ -186,10 +185,10 @@ class TestRunBenchmark:
         assert abs(a.ritz_bound - b.ritz_bound) / b.ritz_bound < 1e-5
 
 
-def _pairwise_residual_competitor(model, n_points, next_ev, norm, targets, interp):
+def _pairwise_residual_competitor(model, n_points, next_ev, norm, interp):
     """Reference competitor: every Gram entry from its own pairwise inner product."""
     phis = []
-    for k in targets:
+    for k in (0, -1):
         pp = _interpolant(model, n_points, interp, k)
         scale = 1.0 / np.sqrt(pairwise_l2_inner(pp, pp).real)
         phis.append(PiecewisePoly(knots=pp.knots, coeffs=pp.coeffs * scale))
@@ -219,7 +218,7 @@ def _pairwise_residual_competitor(model, n_points, next_ev, norm, targets, inter
 def test_residual_competitor_matches_pairwise_reference(model64, interp, norm, n_points):
     next_ev = float(model64.h.decomposition.eigenvalues[2])
     got = residual_competitor(model64, n_points, next_ev, norm=norm, interp=interp)
-    want = _pairwise_residual_competitor(model64, n_points, next_ev, norm, (0, -1), interp)
+    want = _pairwise_residual_competitor(model64, n_points, next_ev, norm, interp)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -234,12 +233,11 @@ def test_spline_evaluation_budget(model64, monkeypatch):
         return evaluate(self, t)
 
     monkeypatch.setattr(PiecewisePoly, "__call__", counting)
-    targets = (0, -1)
-    k = len(targets)
-    build_test_space(model64, 16, "cubic", targets=targets)
+    k = 2  # trial functions
+    build_test_space(model64, 16, "cubic")
     assert len(calls) <= 2 * k
     calls.clear()
-    residual_competitor(model64, 16, 2.0, targets=targets, interp="clamped")
+    residual_competitor(model64, 16, 2.0, interp="clamped")
     assert len(calls) <= 3 * k  # interpolants, derivatives, residuals
 
 
@@ -299,11 +297,7 @@ def test_truncation_note_survives_csv_and_markdown(model64):
 @pytest.mark.parametrize("call", [
     lambda model: l2_gram([]),
     lambda model: modal_coefficients([], model.ks, model.theta / (2 * np.pi)),
-    lambda model: build_test_space(model, 8, "cubic", targets=()),
-    lambda model: residual_competitor(model, 8, 3.0, targets=()),
-    lambda model: run_benchmark(model, [8], "cubic", targets=()),
-], ids=["l2_gram", "modal_coefficients", "build_test_space", "residual_competitor",
-        "run_benchmark"])
+], ids=["l2_gram", "modal_coefficients"])
 def test_empty_batch_rejected(model64, call):
     # an empty batch of interpolants is named, not an IndexError
     with pytest.raises(ValueError, match="empty batch"):

@@ -7,6 +7,9 @@ evaluations of S, T, X, the Sylvester solution and its residual agree with
 the dense fractional-power formulas kept below as references.
 """
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -332,6 +335,32 @@ def test_apply_exact_on_diagonal(d):
         hx = h.apply(x)
         assert np.array_equal(hx, h.mat @ x)
         assert hx.dtype == (h.mat @ x).dtype and hx.flags.c_contiguous
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_solve_bits(complex_field):
+    # LU on a dense H; on a diagonal H the row scaling by 1 / d, which is
+    # what the Ritz LU route computed before it moved into HermitianMatrix
+    rng = make_rng(69)
+    lam = rng.uniform(0.5, 20.0, 30)
+    diag = HermitianMatrix(np.diag(lam))
+    dense = hermitian_from_spectrum(rng, lam, complex_field)
+    for x in _operands(rng, 30):
+        scale = (1.0 / lam)[:, None] if x.ndim == 2 else 1.0 / lam
+        assert diag.solve(x).tobytes() == (x * scale).tobytes()
+        assert dense.solve(x).tobytes() == np.linalg.solve(dense.mat, x).tobytes()
+    for h in (diag, dense, HermitianMatrix(np.diag([2.0]))):
+        with pytest.raises(ValueError, match="does not match dimension"):
+            h.solve(np.ones((5, 2)))
+
+
+def test_only_matcore_reads_diagonal_and_perm():
+    # the diagonal decision and the permutation stay private to matcore
+    package = pathlib.Path(matcore.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "matcore.py"
+               and re.search(r"\._diagonal\b|\.perm\b", path.read_text())]
+    assert readers == []
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

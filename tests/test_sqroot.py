@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relgap.forms import FormPair, eta_exact
-from relgap.matcore import HermitianMatrix, eig_herm, fractional_power
+from relgap.matcore import HermitianMatrix, eig_herm, fractional_power, op_norm
 from relgap.sqroot import sqrt_form_bound, sqrt_integral_solution, sqrt_pair
 
-from conftest import make_rng, random_pd, random_pd_logcond
+from conftest import (hermitian_from_spectrum, make_rng, random_pd, random_pd_logcond,
+                      random_unitary)
 
 
 def _h(mat):
@@ -67,34 +68,46 @@ class TestSqrtPair:
 class TestIntegralSolution:
     def test_equal_operators(self, rng):
         m = random_pd(rng, 4)
-        res = sqrt_integral_solution(m, m, tol=1e-11)
+        res = sqrt_integral_solution(m, m)
         np.testing.assert_allclose(res.x, 0.0, atol=1e-10)
 
     def test_scalar(self):
-        res = sqrt_integral_solution(_h([[4.0]]), _h([[1.0]]), tol=1e-11)
+        res = sqrt_integral_solution(_h([[4.0]]), _h([[1.0]]))
         np.testing.assert_allclose(res.x, [[1.0 / np.sqrt(2.0) - np.sqrt(2.0)]], atol=1e-9)
 
     def test_matches_spectral_6x6(self, rng):
         h = random_pd(rng, 6, complex_field=True)
         m = random_pd(rng, 6, complex_field=True)
-        res = sqrt_integral_solution(h, m, tol=1e-10)
+        res = sqrt_integral_solution(h, m)
         pair = sqrt_pair(h, m)
         assert np.max(np.abs(res.x - pair.x)) <= 1e-8
 
-    def test_exponential_identity_wide_spectrum(self, rng):
-        # eigenvalues of C = H^{-1/2} span [1e-3, 1e3] when those of H span
-        # [1e-6, 1e6]
-        eigs = np.concatenate([[1e-6, 1e6], 10.0 ** rng.uniform(-6, 6, size=4)])
-        from conftest import hermitian_from_spectrum
-        h = hermitian_from_spectrum(rng, eigs, complex_field=False)
-        m = random_pd(rng, 6)
-        res = sqrt_integral_solution(h, m, tol=1e-11)
-        assert res.identity_defect <= 1e-10
+    def test_exponential_identity_wide_spectrum(self):
+        # eigenvalues of C = H^{-1/2} span [1e-3, 10^2.5] when those of H span
+        # [1e-5, 1e6] (at 1e-6 the rounding of H alone decides whether H passes
+        # the definiteness cutoff 1e-12 * max); the rates in between are drawn
+        for offset in range(12):
+            rng = make_rng(offset)
+            eigs = np.concatenate([[1e-5, 1e6], 10.0 ** rng.uniform(-5, 6, size=4)])
+            h = hermitian_from_spectrum(rng, eigs, complex_field=False)
+            m = random_pd(rng, 6)
+            res = sqrt_integral_solution(h, m)
+            assert res.identity_defect <= 1e-10, offset
 
-    def test_bad_tol(self, rng):
-        m = random_pd(rng, 3)
-        with pytest.raises(ValueError, match="tol"):
-            sqrt_integral_solution(m, m, tol=0.0)
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_isolated_fast_rate(self, cond, rotated):
+        # the rate of the eigenvalue 1 is sqrt(cond) times that of the
+        # eigenvalue cond; it must not slip between the quadrature nodes
+        q = random_unitary(make_rng(int(np.log10(cond))), 2, complex_field=False)
+        u = q if rotated else np.eye(2)
+        h = _h((u * [1.0, cond]) @ u.T)
+        m = _h(np.diag([1.1, 1.05 * cond]))
+        res = sqrt_integral_solution(h, m)
+        pair = sqrt_pair(h, m)
+        assert pair.norm_x > 0.04
+        assert op_norm(res.x - pair.x) <= 1e-8
+        assert res.identity_defect <= 1e-10
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="H must be positive definite"):

@@ -179,15 +179,24 @@ class TestQuadratureSolver:
             solve_weak_quadrature(p, d=4.5)
 
     def test_budget_exhaustion_reports_residual(self):
-        p = _problem([4.0], [1.0], [[1.0]])
+        # a kink needs more than two panels at 1e-14
         with pytest.raises(ConvergenceError, match="achieved residual"):
-            solve_weak_quadrature(p, tol=1e-14, max_panels=2)
+            integrate_adaptive(lambda s: np.abs(s - 0.3)[:, None, None], 0.0, 1.0,
+                               tol=1e-14, max_panels=2)
 
     @pytest.mark.parametrize("max_panels", [0, -5])
     def test_nonpositive_budget_rejected(self, max_panels):
-        p = _problem([4.0], [1.0], [[1.0]])
         with pytest.raises(ValueError, match="max_panels must be at least 1"):
-            solve_weak_quadrature(p, max_panels=max_panels)
+            integrate_adaptive(lambda s: s[:, None, None], 0.0, 1.0, tol=1e-10,
+                               max_panels=max_panels)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+    def test_bad_tol_rejected(self, tol):
+        # an infinite tol accepted the first panel whatever its error
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            integrate_adaptive(lambda s: s[:, None, None], 0.0, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_weak_quadrature(_problem([4.0], [1.0], [[1.0]]), tol=tol)
 
     @staticmethod
     def _traced_solve(monkeypatch, p, tol=1e-10):
@@ -195,12 +204,12 @@ class TestQuadratureSolver:
         integrand and the number of nodes it was evaluated at."""
         seen = {"nodes": 0}
 
-        def counting(f, a, b, tol, max_panels):
+        def counting(f, a, b, tol):
             def g(s):
                 seen["nodes"] += np.size(s)
                 return f(s)
             seen.update(f=f, a=a, b=b, tol=tol)
-            return integrate_adaptive(g, a, b, tol=tol, max_panels=max_panels)
+            return integrate_adaptive(g, a, b, tol=tol)
 
         monkeypatch.setattr(sylvester_module, "integrate_adaptive", counting)
         return solve_weak_quadrature(p, tol=tol), seen
