@@ -25,12 +25,8 @@ from .matcore import (  # noqa: F401
 from .forms import (  # noqa: F401
     ClosenessReport,
     FormPair,
-    SpectralComparison,
-    epsilon_two_sided,
     eta_exact,
-    eta_from_epsilon,
     s_operator,
-    spectral_comparison,
 )
 from .sylvester import (  # noqa: F401
     SylvesterBounds,
@@ -42,11 +38,9 @@ from .sylvester import (  # noqa: F401
     weak_residual,
 )
 from .subspace import (  # noqa: F401
-    BlockCompression,
     BoundReport,
     HsSubspaceBounds,
     ProjectionPairReport,
-    block_compress,
     hs_subspace_bounds,
     pair_analysis,
     subspace_bounds,
@@ -55,14 +49,11 @@ from .ritz import (  # noqa: F401
     RitzEstimate,
     dk_residual_bound,
     eta_routes,
-    eta_spectrum,
     ritz_bounds,
-    single_vector_bound,
 )
 from .sqroot import (  # noqa: F401
     SqrtIntegralResult,
     SqrtPerturbation,
-    sqrt_form_bound,
     sqrt_integral_solution,
     sqrt_pair,
 )

@@ -3,8 +3,8 @@
 Quantifies how far two positive semidefinite operators H and M are from each
 other in the form-relative sense: the smallest eta with
 ``|h(u,v) - m(u,v)| <= eta * sqrt(h[u] m[v])``, the two-sided constant eps
-with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]``, and per-eigenvalue matching
-diagnostics.  Every quantity reads ``H - M``, taken once from the exact inputs:
+with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]``, and the S operator.  Every
+quantity reads ``H - M``, taken once from the exact inputs:
 eta and eps from the difference pencil ``M^{+1/2} (H - M) M^{+1/2}``, S as
 ``H^{+1/2} (H - M) M^{+1/2}``; no two nearly equal products cancel.
 """
@@ -85,13 +85,6 @@ class ClosenessReport:
     eta_from_eps: float | None
 
 
-def eta_from_epsilon(eps: float) -> float:
-    """Map the two-sided constant to a form-closeness eta: eps / sqrt(1 - eps)."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {eps}")
-    return eps / np.sqrt(1.0 - eps)
-
-
 def s_operator(fp: FormPair) -> np.ndarray:
     """``S = H^{1/2} M^{+1/2} - H^{+1/2} M^{1/2}`` (pseudo powers), formed as
     ``H^{+1/2} (H - M) M^{+1/2}``: equal under the shared pseudo-power cutoff,
@@ -120,118 +113,12 @@ def _eta(x: np.ndarray) -> float:
     return float(np.max(np.abs(x) / np.sqrt(1.0 + x), initial=0.0))
 
 
-def _epsilon(x: np.ndarray) -> float:
-    """``eps = max |x|`` over the pencil eigenvalues x; an empty pencil has none."""
-    if x.size == 0:
-        raise ValueError("M has numerical rank 0; the pencil (H, M) is empty")
-    return float(np.max(np.abs(x)))
-
-
-def epsilon_two_sided(fp: FormPair) -> float:
-    """The smallest eps with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]`` on the
-    common range: max over the difference-pencil eigenvalues x of ``|x|``.
-
-    A value >= 1 means the pair is not two-sided comparable.
-    """
-    return _epsilon(_pencil(fp))
-
-
 def eta_exact(fp: FormPair) -> ClosenessReport:
     """Exact smallest eta for the pair, together with the S operator and,
-    when M has positive rank, the epsilon route value."""
+    when M has positive rank, ``eps = max |x|`` over the pencil eigenvalues x
+    and, for eps < 1, the eta it implies, ``eps / sqrt(1 - eps)``."""
     x = _pencil(fp)
-    eps = _epsilon(x) if x.size else None
-    eta_eps = eta_from_epsilon(eps) if eps is not None and eps < 1.0 else None
+    eps = float(np.max(np.abs(x))) if x.size else None
+    eta_eps = eps / np.sqrt(1.0 - eps) if eps is not None and eps < 1.0 else None
     return ClosenessReport(eta=_eta(x), s_matrix=s_operator(fp), epsilon=eps, eta_from_eps=eta_eps)
 
-
-@dataclass(frozen=True)
-class SpectralComparison:
-    """Per-index eigenvalue matching diagnostics for a two-sided comparable pair.
-
-    ``gap_ok_max`` / ``gap_ok_min`` evaluate the cluster-gap condition with the
-    tie-break constant 1 aggregated by max respectively min; neither reading is
-    preferred, both are reported.
-    """
-
-    epsilon: float
-    eta: float
-    lam_h: np.ndarray
-    lam_m: np.ndarray
-    rel_err_vs_m: np.ndarray
-    rel_err_vs_h: np.ndarray
-    rel_vs_m_ok: bool
-    rel_vs_h_ok: bool
-    argmin_map: np.ndarray
-    gap_ok_max: np.ndarray
-    gap_ok_min: np.ndarray
-    pairing_margins: np.ndarray  # eta/|<u,v>| - |lam-mu|/sqrt(lam mu); nan if <u,v> ~ 0
-
-
-INNER_PRODUCT_FLOOR = 1e-8
-
-
-def _cluster_gap_terms(lam: np.ndarray, i: int) -> list[float]:
-    """Relative gaps from eigenvalue i's cluster to the nearest distinct
-    neighbors above and below."""
-    scale = lam[-1] if lam.size else 0.0
-    same = np.abs(lam - lam[i]) <= 1e-12 * max(scale, 1e-300)
-    idx = np.nonzero(same)[0]
-    lo, hi = idx[0], idx[-1]
-    terms = []
-    if hi + 1 < lam.size:
-        up = lam[hi + 1]
-        terms.append((up - lam[i]) / (up + lam[i]))
-    if lo > 0:
-        dn = lam[lo - 1]
-        terms.append((lam[i] - dn) / (lam[i] + dn))
-    return terms
-
-
-def spectral_comparison(fp: FormPair) -> SpectralComparison:
-    """Eigenvalue matching report: relative error bounds, the argmin index
-    map, cluster-gap conditions, and per-eigenpair closeness margins."""
-    x = _pencil(fp)
-    eps = _epsilon(x)
-    if eps >= 1.0:
-        raise ValueError(
-            f"spectral comparison requires a two-sided comparable pair (eps={eps:.4f} >= 1)"
-        )
-    eta = _eta(x)
-
-    keep_h, keep_m = _range_mask(fp.dec_h), _range_mask(fp.dec_m)
-    lam_h, lam_m = fp.dec_h.eigenvalues[keep_h], fp.dec_m.eigenvalues[keep_m]
-
-    diff = np.abs(lam_h - lam_m)
-    rel_m = diff / lam_m
-    rel_h = diff / lam_h
-    slack = 1e-9
-    ratio = eps / (1.0 - eps)
-
-    argmin_map = np.array([int(np.argmin(np.abs(lh - lam_m))) for lh in lam_h])
-
-    terms = [_cluster_gap_terms(lam_h, i) + [1.0] for i in range(lam_h.size)]
-    gap_max = np.array([ratio < max(t) for t in terms], dtype=bool)
-    gap_min = np.array([ratio < min(t) for t in terms], dtype=bool)
-
-    vec_h = fp.dec_h.vectors[:, keep_h]
-    vec_m = fp.dec_m.vectors[:, keep_m]
-    overlap = np.abs(vec_m.conj().T @ vec_h)  # overlap[j, i] = |<u_j, v_i>|
-    dist = np.abs(lam_m[:, None] - lam_h[None, :]) / np.sqrt(lam_m[:, None] * lam_h[None, :])
-    with np.errstate(divide="ignore"):
-        margins = np.where(overlap > INNER_PRODUCT_FLOOR, eta / overlap - dist, np.nan)
-
-    return SpectralComparison(
-        epsilon=eps,
-        eta=eta,
-        lam_h=lam_h,
-        lam_m=lam_m,
-        rel_err_vs_m=rel_m,
-        rel_err_vs_h=rel_h,
-        rel_vs_m_ok=bool(np.all(rel_m <= eps + slack)),
-        rel_vs_h_ok=bool(np.all(rel_h <= ratio + slack)),
-        argmin_map=argmin_map,
-        gap_ok_max=gap_max,
-        gap_ok_min=gap_min,
-        pairing_margins=margins,
-    )

@@ -88,12 +88,6 @@ def _cross_checked_etas(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, 
     return eta_eig, gap, float(tol)
 
 
-def eta_spectrum(h: HermitianMatrix, p: Projection) -> np.ndarray:
-    """Ascending invariance-defect values eta_1 <= ... <= eta_k for the trial
-    space, cross-checked between the two routes."""
-    return _cross_checked_etas(h, p)[0]
-
-
 @dataclass(frozen=True)
 class RitzEstimate:
     """Defect spectrum, Ritz values, the relative subspace-error bounds, and
@@ -181,16 +175,6 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         true_hs=hs_norm(mixed),
         notes=tuple(notes),
     )
-
-
-def single_vector_bound(next_ev: float, ritz_min: float, eta_k: float) -> float | None:
-    """Spectral-norm variant of the relative bound built on the smallest Ritz
-    value, for single-vector approximation estimates."""
-    if not np.isfinite(next_ev):
-        raise ValueError(f"next_ev must be finite, got {next_ev}")
-    if not (0.0 <= eta_k < 1.0) or next_ev <= ritz_min:
-        return None
-    return float(_dichotomy_coefficient(ritz_min, next_ev) * eta_k / np.sqrt(1.0 - eta_k))
 
 
 def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,

@@ -110,9 +110,3 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix) -> SqrtIntegr
     defect = op_norm(half_id - 0.5 * np.eye(h.n))
     return SqrtIntegralResult(x=x, identity_defect=float(defect))
 
-
-def sqrt_form_bound(eta: float) -> float:
-    """Closeness constant inherited by the square roots: eta / 2."""
-    if not 0.0 <= eta < np.inf:
-        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
-    return eta / 2.0

@@ -12,14 +12,10 @@ from .forms import FormPair, _eta, _pencil, s_operator
 from .matcore import (
     HermitianMatrix,
     Projection,
-    SpectralDecomposition,
-    ZERO_TOL,
-    coupling_kernel,
     eig_herm,
     hs_norm,
     op_norm,
     spectral_projector,
-    two_sided_fn,
 )
 from .sylvester import _dichotomy_coefficient, relative_gap
 
@@ -66,44 +62,10 @@ def pair_analysis(p: Projection, q: Projection) -> ProjectionPairReport:
     )
 
 
-@dataclass(frozen=True)
-class BlockCompression:
-    """Compressions of H by range(Q)^perp / range(Q) and of M by range(P) /
-    range(P)^perp, plus the defect of the compressed-Sylvester identity that
-    couples them through the S operator."""
-
-    a: np.ndarray      # Q_perp H Q_perp on range(Q_perp)
-    hc: np.ndarray     # Q H Q on range(Q)
-    m: np.ndarray      # P M P on range(P)
-    w: np.ndarray      # P_perp M P_perp on range(P_perp)
-    identity_defect: float
-    singular_blocks: tuple[str, ...]
-
-
 def _compression(x: HermitianMatrix, basis: np.ndarray) -> np.ndarray:
     """``B* X B`` on the columns of ``basis``, symmetrized exactly."""
     blk = basis.conj().T @ x.mat @ basis
     return (blk + blk.conj().T) / 2.0
-
-
-def block_compress(h: HermitianMatrix, m: HermitianMatrix,
-                   q: Projection, p: Projection) -> BlockCompression:
-    """Compress H and M to the four subspaces determined by Q and P and report
-    the defect of ``Q_perp S P = A^{1/2} T M^{-1/2} - A^{-1/2} T M^{1/2}``
-    with ``T = Q_perp P`` (exact when Q commutes with H and P with M)."""
-    if not (h.n == m.n == q.n == p.n):
-        raise ValueError("H, M, Q, P must share one ambient dimension")
-    bqp, bpp = q.complement().basis, p.complement().basis
-    a, mc = _compression(h, bqp), _compression(m, p.basis)
-    s = s_operator(FormPair(h, m))
-    dec_a, dec_m = (eig_herm(blk) if blk.size else SpectralDecomposition(np.zeros(0), blk)
-                    for blk in (a, mc))
-    rhs = two_sided_fn(dec_a, dec_m, coupling_kernel, bqp.conj().T @ p.basis)
-    defect = op_norm(bqp.conj().T @ (s @ p.basis) - rhs)
-    singular = tuple(name for name, lam in (("A", dec_a.eigenvalues), ("M", dec_m.eigenvalues))
-                     if lam.size and lam[0] <= ZERO_TOL * max(np.max(np.abs(lam)), 1e-300))
-    return BlockCompression(a=a, hc=_compression(h, q.basis), m=mc, w=_compression(m, bpp),
-                            identity_defect=defect, singular_blocks=singular)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Solves ``A^{1/2} T M^{-1/2} - A^{-1/2} T M^{1/2} = F`` for positive definite
 A and M by two independent routes (eigenbasis kernel division and a contour
 integral evaluated by adaptive quadrature) and evaluates a-priori norm bounds
-for the solution: the spectral-dichotomy bound, its two-interval variant, the
-Hilbert-Schmidt relative-gap bound and the symmetric-norm bound.
+for the solution: the spectral-dichotomy bound, its two-interval variant and
+the Hilbert-Schmidt relative-gap bound.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    ConvergenceError,
     HermitianMatrix,
     SpectralDecomposition,
     _tidy_field,
@@ -99,8 +100,13 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
     by adaptive Gauss-Kronrod quadrature after the substitution z = d tan(s).
     Requires the dichotomy ``||M|| < d < 1/||A^{-1}||``.  When A, M and F are
     all real the integrand satisfies ``g(-s) = conj(g(s))``, so only
-    ``[0, pi/2]`` is integrated and T is ``-Re(.)/pi`` of that half.
+    ``[0, pi/2]`` is integrated and T is ``-Re(.)/pi`` of that half.  ``tol``
+    bounds the entrywise error estimate of T: the integral, which is T times
+    pi (2 pi over the full contour), gets that multiple of it, capped at the
+    largest float.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     m_norm, big_d = p.dichotomy_interval
     if d is None:
         d = 0.5 * (m_norm + big_d)
@@ -124,11 +130,16 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
         del left  # at most three (15, n, n) stacks are live at once
         return (a_half @ np.swapaxes(full, 1, 2) @ m_half) * (d / np.cos(s) ** 2)[:, None, None]
 
-    if np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat):
-        total, _err = integrate_adaptive(integrand, -np.pi / 2, np.pi / 2, tol=tol * 2.0 * np.pi)
-        return -total / (2.0 * np.pi)
-    half, _err = integrate_adaptive(integrand, 0.0, np.pi / 2, tol=tol * np.pi)
-    return -half.real / np.pi
+    real = not (np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat))
+    lo, scale = (0.0, np.pi) if real else (-np.pi / 2, 2.0 * np.pi)
+    try:
+        total, _err = integrate_adaptive(integrand, lo, np.pi / 2,
+                                         tol=min(tol * scale, np.finfo(float).max))
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"quadrature Sylvester solve did not reach tol={tol!r} on T "
+            f"(the integral's tol is {scale:.6g} times it): {exc}") from exc
+    return -(total.real if real else total) / scale
 
 
 def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:
@@ -154,13 +165,11 @@ class SylvesterBounds:
     dichotomy_bound: float | None = None
     two_interval_bound: float | None = None
     hs_bound: float | None = None
-    symmetric_bound: float | None = None
     notes: tuple[str, ...] = ()
 
 
 def sylvester_bounds(p: WeakSylvesterProblem, mode: str,
-                     d_minus: float | None = None, d_plus: float | None = None,
-                     f_norm: float | None = None) -> SylvesterBounds:
+                     d_minus: float | None = None, d_plus: float | None = None) -> SylvesterBounds:
     """Evaluate one of the a-priori bounds, verifying its hypothesis from the
     actual spectra.
 
@@ -168,8 +177,6 @@ def sylvester_bounds(p: WeakSylvesterProblem, mode: str,
     mode 'two_interval':  ||T||    <= (low-gap + high-gap coefficient) * ||F||
                           for sigma(A) split around sigma(M) at (d_minus, d_plus)
     mode 'hs':            |||T|||_HS <= |||F|||_HS / gap(sigma(A), sigma(M))
-    mode 'symmetric':     |||T|||   <= sqrt(D ||M||)/(D - ||M||) * f_norm
-                          for any caller-supplied symmetric norm value of F
     """
     lam = p.dec_a.eigenvalues
     mu = p.dec_m.eigenvalues
@@ -177,15 +184,12 @@ def sylvester_bounds(p: WeakSylvesterProblem, mode: str,
     gap = p.gap
     notes: list[str] = []
 
-    if mode in ("dichotomy", "symmetric"):
-        if mode == "symmetric" and f_norm is None:
-            raise ValueError("symmetric mode needs the norm value of F")
+    if mode == "dichotomy":
         if m_norm < big_d:
-            bound = _dichotomy_coefficient(m_norm, big_d) * (
-                op_norm(p.f) if mode == "dichotomy" else f_norm)
-            return SylvesterBounds(gap=gap, **{f"{mode}_bound": bound})
-        notes.append(f"dichotomy fails: ||M||={m_norm:.6e} >= 1/||A^-1||={big_d:.6e}")
-        return SylvesterBounds(gap=gap, notes=tuple(notes))
+            return SylvesterBounds(
+                gap=gap, dichotomy_bound=_dichotomy_coefficient(m_norm, big_d) * op_norm(p.f))
+        return SylvesterBounds(
+            gap=gap, notes=(f"dichotomy fails: ||M||={m_norm:.6e} >= 1/||A^-1||={big_d:.6e}",))
 
     if mode == "two_interval":
         if d_minus is None or d_plus is None:

@@ -76,6 +76,28 @@ def test_sylvester_quadrature_bad_tol_exit_code(matrix_files, capsys, tol):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("relgap: error: tol must be positive and finite")
+    # the message names the caller's value, not a scaled copy of it
+    assert captured.err.rstrip().endswith(f"got {float(tol)!r}")
+
+
+def test_sylvester_quadrature_huge_tol_accepted(matrix_files, tmp_path, capsys):
+    # any positive finite tol is accepted, also where tol * pi overflows
+    code = main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+                 "--f", matrix_files["f"], "--method", "quadrature", "--tol=1e308",
+                 "--out", str(tmp_path / "t.mtx")])
+    assert code == 0
+    assert _report(capsys.readouterr().out)["method"] == "quadrature"
+    assert load_matrix(tmp_path / "t.mtx").shape == (3, 2)
+
+
+def test_sylvester_quadrature_unreachable_tol_names_it(matrix_files, capsys):
+    code = main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+                 "--f", matrix_files["f"], "--method", "quadrature", "--tol=1e-300"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("relgap: error: quadrature Sylvester solve did not reach tol=1e-300 ")
 
 
 def test_sylvester_stdout_matrix(matrix_files, capsys):

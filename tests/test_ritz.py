@@ -18,9 +18,7 @@ from relgap.ritz import (
     dk_bound_from_gram,
     dk_residual_bound,
     eta_routes,
-    eta_spectrum,
     ritz_bounds,
-    single_vector_bound,
 )
 
 from conftest import (
@@ -83,11 +81,11 @@ class TestEtaSpectrum:
     def test_invariant_subspace_zero(self, rng):
         h = random_pd(rng, 6)
         p = Projection(eig_herm(h).vectors[:, 2:4])
-        np.testing.assert_allclose(eta_spectrum(h, p), 0.0, atol=1e-12)
+        np.testing.assert_allclose(eta_routes(h, p)[0], 0.0, atol=1e-12)
 
     def test_hand_case(self):
         hp = build_hp(HAND_H, E1)
-        etas = eta_spectrum(HAND_H, E1)
+        etas = eta_routes(HAND_H, E1)[0]
         np.testing.assert_allclose(etas, [0.5], atol=1e-14)
         # the normalized defect itself is (1/2) * offdiagonal swap
         dec = eig_herm(hp)
@@ -146,7 +144,7 @@ class TestEtaSpectrum:
 
     def test_rank_zero_empty(self, rng):
         h = random_pd(rng, 4)
-        assert eta_spectrum(h, Projection(np.zeros((4, 0)))).size == 0
+        assert eta_routes(h, Projection(np.zeros((4, 0))))[0].size == 0
 
     def test_form_inequality(self):
         # |h(phi, psi) - h_P(phi, psi)| <= eta_k sqrt(h_P[phi] h_P[psi])
@@ -157,7 +155,7 @@ class TestEtaSpectrum:
             p = random_projection(rng, n, int(rng.integers(1, n)),
                                   complex_field=bool(trial % 2))
             hp = build_hp(h, p)
-            eta_k = float(eta_spectrum(h, p)[-1])
+            eta_k = float(eta_routes(h, p)[0][-1])
             delta = h.mat - hp.mat
             for _ in range(5):
                 phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -176,7 +174,7 @@ class TestEtaSpectrum:
             h = random_pd(rng, n)
             p = random_projection(rng, n, int(rng.integers(1, n)))
             hp = build_hp(h, p)
-            etas = eta_spectrum(h, p)
+            etas = eta_routes(h, p)[0]
             eta_k = float(etas[-1])
             if eta_k >= 1.0:
                 continue
@@ -307,7 +305,7 @@ class TestRitzBounds:
             k = int(rng.integers(1, 5))
             p = _tilted_eigenspace(rng, h, k, tilt)
             est = ritz_bounds(h, p, float(eig_herm(h).eigenvalues[k]))
-            np.testing.assert_array_equal(est.etas, eta_spectrum(h, p))
+            np.testing.assert_array_equal(est.etas, eta_routes(h, p)[0])
             assert est.eta_disagreement <= est.eta_tol
             assert not est.hypothesis_ok or est.bound_hs >= est.true_hs
 
@@ -336,8 +334,6 @@ class TestRitzBounds:
             ritz_bounds(HAND_H, E1, next_ev)
         with pytest.raises(ValueError, match="next_ev must be finite"):
             dk_bound_from_gram(np.eye(1), 1.0, 2.0, next_ev)
-        with pytest.raises(ValueError, match="next_ev must be finite"):
-            single_vector_bound(next_ev, 1.0, 0.5)
 
     def test_bad_norm_rejected(self, rng):
         h = random_pd(rng, 3)
@@ -414,10 +410,3 @@ def test_row_mismatch_on_dense_h_rejected(rng, bound):
     with pytest.raises(ValueError, match=r"shape \(4, 2\) does not match dimension 3"):
         bound(h, w)
 
-
-def test_single_vector_bound_values():
-    assert single_vector_bound(3.0, 2.0, 0.0) == 0.0
-    val = single_vector_bound(3.0, 2.0, 0.1)
-    assert val == pytest.approx(np.sqrt(6.0) * 0.1 / np.sqrt(0.9))
-    assert single_vector_bound(1.5, 2.0, 0.1) is None
-    assert single_vector_bound(3.0, 2.0, 1.0) is None

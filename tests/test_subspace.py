@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relgap.forms import FormPair
+from relgap.forms import FormPair, s_operator
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
@@ -11,12 +11,11 @@ from relgap.matcore import (
     spectral_projector_below,
 )
 from relgap.subspace import (
-    block_compress,
     hs_subspace_bounds,
     pair_analysis,
     subspace_bounds,
 )
-from relgap.sylvester import WeakSylvesterProblem, solve_weak_spectral
+from relgap.sylvester import WeakSylvesterProblem, relative_gap, solve_weak_spectral
 
 from conftest import (
     hermitian_from_spectrum,
@@ -99,16 +98,22 @@ class TestPairAnalysis:
 
 
 class TestBlockCompress:
+    # the block compressions of H and M by spectral projections, read
+    # through the gaps of hs_subspace_bounds and formed inline
+
     def test_spectral_projector_of_same_operator(self, rng):
         h = random_pd(rng, 5, complex_field=True)
         dec = eig_herm(h)
         q = Projection(dec.vectors[:, :2])
-        bc = block_compress(h, h, q, q)
-        assert bc.identity_defect <= 1e-12
-        np.testing.assert_allclose(np.linalg.eigvalsh(bc.a), dec.eigenvalues[2:], atol=1e-10)
-        np.testing.assert_allclose(np.linalg.eigvalsh(bc.hc), dec.eigenvalues[:2], atol=1e-10)
+        rep = hs_subspace_bounds(h, h, q, q)
+        gap = relative_gap(dec.eigenvalues[2:], dec.eigenvalues[:2])
+        assert rep.gap_low == pytest.approx(gap, abs=1e-10)
+        assert rep.gap_high == pytest.approx(gap, abs=1e-10)
+        assert rep.bound_diff == pytest.approx(0.0, abs=1e-10)
 
     def test_commuting_pair_multiset(self):
+        # for spectral projections the compressions' spectra are the split
+        # pieces of sigma(H) and sigma(M), so the gaps are those of the pieces
         for trial in range(25):
             rng = make_rng(100 + trial)
             n = int(rng.integers(3, 9))
@@ -119,15 +124,10 @@ class TestBlockCompress:
             kp = int(rng.integers(1, n))
             q = Projection(dec_h.vectors[:, :kq])
             p = Projection(dec_m.vectors[:, :kp])
-            bc = block_compress(h, m, q, p)
-            merged = np.sort(np.concatenate([np.linalg.eigvalsh(bc.a),
-                                             np.linalg.eigvalsh(bc.hc)]))
-            np.testing.assert_allclose(merged, dec_h.eigenvalues, atol=1e-10)
-            merged_m = np.sort(np.concatenate([np.linalg.eigvalsh(bc.m),
-                                               np.linalg.eigvalsh(bc.w)]))
-            np.testing.assert_allclose(merged_m, dec_m.eigenvalues, atol=1e-10)
-            # the compressed Sylvester identity is exact under commutation
-            assert bc.identity_defect <= 1e-10 * (op_norm(h) + op_norm(m))
+            rep = hs_subspace_bounds(h, m, q, p)
+            lam_h, lam_m = dec_h.eigenvalues, dec_m.eigenvalues
+            assert rep.gap_low == pytest.approx(relative_gap(lam_h[kq:], lam_m[:kp]), abs=1e-10)
+            assert rep.gap_high == pytest.approx(relative_gap(lam_m[kp:], lam_h[:kq]), abs=1e-10)
 
     def test_solver_recovers_projection_product(self, rng):
         # the compressed data form a weak Sylvester problem whose unique
@@ -136,22 +136,15 @@ class TestBlockCompress:
         dec_h, dec_m = eig_herm(h), eig_herm(m)
         q = Projection(dec_h.vectors[:, :2])
         p = Projection(dec_m.vectors[:, :2])
-        bc = block_compress(h, m, q, p)
-        from relgap.forms import s_operator
-        s = s_operator(FormPair(h, m))
         bqp = q.complement().basis
+        a = bqp.conj().T @ h.mat @ bqp
+        m_c = p.basis.conj().T @ m.mat @ p.basis
+        s = s_operator(FormPair(h, m))
         f_small = bqp.conj().T @ s @ p.basis
-        prob = WeakSylvesterProblem(HermitianMatrix(bc.a), HermitianMatrix(bc.m), f_small)
+        prob = WeakSylvesterProblem(HermitianMatrix((a + a.conj().T) / 2.0),
+                                    HermitianMatrix((m_c + m_c.conj().T) / 2.0), f_small)
         t = solve_weak_spectral(prob)
         np.testing.assert_allclose(t, bqp.conj().T @ p.basis, atol=1e-9)
-
-    def test_singular_block_flagged(self, rng):
-        h = HermitianMatrix(np.diag([0.0, 1.0, 2.0]))
-        m = HermitianMatrix(np.diag([0.0, 1.1, 1.9]))
-        q = Projection(np.eye(3)[:, 1:2])
-        p = Projection(np.eye(3)[:, :1])
-        bc = block_compress(h, m, q, p)
-        assert "A" in bc.singular_blocks or "M" in bc.singular_blocks
 
 
 class TestSubspaceBounds:

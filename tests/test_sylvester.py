@@ -316,21 +316,11 @@ class TestBounds:
         assert b.two_interval_bound is not None
         assert op_norm(solve_weak_spectral(p)) <= b.two_interval_bound
 
-    def test_symmetric_mode_uses_caller_norm(self):
-        p = _problem([4.0, 5.0], [1.0], [[1.0], [1.0]])
-        b = sylvester_bounds(p, "symmetric", f_norm=hs_norm(p.f))
-        coef = np.sqrt(4.0) / 3.0
-        assert b.symmetric_bound == pytest.approx(coef * np.sqrt(2.0))
-
-    def test_symmetric_needs_norm(self):
-        p = _problem([4.0], [1.0], [[1.0]])
-        with pytest.raises(ValueError, match="norm value"):
-            sylvester_bounds(p, "symmetric")
-
     def test_unknown_mode(self):
         p = _problem([4.0], [1.0], [[1.0]])
-        with pytest.raises(ValueError, match="unknown bound mode"):
-            sylvester_bounds(p, "frobenius")
+        for mode in ("frobenius", "symmetric"):
+            with pytest.raises(ValueError, match="unknown bound mode"):
+                sylvester_bounds(p, mode)
 
     def test_bound_validity_randomized(self):
         # dichotomy and hs bounds dominate the solved instance, 60 trials each
