@@ -20,7 +20,6 @@ from .matcore import (  # noqa: F401
     op_norm,
     save_matrix,
     spectral_projector,
-    spectral_projector_below,
 )
 from .forms import (  # noqa: F401
     ClosenessReport,

@@ -20,12 +20,10 @@ from .harness import mathieu_model, rows_to_csv, rows_to_markdown, run_benchmark
 from .matcore import (
     HermitianMatrix,
     Projection,
-    eig_herm,
     hs_norm,
     load_matrix,
     op_norm,
     save_matrix,
-    spectral_projector_below,
 )
 from .ritz import dk_residual_bound, ritz_bounds
 from .sqroot import sqrt_integral_solution, sqrt_pair
@@ -84,9 +82,7 @@ def _cmd_subspace_bound(args) -> int:
     h = HermitianMatrix(load_matrix(args.h))
     m = HermitianMatrix(load_matrix(args.m))
     if args.hs:
-        q = spectral_projector_below(eig_herm(h), args.d1)
-        p = spectral_projector_below(eig_herm(m), args.d1)
-        sys.stdout.write(_json_text(hs_subspace_bounds(h, m, q, p)))
+        sys.stdout.write(_json_text(hs_subspace_bounds(h, m, args.d1)))
         return 0
     report = subspace_bounds(h, m, args.d1, args.d2, l1=args.l1, l2=args.l2)
     sys.stdout.write(_json_text(report))

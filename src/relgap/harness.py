@@ -61,10 +61,6 @@ class MathieuModel:
     ks: np.ndarray
     omegas: np.ndarray         # omega_k in mode order
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.trunc + 1
-
     @cached_property
     def h(self) -> HermitianMatrix:
         """The operator ``diag(omegas)``, built once and shared with its decomposition."""

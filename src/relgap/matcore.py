@@ -84,10 +84,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def field(self) -> str:
-        return "complex" if np.iscomplexobj(self.mat) else "real"
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.mat, dtype=dtype)
 
@@ -249,15 +245,6 @@ class Projection:
         """``(I - P) x = x - W (W* x)``, without forming the projector."""
         return x - self.basis @ (self.basis.conj().T @ x)
 
-    def complement(self) -> "Projection":
-        """Projection onto the orthogonal complement of the range."""
-        n, k = self.basis.shape
-        if k == 0:
-            eye = np.eye(n, dtype=self.basis.dtype)
-            return Projection(eye)
-        u = np.linalg.svd(self.basis, full_matrices=True)[0]
-        return Projection(u[:, k:])
-
 
 def eig_herm(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
@@ -347,11 +334,6 @@ def spectral_projector(dec: SpectralDecomposition, a: float, b: float) -> Projec
         raise ValueError(f"interval bounds out of order or NaN: [{a}, {b}]")
     keep = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
     return Projection(dec.vectors[:, keep])
-
-
-def spectral_projector_below(dec: SpectralDecomposition, d: float) -> Projection:
-    """The spectral projector onto ``(-inf, d]`` (right-continuous convention)."""
-    return spectral_projector(dec, -np.inf, d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import numpy as np
 
 from .matcore import ConvergenceError
 
+MAX_PANELS = 4096
+
 # 15-point Kronrod nodes on [-1, 1] (positive half) and weights; the embedded
 # 7-point Gauss rule lives on nodes 1, 3, 5, 7.
 _XGK = np.array([
@@ -63,8 +65,7 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     return k15, err
 
 
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       tol: float, max_panels: int = 4096):
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float):
     """Integrate a matrix-valued ``f`` over ``[a, b]`` to absolute entrywise
     tolerance ``tol``.
 
@@ -73,13 +74,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     ``(15,) + value_shape``).
 
     Returns ``(integral, error_estimate)``.  Raises :class:`ConvergenceError`
-    with the achieved residual if the panel budget is exhausted first, and
-    on a panel whose estimate is not finite.
+    with the achieved residual if ``MAX_PANELS`` panels do not reach ``tol``,
+    and on a panel whose estimate is not finite.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_panels < 1:
-        raise ValueError("max_panels must be at least 1")
     val, err = _panel(f, a, b)
     # heap of (-err, counter, a, b, value); counter breaks exact-error ties
     counter = 0
@@ -87,9 +86,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     total_err = err
     n_panels = 1
     while total_err > tol:
-        if n_panels >= max_panels:
+        if n_panels >= MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature did not reach tol={tol:.3e} within {max_panels} panels; "
+                f"quadrature did not reach tol={tol:.3e} within {MAX_PANELS} panels; "
                 f"achieved residual {total_err:.3e}"
             )
         neg_err, _, pa, pb, _pval = heapq.heappop(heap)

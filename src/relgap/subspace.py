@@ -1,5 +1,9 @@
 """Projection-pair geometry and sin-theta type bounds for spectral projections
 of two form-close operators, in the operator and Hilbert-Schmidt norms.
+
+The two bounds compare spectral projections taken from the cached
+eigendecompositions; the Hilbert-Schmidt bound reads its relative gaps from the
+eigenvalues on either side of the cut ``d1``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from .forms import FormPair, _eta, _pencil, s_operator
 from .matcore import (
     HermitianMatrix,
     Projection,
+    SpectralDecomposition,
     eig_herm,
     hs_norm,
     op_norm,
@@ -20,7 +25,6 @@ from .matcore import (
 from .sylvester import _dichotomy_coefficient, relative_gap
 
 KATO_STRICT = 1e-12
-COMMUTE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,12 @@ def pair_analysis(p: Projection, q: Projection) -> ProjectionPairReport:
     )
 
 
-def _compression(x: HermitianMatrix, basis: np.ndarray) -> np.ndarray:
-    """``B* X B`` on the columns of ``basis``, symmetrized exactly."""
-    blk = basis.conj().T @ x.mat @ basis
-    return (blk + blk.conj().T) / 2.0
+def _projector_pair(dec_h: SpectralDecomposition, dec_m: SpectralDecomposition,
+                    a: float, b: float):
+    """``Q = E_H[a, b]``, ``P = E_M[a, b]`` and the n-by-k blocks ``(I - Q) W_P``
+    and ``(I - P) W_Q``; a NaN bound raises ValueError."""
+    q, p = spectral_projector(dec_h, a, b), spectral_projector(dec_m, a, b)
+    return q, p, q.perp(p.basis), p.perp(q.basis)
 
 
 @dataclass(frozen=True)
@@ -130,17 +136,16 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
         notes.append(f"band projections E[{l2}, {d1}]")
 
     # ||P - Q|| = max(||(I-Q) W_P||, ||(I-P) W_Q||) for any two orthogonal projections
-    q = spectral_projector(dec_h, *band)
-    p = spectral_projector(dec_m, *band)
-    true = max(op_norm(q.perp(p.basis)), op_norm(p.perp(q.basis)))
+    _, _, qperp_p, pperp_q = _projector_pair(dec_h, dec_m, *band)
+    true = max(op_norm(qperp_p), op_norm(pperp_q))
     return BoundReport(bound=coef * eta, hypothesis_ok=hypothesis_ok,
                        true_value=true, eta=eta, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
 class HsSubspaceBounds:
-    """Hilbert-Schmidt bounds for a commuting projection pair and their true
-    counterparts; ``|||P - Q|||^2 = |||Q_perp P|||^2 + |||P_perp Q|||^2``."""
+    """Hilbert-Schmidt bounds for the spectral projections below a cut and
+    their true counterparts; ``|||P - Q|||^2 = |||Q_perp P|||^2 + |||P_perp Q|||^2``."""
 
     bound_qperp_p: float | None
     bound_pperp_q: float | None
@@ -155,34 +160,22 @@ class HsSubspaceBounds:
     notes: tuple[str, ...] = ()
 
 
-def _commutes(h: HermitianMatrix, q: Projection) -> bool:
-    """``||HQ - QH|| = ||(I - Q) H W||`` for the orthonormal basis W of range(Q),
-    measured against ``||H||``."""
-    lam = eig_herm(h).eigenvalues
-    h_norm = max(abs(lam[0]), abs(lam[-1]))
-    return op_norm(q.perp(h.mat @ q.basis)) <= COMMUTE_RTOL * max(h_norm, 1e-300)
+def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsSubspaceBounds:
+    """HS-norm subspace bounds for the spectral projections ``Q = E_H(d1)`` of H
+    and ``P = E_M(d1)`` of M.
 
-
-def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
-                       q: Projection, p: Projection) -> HsSubspaceBounds:
-    """HS-norm subspace bounds for spectral projections Q of H and P of M.
-
-    Q must commute with H and P with M; the involved mixed products are then
-    controlled through the S operator and the relative gaps of the block
-    compressions.  Every true value and coupling term is read from n-by-k
-    blocks, ``(I - Q) X = X - W_Q (W_Q* X)``.
+    The mixed products are controlled through the S operator and the relative
+    gaps between the parts of sigma(H) and sigma(M) on either side of ``d1``,
+    read from the cached eigenvalues: the block compressions of H and M by Q,
+    P and their complements have exactly those spectra.  Every true value and
+    coupling term is read from n-by-k blocks, ``(I - Q) X = X - W_Q (W_Q* X)``.
+    A NaN ``d1`` raises ValueError.
     """
-    if not (h.n == m.n == q.n == p.n):
-        raise ValueError("H, M, Q, P must share one ambient dimension")
-    if not _commutes(h, q):
-        raise ValueError("Q does not commute with H (tolerance 1e-10 * ||H||)")
-    if not _commutes(m, p):
-        raise ValueError("P does not commute with M (tolerance 1e-10 * ||M||)")
-
-    bq, bp = q.basis, p.basis
-    s = s_operator(FormPair(h, m))
-    true_qperp_p = hs_norm(q.perp(bp))
-    true_pperp_q = hs_norm(p.perp(bq))
+    fp = FormPair(h, m)
+    q, p, qperp_p, pperp_q = _projector_pair(fp.dec_h, fp.dec_m, -np.inf, d1)
+    s = s_operator(fp)
+    true_qperp_p = hs_norm(qperp_p)
+    true_pperp_q = hs_norm(pperp_q)
     true_diff = float(np.hypot(true_qperp_p, true_pperp_q))
 
     notes: list[str] = []
@@ -201,13 +194,12 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix,
             return None
         return g
 
-    lam_a, lam_m, lam_w, lam_hc = (np.linalg.eigvalsh(_compression(x, basis)) for x, basis in (
-        (h, q.complement().basis), (m, bp), (m, p.complement().basis), (h, bq)))
-    gap_low = _gap_or_none(lam_a, lam_m, "gap(sigma(A), sigma(M))")
-    gap_high = _gap_or_none(lam_w, lam_hc, "gap(sigma(W), sigma(Hc))")
+    lam_h, lam_m = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
+    gap_low = _gap_or_none(lam_h[lam_h > d1], lam_m[lam_m <= d1], "gap(sigma(A), sigma(M))")
+    gap_high = _gap_or_none(lam_m[lam_m > d1], lam_h[lam_h <= d1], "gap(sigma(W), sigma(Hc))")
 
-    f_low = hs_norm(q.perp(s @ bp))
-    f_high = hs_norm(p.perp(s.conj().T @ bq))
+    f_low = hs_norm(q.perp(s @ p.basis))
+    f_high = hs_norm(p.perp(s.conj().T @ q.basis))
 
     def _rhs(f_hs: float, gap: float | None, trivial: bool) -> float | None:
         if trivial:

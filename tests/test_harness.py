@@ -91,7 +91,7 @@ class TestMathieuModel:
 
 class TestBuildTestSpace:
     def test_cubic_alignment_improves_with_n(self, model64):
-        e0 = np.zeros(model64.dim)
+        e0 = np.zeros(model64.omegas.size)
         e0[model64.trunc] = 1.0  # coordinate of mode k = 0
         # only the coarsest interpolants lose form energy to the truncation
         with pytest.warns(TruncationWarning) as caught:
@@ -134,7 +134,7 @@ class TestBuildTestSpace:
 class TestRunBenchmark:
     def test_invariant_targets_give_zero(self, model64):
         h = model64.h
-        cols = np.zeros((model64.dim, 2))
+        cols = np.zeros((model64.omegas.size, 2))
         cols[model64.trunc, 0] = 1.0      # mode 0
         cols[model64.trunc - 1, 1] = 1.0  # mode -1
         p = Projection(cols)
@@ -254,7 +254,7 @@ def test_repeated_run_reuses_model_operator(monkeypatch):
 
     monkeypatch.setattr(HermitianMatrix, "__post_init__", recording)
     run_benchmark(model, [5, 6], "cubic")
-    assert model.dim not in built
+    assert model.omegas.size not in built
     assert model.h.decomposition is dec
 
 

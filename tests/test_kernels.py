@@ -21,7 +21,6 @@ from relgap.matcore import (
     SpectralDecomposition,
     eig_herm,
     require_positive,
-    spectral_projector_below,
 )
 from relgap.ritz import dk_residual_bound, eta_routes, ritz_bounds
 from relgap.sqroot import sqrt_pair
@@ -531,10 +530,8 @@ def test_decompositions_per_public_call(large_decompositions):
 
     def hs_bounds():
         h, m = _pair(make_rng(46))
-        q = spectral_projector_below(eig_herm(h), D1)
-        p = spectral_projector_below(eig_herm(m), D1)
-        assert q.rank == p.rank == RANK
-        hs_subspace_bounds(h, m, q, p)
+        hs_subspace_bounds(h, m, D1)
+        assert all(np.count_nonzero(eig_herm(x).eigenvalues <= D1) == RANK for x in (h, m))
 
     def sylvester_path():
         a = hermitian_from_spectrum(rng, rng.uniform(3.0, 9.0, N), complex_field=False)
@@ -552,7 +549,7 @@ def test_decompositions_per_public_call(large_decompositions):
     budget = {
         "eta_exact": (lambda: eta_exact(FormPair(*_pair(rng))), 3),
         "subspace_bounds": (lambda: subspace_bounds(*_pair(rng), D1, D2), 3),
-        "hs_subspace_bounds": (hs_bounds, 6),
+        "hs_subspace_bounds": (hs_bounds, 2),
         "ritz_bounds": (lambda: ritz_bounds(ritz_h, ritz_p, next_ev=3.0), 1),
         "sqrt_pair": (lambda: sqrt_pair(*_pair(rng)), 4),
         "sylvester solve": (sylvester_path, 4),
@@ -576,5 +573,8 @@ def test_decompositions_per_public_call(large_decompositions):
     assert _counted(counts, lambda: subspace_bounds(h, m, D1, D2), ("svd",)) == 0
     assert _counted(counts, lambda: subspace_bounds(h, m, D1, D2), ("norm",)) == 0
     assert _counted(counts, hs_bounds, ("norm",)) == 0
+    # the HS gaps are read from the cached eigenvalues: no complement basis and
+    # no compression spectrum
+    assert _counted(counts, hs_bounds, ("svd", "eigvalsh")) == 0
     # T and X come from the formed S: no difference-pencil eigvalsh in sqrt_pair
     assert _counted(counts, lambda: sqrt_pair(*_pair(rng)), ("eigvalsh",)) == 0

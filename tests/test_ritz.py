@@ -395,8 +395,7 @@ class TestDkResidualBound:
             dk = dk_residual_bound(h, p.basis, next_ev, norm="hs")
             if dk is None:
                 continue
-            true_hs = hs_norm(
-                Projection(dec.vectors[:, :k]).complement().basis.conj().T @ p.basis)
+            true_hs = hs_norm(Projection(dec.vectors[:, :k]).perp(p.basis))
             assert true_hs <= dk + 1e-10
 
 

@@ -8,7 +8,7 @@ from relgap.matcore import (
     eig_herm,
     hs_norm,
     op_norm,
-    spectral_projector_below,
+    spectral_projector,
 )
 from relgap.subspace import (
     hs_subspace_bounds,
@@ -92,9 +92,47 @@ class TestPairAnalysis:
             done += 1
             assert abs(rep.norm_p_qperp - rep.norm_q_pperp) <= 1e-10
             assert abs(rep.norm_p_qperp - rep.norm_diff) <= 1e-10
-            qp = q.complement().basis.conj().T @ p.basis
-            pq = p.complement().basis.conj().T @ q.basis
+            qp, pq = q.perp(p.basis), p.perp(q.basis)
             assert abs(rep.hs_diff ** 2 - (hs_norm(qp) ** 2 + hs_norm(pq) ** 2)) <= 1e-10
+
+
+def _compression_oracle(h, m, d1):
+    """Gaps and bounds of the HS subspace bound from the block compressions,
+    formed inline: range(Q) from the eigenvectors of H below ``d1``, its
+    complement from a complete QR of that basis, and likewise for P and M."""
+    s = s_operator(FormPair(h, m))
+    sides = []
+    for x in (h, m):
+        dec = eig_herm(x)
+        basis = dec.vectors[:, dec.eigenvalues <= d1]
+        perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
+        sides.append((basis, perp))
+    (bq, bq_perp), (bp, bp_perp) = sides
+
+    def spectrum(x, basis):
+        blk = basis.conj().T @ x.mat @ basis
+        return np.linalg.eigvalsh((blk + blk.conj().T) / 2.0)
+
+    def gap(lam_x, lam_y):
+        if lam_x.size == 0 or lam_y.size == 0 or min(lam_x.min(), lam_y.min()) <= 0.0:
+            return None
+        return relative_gap(lam_x, lam_y)
+
+    gap_low = gap(spectrum(h, bq_perp), spectrum(m, bp))
+    gap_high = gap(spectrum(m, bp_perp), spectrum(h, bq))
+    b1 = 0.0 if bq_perp.shape[1] == 0 or bp.shape[1] == 0 else (
+        None if gap_low is None else hs_norm(bq_perp.conj().T @ s @ bp) / gap_low)
+    b2 = 0.0 if bq.shape[1] == 0 or bp_perp.shape[1] == 0 else (
+        None if gap_high is None else hs_norm(bp_perp.conj().T @ s.conj().T @ bq) / gap_high)
+    return {
+        "gap_low": gap_low,
+        "gap_high": gap_high,
+        "bound_qperp_p": b1,
+        "bound_pperp_q": b2,
+        "bound_diff": None if b1 is None or b2 is None else float(np.hypot(b1, b2)),
+        "bound_combined": (None if gap_low is None or gap_high is None
+                           else hs_norm(s) / min(gap_low, gap_high)),
+    }
 
 
 class TestBlockCompress:
@@ -103,40 +141,44 @@ class TestBlockCompress:
 
     def test_spectral_projector_of_same_operator(self, rng):
         h = random_pd(rng, 5, complex_field=True)
-        dec = eig_herm(h)
-        q = Projection(dec.vectors[:, :2])
-        rep = hs_subspace_bounds(h, h, q, q)
-        gap = relative_gap(dec.eigenvalues[2:], dec.eigenvalues[:2])
+        lam = eig_herm(h).eigenvalues
+        rep = hs_subspace_bounds(h, h, (lam[1] + lam[2]) / 2.0)
+        gap = relative_gap(lam[2:], lam[:2])
         assert rep.gap_low == pytest.approx(gap, abs=1e-10)
         assert rep.gap_high == pytest.approx(gap, abs=1e-10)
         assert rep.bound_diff == pytest.approx(0.0, abs=1e-10)
 
     def test_commuting_pair_multiset(self):
         # for spectral projections the compressions' spectra are the split
-        # pieces of sigma(H) and sigma(M), so the gaps are those of the pieces
-        for trial in range(25):
+        # pieces of sigma(H) and sigma(M): the gaps and bounds read from the
+        # cached eigenvalues match those of the compressions formed inline, on
+        # real and complex pairs, a quarter with a 1e-9-wide cluster, cut
+        # anywhere in the spectrum
+        for trial in range(200):
             rng = make_rng(100 + trial)
-            n = int(rng.integers(3, 9))
-            h = random_pd(rng, n, complex_field=bool(trial % 2))
-            m = random_pd(rng, n, complex_field=bool(trial % 2))
-            dec_h, dec_m = eig_herm(h), eig_herm(m)
-            kq = int(rng.integers(1, n))
-            kp = int(rng.integers(1, n))
-            q = Projection(dec_h.vectors[:, :kq])
-            p = Projection(dec_m.vectors[:, :kp])
-            rep = hs_subspace_bounds(h, m, q, p)
-            lam_h, lam_m = dec_h.eigenvalues, dec_m.eigenvalues
-            assert rep.gap_low == pytest.approx(relative_gap(lam_h[kq:], lam_m[:kp]), abs=1e-10)
-            assert rep.gap_high == pytest.approx(relative_gap(lam_m[kp:], lam_h[:kq]), abs=1e-10)
+            n = int(rng.integers(3, 12))
+            complex_field = bool(trial % 2)
+            h = random_pd(rng, n, complex_field)
+            eigs = rng.uniform(0.5, 10.0, size=n)
+            if rng.random() < 0.25:
+                eigs[:3] = eigs[0] * (1.0 + 1e-9 * np.arange(3))
+            m = hermitian_from_spectrum(rng, eigs, complex_field)
+            lam = np.concatenate([eig_herm(h).eigenvalues, eig_herm(m).eigenvalues])
+            d1 = rng.uniform(0.9 * lam.min(), 1.1 * lam.max())
+            rep = hs_subspace_bounds(h, m, d1)
+            for name, want in _compression_oracle(h, m, d1).items():
+                got = getattr(rep, name)
+                assert (got is None) == (want is None), (trial, name)
+                if want is not None:
+                    assert abs(got - want) <= 1e-12 * abs(want), (trial, name, got, want)
 
     def test_solver_recovers_projection_product(self, rng):
         # the compressed data form a weak Sylvester problem whose unique
         # solution is exactly the compressed product Q_perp P
         h, m = _congruent_pair(rng, [0.5, 0.8, 3.0, 4.0], strength=0.04)
         dec_h, dec_m = eig_herm(h), eig_herm(m)
-        q = Projection(dec_h.vectors[:, :2])
         p = Projection(dec_m.vectors[:, :2])
-        bqp = q.complement().basis
+        bqp = dec_h.vectors[:, 2:]
         a = bqp.conj().T @ h.mat @ bqp
         m_c = p.basis.conj().T @ m.mat @ p.basis
         s = s_operator(FormPair(h, m))
@@ -247,54 +289,36 @@ class TestSubspaceBounds:
 class TestHsSubspaceBounds:
     def test_identical_commuting(self, rng):
         h = random_pd(rng, 5)
-        dec = eig_herm(h)
-        q = Projection(dec.vectors[:, :2])
-        rep = hs_subspace_bounds(h, h, q, q)
+        lam = eig_herm(h).eigenvalues
+        rep = hs_subspace_bounds(h, h, (lam[1] + lam[2]) / 2.0)
         assert rep.true_diff == pytest.approx(0.0, abs=1e-12)
         assert rep.bound_diff == pytest.approx(0.0, abs=1e-10)
 
     def test_diagonal_zero_coupling(self):
         h = HermitianMatrix(np.diag([1.0, 4.0]))
         m = HermitianMatrix(np.diag([1.2, 3.8]))
-        e1 = Projection(np.eye(2)[:, :1])
-        rep = hs_subspace_bounds(h, m, e1, e1)
+        rep = hs_subspace_bounds(h, m, 2.0)
         assert rep.bound_qperp_p == pytest.approx(0.0, abs=1e-14)
         assert rep.bound_pperp_q == pytest.approx(0.0, abs=1e-14)
         assert rep.true_diff == pytest.approx(0.0, abs=1e-14)
 
-    def test_noncommuting_rejected(self, rng):
-        h = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        q = Projection(np.eye(2)[:, :1])
-        with pytest.raises(ValueError, match="commute"):
-            hs_subspace_bounds(h, h, q, q)
+    def test_nan_cut_rejected(self):
+        # a NaN cut fails every comparison, which would select rank-0 projections
+        h = HermitianMatrix(np.diag([1.0, 4.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            hs_subspace_bounds(h, h, np.nan)
 
     def test_compression_spectrum_not_positive(self):
-        # the shared kernel e1 stays in range(Q)^perp, so A and W are singular
+        # the shared kernel e1 lies below the cut, in range(Q) and range(P),
+        # so the compressions of M by P and of H by Q are singular
         h = HermitianMatrix(np.diag([0.0, 1.0, 4.0]))
         m = HermitianMatrix(np.diag([0.0, 1.1, 3.9]))
-        q = Projection(np.eye(3)[:, 2:])
-        rep = hs_subspace_bounds(h, m, q, q)
+        rep = hs_subspace_bounds(h, m, 2.0)
         assert rep.bound_qperp_p is None and rep.bound_pperp_q is None
         assert rep.bound_diff is None and rep.bound_combined is None
         assert not rep.hypothesis_ok
         assert any("gap(sigma(A), sigma(M)): compression spectrum not positive" in n
                    for n in rep.notes)
-
-    def test_relative_gap_zero(self):
-        eye = HermitianMatrix(np.eye(3))
-        q = Projection(np.eye(3)[:, :1])
-        rep = hs_subspace_bounds(eye, eye, q, q)
-        assert rep.bound_qperp_p is None and rep.bound_pperp_q is None
-        assert rep.bound_diff is None and rep.bound_combined is None
-        assert not rep.hypothesis_ok
-        assert any("gap(sigma(A), sigma(M)): relative gap is zero" in n for n in rep.notes)
-
-    def test_p_noncommuting_rejected(self):
-        h = HermitianMatrix(np.diag([1.0, 3.0]))
-        m = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        q = Projection(np.eye(2)[:, :1])
-        with pytest.raises(ValueError, match="P does not commute with M"):
-            hs_subspace_bounds(h, m, q, q)
 
     def test_rotated_instances_all_inequalities(self):
         applicable = 0
@@ -307,9 +331,7 @@ class TestHsSubspaceBounds:
                 eigs = np.sort(rng.uniform(0.3, 6.0, size=n))
             h, m = _congruent_pair(rng, eigs, strength=0.02,
                                    complex_field=bool(trial % 2))
-            q = Projection(eig_herm(h).vectors[:, :k])
-            p = Projection(eig_herm(m).vectors[:, :k])
-            rep = hs_subspace_bounds(h, m, q, p)
+            rep = hs_subspace_bounds(h, m, np.sqrt(eigs[k - 1] * eigs[k]))
             if not rep.hypothesis_ok:
                 continue
             applicable += 1
@@ -329,8 +351,8 @@ class TestHsSubspaceBounds:
             q = random_projection(rng, n, int(rng.integers(0, n + 1)),
                                   complex_field=bool(trial % 2))
             diff2 = hs_norm(p.projector - q.projector) ** 2
-            qp = hs_norm(q.complement().basis.conj().T @ p.basis) ** 2
-            pq = hs_norm(p.complement().basis.conj().T @ q.basis) ** 2
+            qp = hs_norm(q.perp(p.basis)) ** 2
+            pq = hs_norm(p.perp(q.basis)) ** 2
             assert abs(diff2 - (qp + pq)) <= 1e-10
 
 
@@ -371,8 +393,8 @@ class TestProjectionPairTruths:
     def test_truths_match_angles_and_dense_oracle(self, kq, kp, theta, complex_field):
         angles = theta * ANGLE_SHAPE[:min(kq, kp)]
         h, m = _angled_pair(make_rng(500), angles, kq, kp, complex_field)
-        q = spectral_projector_below(eig_herm(h), 1.5)
-        p = spectral_projector_below(eig_herm(m), 1.5)
+        q = spectral_projector(eig_herm(h), -np.inf, 1.5)
+        p = spectral_projector(eig_herm(m), -np.inf, 1.5)
         assert (q.rank, p.rank) == (kq, kp)
         sines = np.sin(angles)
         op_exact = np.max(sines, initial=0.0) if kq == kp else 1.0
@@ -382,6 +404,6 @@ class TestProjectionPairTruths:
         rep = subspace_bounds(h, m, 1.5, 2.5)
         assert abs(rep.true_value - op_exact) <= 1e-12
         assert abs(rep.true_value - op_norm(diff)) <= 1e-14
-        hs = hs_subspace_bounds(h, m, q, p)
+        hs = hs_subspace_bounds(h, m, 1.5)
         assert abs(hs.true_diff - hs_exact) <= 1e-12
         assert abs(hs.true_diff - hs_norm(diff)) <= 1e-14
