@@ -65,4 +65,5 @@ from .harness import (  # noqa: F401
     rows_to_csv,
     rows_to_markdown,
     run_benchmark,
+    trial_functions,
 )

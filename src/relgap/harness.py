@@ -11,7 +11,9 @@ built by equidistant interpolation of the eigenfunctions of modes 0 and -1,
 the two lowest for every theta, on ``linspace(0, 2 pi, N)`` (cubic or
 linear), expanded in the eigenbasis at one FFT per interpolant.  Each run
 compares the true subspace error against the relative a-posteriori bound and
-the residual competitor bound, row by row.
+the residual competitor bound, row by row.  A row builds its interpolants
+and their Gram matrix once and hands them to both the trial space and the
+competitor.
 """
 
 from __future__ import annotations
@@ -108,14 +110,23 @@ def _interpolant(model: MathieuModel, n_points: int, interp: str, k: int) -> Pie
     return piecewise_linear(t, samples)
 
 
-def build_test_space(model: MathieuModel, n_points: int, interp: str) -> Projection:
-    """Trial space spanned by equidistant interpolants of the eigenfunctions of
-    the modes in TARGETS, expanded in the truncated eigenbasis.
+@dataclass(frozen=True)
+class TrialFunctions:
+    """One table row's interpolants, their derivatives, and the L2 Gram matrix
+    of the interpolants followed by the derivatives."""
+
+    pps: tuple[PiecewisePoly, ...]
+    derivs: tuple[PiecewisePoly, ...]
+    gram: np.ndarray
+
+
+def trial_functions(model: MathieuModel, n_points: int, interp: str) -> TrialFunctions:
+    """Equidistant interpolants of the eigenfunctions of the modes in TARGETS,
+    with their derivatives and one Gram matrix of both.
 
     Samples sit at ``t_j = 2 pi j / (N - 1)`` including both endpoints, so the
     sampled data inherit the quasi-periodic boundary condition of the
-    eigenfunctions exactly.  Emits a :class:`TruncationWarning` when the
-    eigenbasis expansion drops more than 1e-6 of an interpolant's L2 mass.
+    eigenfunctions exactly.
     """
     if interp not in ("cubic", "clamped", "linear"):
         raise ValueError(f"interp must be 'cubic', 'clamped' or 'linear', got {interp!r}")
@@ -123,60 +134,63 @@ def build_test_space(model: MathieuModel, n_points: int, interp: str) -> Project
         raise ValueError("cubic interpolation needs at least 4 sample points")
     if interp == "linear" and n_points < 2:
         raise ValueError("linear interpolation needs at least 2 sample points")
-    pps = [_interpolant(model, n_points, interp, k) for k in TARGETS]
-    masses = np.diag(l2_gram(pps)).real
-    h1_masses = np.diag(l2_gram([derivative(pp) for pp in pps])).real
-    coeffs = modal_coefficients(pps, model.ks, model.theta / TWO_PI) / np.sqrt(TWO_PI)
-    cols = []
+    pps = tuple(_interpolant(model, n_points, interp, k) for k in TARGETS)
+    derivs = tuple(derivative(pp) for pp in pps)
+    return TrialFunctions(pps, derivs, l2_gram(pps + derivs))
+
+
+def build_test_space(model: MathieuModel, trial: TrialFunctions) -> Projection:
+    """Trial space spanned by a row's interpolants (see :func:`trial_functions`),
+    expanded in the truncated eigenbasis.
+
+    Emits a :class:`TruncationWarning` when the eigenbasis expansion drops more
+    than 1e-6 of an interpolant's L2 mass or 1e-3 of its form energy, both read
+    from the row's Gram matrix.
+    """
+    n_points = trial.pps[0].knots.size
+    masses, h1_masses = np.split(np.diag(trial.gram).real, 2)
+    coeffs = modal_coefficients(trial.pps, model.ks, model.theta / TWO_PI) / np.sqrt(TWO_PI)
     for k, coeff, mass, h1_mass in zip(TARGETS, coeffs, masses, h1_masses):
-        loss = (mass - float(np.sum(np.abs(coeff) ** 2))) / mass
-        if loss > TRUNCATION_LOSS_TOL:
-            warnings.warn(
-                f"mode {k}, N={n_points}: eigenbasis truncation drops {loss:.3e} "
-                f"of the interpolant's L2 mass; increase the truncation order",
-                TruncationWarning,
-                stacklevel=2,
-            )
+        power = np.abs(coeff) ** 2
         energy = h1_mass - model.alpha * mass
-        captured = float(np.sum(model.omegas * np.abs(coeff) ** 2))
-        energy_loss = (energy - captured) / energy
-        if energy_loss > ENERGY_LOSS_TOL:
-            warnings.warn(
-                f"mode {k}, N={n_points}: eigenbasis truncation drops {energy_loss:.3e} "
-                "of the interpolant's form energy; the estimator needs a larger "
-                "truncation order to be meaningful",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        cols.append(coeff)
-    return Projection.from_span(np.column_stack(cols))
+        for loss, tol, what in (
+                ((mass - float(np.sum(power))) / mass, TRUNCATION_LOSS_TOL,
+                 "L2 mass; increase the truncation order"),
+                ((energy - float(np.sum(model.omegas * power))) / energy, ENERGY_LOSS_TOL,
+                 "form energy; the estimator needs a larger truncation order to be meaningful")):
+            if loss > tol:
+                warnings.warn(f"mode {k}, N={n_points}: eigenbasis truncation drops "
+                              f"{loss:.3e} of the interpolant's {what}",
+                              TruncationWarning, stacklevel=2)
+    return Projection.from_span(coeffs.T)
 
 
-def residual_competitor(model: MathieuModel, n_points: int, next_ev: float,
-                        norm: str = "hs", interp: str = "cubic") -> float | None:
-    """Residual competitor bound for a cubic trial space.
+def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: float,
+                        norm: str = "hs") -> float | None:
+    """Residual competitor bound for a row's cubic trial functions, the same
+    interpolants and Gram matrix that :func:`build_test_space` reads.
 
     The Rayleigh residuals ``r = -w'' - alpha w - rho w`` of the normalized
     interpolants and their Gram matrix are evaluated as exact
     piecewise-polynomial integrals in function space, so the competitor is
     free of eigenbasis-truncation effects.
     """
-    if interp == "linear":
-        raise ValueError("linear interpolants are outside the operator domain; "
+    if min(pp.degree for pp in trial.pps) < 3:
+        raise ValueError("interpolants of degree < 3 are outside the operator domain; "
                          "the residual competitor does not apply")
-    pps = [_interpolant(model, n_points, interp, k) for k in TARGETS]
-    derivs = [derivative(pp) for pp in pps]
-    g = l2_gram(pps)
+    k = len(trial.pps)
+    g = trial.gram[:k, :k]
     scales = 1.0 / np.sqrt(np.diag(g).real)
     # Gram matrices of the normalized interpolants phi_i = s_i pp_i
     b_gram = scales[:, None] * g * scales
-    a_form = scales[:, None] * l2_gram(derivs) * scales - model.alpha * b_gram
+    a_form = scales[:, None] * trial.gram[k:, k:] * scales - model.alpha * b_gram
     b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
     # each residual is formed as a function before its Gram is taken: it is
     # small, and expanding <r_i, r_j> through the forms would cancel
     residuals = [combine(derivative(dp), -s, pp, -s * (model.alpha + rho))
-                 for pp, dp, s, rho in zip(pps, derivs, scales, np.diag(a_form).real)]
+                 for pp, dp, s, rho in zip(trial.pps, trial.derivs, scales,
+                                           np.diag(a_form).real)]
     gram = l2_gram(residuals)
     return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
                               next_ev, norm=norm)
@@ -207,15 +221,16 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
     next_ev = float(eig_herm(model.h).eigenvalues[len(TARGETS)])
     rows = []
     for n_points in ns:
+        trial = trial_functions(model, n_points, interp)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
-            p = build_test_space(model, n_points, interp)
+            p = build_test_space(model, trial)
         note = "; ".join(str(w.message) for w in caught
                          if issubclass(w.category, TruncationWarning))
         est: RitzEstimate = ritz_bounds(model.h, p, next_ev, norm=norm)
         dk = None
         if with_dk and interp != "linear":
-            dk = residual_competitor(model, n_points, next_ev, norm=norm, interp=interp)
+            dk = residual_competitor(model, trial, next_ev, norm=norm)
         rows.append(BenchmarkRow(
             n_points=n_points,
             interp=interp,

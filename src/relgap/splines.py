@@ -6,9 +6,9 @@ interpolants over a knot grid.  The Fourier-type coefficients
 ``linspace(0, 2 pi, J + 1)`` in a truncated exponential eigenbasis are
 evaluated in closed form from the moments ``mu_r(z) = int_0^1 u^r exp(z u) du``,
 taken once per batch; the sum over pieces is a length-J DFT read at ``k mod J``,
-one FFT per interpolant.  Exact L2 Gram matrices, one evaluation per function:
-each piecewise polynomial is evaluated once at one Gauss-Legendre rule per
-piece, which is exact for the degrees involved.
+one FFT per interpolant.  Exact L2 Gram matrices from one Horner pass over all
+functions at one Gauss-Legendre rule per piece, which is exact for the degrees
+involved; the nodes are offsets from each piece's left knot, found without search.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _moments(z: np.ndarray, degree: int) -> np.ndarray:
         mu.append((ez - r * mu[-1]) / zl)
     mu = np.array(mu)
     taylor = _INV_FACTORIALS / (_TAYLOR_N + np.arange(1.0, degree + 2))
-    mu[:, small] = np.polynomial.polynomial.polyval(z[small], taylor)
+    mu[:, small] = taylor.T @ (z[small][None, :] ** _TAYLOR_N)
     return mu
 
 
@@ -176,28 +176,37 @@ def _shared_knots(pps) -> np.ndarray:
     return knots
 
 
+def _stacked(pps) -> np.ndarray:
+    """Coefficients on a shared knot grid, zero-padded: ``(degree + 1, len(pps), pieces)``."""
+    _shared_knots(pps)
+    out = np.zeros((max(pp.coeffs.shape[0] for pp in pps), len(pps), pps[0].coeffs.shape[1]),
+                   dtype=np.result_type(*(pp.coeffs for pp in pps)))
+    for i, pp in enumerate(pps):
+        out[: pp.coeffs.shape[0], i] = pp.coeffs
+    return out
+
+
 def l2_gram(pps) -> np.ndarray:
     """Gram matrix ``G[i, j] = int conj(p_i(t)) p_j(t) dt`` of piecewise
     polynomials over one shared knot grid (exact for combined degree <= 15).
 
-    Each polynomial is evaluated once, at the ``GL_ORDER``-point
-    Gauss-Legendre nodes of every piece.
+    One Horner pass over the stacked coefficients evaluates every polynomial at
+    the ``GL_ORDER`` Gauss-Legendre nodes of each piece, taken as offsets
+    ``half_j (1 + x_q)`` from its left knot, so no knot search is made.
     """
     pps = list(pps)
-    knots = _shared_knots(pps)
-    half = 0.5 * np.diff(knots)
-    t = (0.5 * (knots[:-1] + knots[1:]))[:, None] + half[:, None] * _GL_X
+    coeffs = _stacked(pps)
+    half = 0.5 * np.diff(pps[0].knots)
+    tau = half[:, None] * (1.0 + _GL_X)
+    vals = np.zeros(coeffs.shape[1:] + _GL_X.shape, dtype=coeffs.dtype)
+    for c in coeffs[::-1]:
+        vals = vals * tau + c[..., None]
+    vals = vals.reshape(len(pps), -1)
     w = (half[:, None] * _GL_W).ravel()
-    vals = np.array([pp(t).ravel() for pp in pps])
     return (vals.conj() * w) @ vals.T
 
 
 def combine(pa: PiecewisePoly, ca, pb: PiecewisePoly, cb) -> PiecewisePoly:
     """The piecewise polynomial ``ca * pa + cb * pb`` on a shared knot grid."""
-    _shared_knots((pa, pb))
-    deg = max(pa.coeffs.shape[0], pb.coeffs.shape[0])
-    out = np.zeros((deg, pa.coeffs.shape[1]), dtype=np.result_type(
-        pa.coeffs.dtype, pb.coeffs.dtype, type(ca), type(cb)))
-    out[: pa.coeffs.shape[0]] += ca * pa.coeffs
-    out[: pb.coeffs.shape[0]] += cb * pb.coeffs
-    return PiecewisePoly(knots=pa.knots, coeffs=out)
+    coeffs = _stacked((pa, pb))
+    return PiecewisePoly(knots=pa.knots, coeffs=ca * coeffs[:, 0] + cb * coeffs[:, 1])

@@ -185,14 +185,10 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
             notes.append(f"{label}: a compression is trivial, gap not defined")
             return None
         try:
-            g = relative_gap(lam_x, lam_y)
+            return relative_gap(lam_x, lam_y)
         except ValueError:
             notes.append(f"{label}: compression spectrum not positive")
             return None
-        if g <= 0.0:
-            notes.append(f"{label}: relative gap is zero")
-            return None
-        return g
 
     lam_h, lam_m = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
     gap_low = _gap_or_none(lam_h[lam_h > d1], lam_m[lam_m <= d1], "gap(sigma(A), sigma(M))")

@@ -44,7 +44,8 @@ def relative_gap(spectrum_a, spectrum_m) -> float:
 
 
 def _relative_distances(sa: np.ndarray, sm: np.ndarray) -> np.ndarray:
-    return np.abs(sa[:, None] - sm[None, :]) / np.sqrt(sa[:, None] * sm[None, :])
+    # a product of square roots: sqrt(lambda mu) overflows past 1.3e154
+    return np.abs(sa[:, None] - sm[None, :]) / (np.sqrt(sa)[:, None] * np.sqrt(sm)[None, :])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relgap import harness, splines
 from relgap.harness import (
     TruncationWarning,
     _interpolant,
@@ -10,6 +11,7 @@ from relgap.harness import (
     rows_to_csv,
     rows_to_markdown,
     run_benchmark,
+    trial_functions,
 )
 from relgap.matcore import HermitianMatrix, Projection, eig_herm, fractional_power
 from relgap.ritz import dk_bound_from_gram, ritz_bounds
@@ -24,6 +26,10 @@ ALPHA = 0.2499
 @pytest.fixture(scope="module")
 def model64():
     return mathieu_model(THETA, ALPHA, 64)
+
+
+def _space(model, n_points, interp):
+    return build_test_space(model, trial_functions(model, n_points, interp))
 
 
 class TestMathieuModel:
@@ -95,15 +101,15 @@ class TestBuildTestSpace:
         e0[model64.trunc] = 1.0  # coordinate of mode k = 0
         # only the coarsest interpolants lose form energy to the truncation
         with pytest.warns(TruncationWarning) as caught:
-            spaces = [build_test_space(model64, 8, "cubic")]
+            spaces = [_space(model64, 8, "cubic")]
         assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=8", "mode -1, N=8"]
-        spaces += [build_test_space(model64, n, "cubic") for n in (16, 32)]
+        spaces += [_space(model64, n, "cubic") for n in (16, 32)]
         errs = [np.linalg.norm(p.projector @ e0 - e0) for p in spaces]
         assert errs[0] > errs[1] > errs[2]
 
     def test_linear_small_n_is_valid_projection(self, model64):
         with pytest.warns(TruncationWarning) as caught:
-            p = build_test_space(model64, 4, "linear")
+            p = _space(model64, 4, "linear")
         assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=4", "mode -1, N=4"]
         assert all("form energy" in str(w.message) for w in caught)
         assert p.rank == 2
@@ -111,24 +117,24 @@ class TestBuildTestSpace:
 
     def test_reference_space_rank_two(self, model64):
         with pytest.warns(TruncationWarning) as caught:
-            p = build_test_space(model64, 5, "cubic")
+            p = _space(model64, 5, "cubic")
         assert p.rank == 2
         assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=5", "mode -1, N=5"]
 
     def test_cubic_needs_four_points(self, model64):
         with pytest.raises(ValueError, match="4 sample points"):
-            build_test_space(model64, 3, "cubic")
+            trial_functions(model64, 3, "cubic")
 
     def test_unknown_interp(self, model64):
         with pytest.raises(ValueError, match="interp"):
-            build_test_space(model64, 8, "quintic")
+            trial_functions(model64, 8, "quintic")
 
     def test_energy_truncation_warned(self):
         # a linear interpolant with N - 1 > K aliases all its interpolation
         # error outside the eigenbasis; the form-energy warning must fire
         model = mathieu_model(THETA, ALPHA, 8)
         with pytest.warns(TruncationWarning, match="form energy"):
-            build_test_space(model, 40, "linear")
+            _space(model, 40, "linear")
 
 
 class TestRunBenchmark:
@@ -163,7 +169,7 @@ class TestRunBenchmark:
 
     def test_residual_competitor_rejects_linear(self, model64):
         with pytest.raises(ValueError, match="outside the operator domain"):
-            residual_competitor(model64, 30, 1.0, interp="linear")
+            residual_competitor(model64, trial_functions(model64, 30, "linear"), 1.0)
 
     def test_empty_ns_rejected(self, model64):
         with pytest.raises(ValueError, match="at least one N"):
@@ -217,28 +223,46 @@ def _pairwise_residual_competitor(model, n_points, next_ev, norm, interp):
 @pytest.mark.parametrize("interp", ["cubic", "clamped"])
 def test_residual_competitor_matches_pairwise_reference(model64, interp, norm, n_points):
     next_ev = float(model64.h.decomposition.eigenvalues[2])
-    got = residual_competitor(model64, n_points, next_ev, norm=norm, interp=interp)
+    got = residual_competitor(model64, trial_functions(model64, n_points, interp), next_ev,
+                              norm=norm)
     want = _pairwise_residual_competitor(model64, n_points, next_ev, norm, interp)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_spline_evaluation_budget(model64, monkeypatch):
-    # each trial function, derivative and residual is evaluated once per Gram
-    # matrix it enters, never once per pair
-    calls = []
-    evaluate = PiecewisePoly.__call__
-
-    def counting(self, t):
-        calls.append(1)
-        return evaluate(self, t)
-
-    monkeypatch.setattr(PiecewisePoly, "__call__", counting)
+    # each trial function, derivative and residual enters one Gram evaluation
+    # pass per row, never one per pair, and the trial space and the competitor
+    # take no pass over what the row already evaluated
+    passes = []
+    gram = harness.l2_gram
+    monkeypatch.setattr(harness, "l2_gram", lambda pps: passes.append(len(pps)) or gram(pps))
     k = 2  # trial functions
-    build_test_space(model64, 16, "cubic")
-    assert len(calls) <= 2 * k
-    calls.clear()
-    residual_competitor(model64, 16, 2.0, interp="clamped")
-    assert len(calls) <= 3 * k  # interpolants, derivatives, residuals
+    trial = trial_functions(model64, 16, "clamped")
+    assert passes == [2 * k]  # interpolants and their derivatives
+    passes.clear()
+    build_test_space(model64, trial)
+    assert passes == []
+    residual_competitor(model64, trial, 2.0)
+    assert passes == [k]  # residuals
+
+
+def test_cubic_row_builds_its_interpolants_once(model64, monkeypatch):
+    # one spline build per target and row, and the two consumers called once
+    # per row through the module namespace, where relbench's tracer rebinds them
+    builds = []
+    spline = splines._cubic_spline
+    monkeypatch.setattr(splines, "_cubic_spline", lambda *a: builds.append(1) or spline(*a))
+    calls = {"build_test_space": 0, "residual_competitor": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counting)
+    ns = range(5, 11)
+    rows = harness.run_benchmark(model64, ns, "cubic")
+    assert [r.dk_bound is not None for r in rows] == [True] * len(ns)
+    assert len(builds) == len(harness.TARGETS) * len(ns)
+    assert calls == {"build_test_space": len(ns), "residual_competitor": len(ns)}
 
 
 def test_repeated_run_reuses_model_operator(monkeypatch):

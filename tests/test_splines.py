@@ -266,7 +266,7 @@ class TestModalBatch:
                             or moments(z, degree))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", harness.TruncationWarning)
-            harness.build_test_space(model, 140, "linear")
+            harness.build_test_space(model, harness.trial_functions(model, 140, "linear"))
         assert sizes == [model.ks.size]
 
     @pytest.mark.parametrize("trunc, interp, ns", [(320, "linear", (100, 120, 140)),
@@ -286,6 +286,19 @@ class TestModalBatch:
             warnings.simplefilter("ignore", harness.TruncationWarning)
             harness.run_benchmark(model, ns, interp)
         assert len(checked) >= 2 * len(ns) and all(checked)
+
+
+def test_moments_taylor_branch_matches_polyval():
+    # |z| <= 1 takes the Taylor series sum_n z^n / (n! (n + r + 1)); a power
+    # table product must agree with numpy's polyval on the same coefficients
+    z = np.array([0.0, 1j, -1j, 1.0, -1.0, 0.5j, -0.3 + 0.4j, 0.999j, 1e-12j, 0.7 - 0.7j])
+    n = np.arange(20.0)[:, None]
+    for degree in (0, 1, 3):
+        taylor = (1.0 / np.cumprod(np.maximum(n, 1.0))[:, None]) / (n + np.arange(1.0, degree + 2))
+        want = np.polynomial.polynomial.polyval(z, taylor)
+        got = splines._moments(z, degree)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 class TestMassAndInner:

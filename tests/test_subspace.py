@@ -320,6 +320,16 @@ class TestHsSubspaceBounds:
         assert any("gap(sigma(A), sigma(M)): compression spectrum not positive" in n
                    for n in rep.notes)
 
+    def test_huge_spectra_keep_their_gaps(self):
+        # eigenvalue products past the float range once read as a zero gap
+        h = HermitianMatrix(np.diag([1e160, 2e160]))
+        m = HermitianMatrix(np.diag([1e160, 2.0000001e160]))
+        rep = hs_subspace_bounds(h, m, 1.5e160)
+        assert rep.gap_low == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+        assert rep.gap_high == pytest.approx(1.0000001 / np.sqrt(2.0000001), rel=1e-12)
+        assert rep.hypothesis_ok and rep.notes == ()
+        assert rep.bound_diff == pytest.approx(0.0, abs=1e-14)
+
     def test_rotated_instances_all_inequalities(self):
         applicable = 0
         for trial in range(100):

@@ -51,6 +51,11 @@ class TestRelativeGap:
     def test_identical_spectra(self):
         assert relative_gap([1.0, 2.0], [2.0, 5.0]) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160, 1e300])
+    def test_no_overflow_at_extreme_scales(self, scale):
+        # sqrt(lambda mu) would overflow past 1.3e154 and read the gap as zero
+        assert relative_gap([4.0 * scale], [scale]) == pytest.approx(1.5, rel=1e-15)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             relative_gap([], [1.0])
@@ -101,6 +106,10 @@ class TestSpectralSolver:
     def test_near_resonance_rejected(self):
         with pytest.raises(ValueError, match="near-singular"):
             _problem([1.0, 2.0], [2.0 + 1e-12], [[0.0], [0.0]])
+
+    def test_huge_spectra_not_near_singular(self):
+        # eigenvalue products past the float range once read as a zero gap
+        assert _problem([4e160], [1e160], [[1.0]]).gap == pytest.approx(1.5, rel=1e-15)
 
     def test_near_resonance_names_the_closest_pair(self):
         gap = relative_gap([1.0, 2.0], [2.0 + 1e-12])
