@@ -183,6 +183,7 @@ def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: flo
     scales = 1.0 / np.sqrt(np.diag(g).real)
     # Gram matrices of the normalized interpolants phi_i = s_i pp_i
     b_gram = scales[:, None] * g * scales
+    b_gram = (b_gram + b_gram.conj().T) / 2.0  # exactly Hermitian: kept as is
     a_form = scales[:, None] * trial.gram[k:, k:] * scales - model.alpha * b_gram
     b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)

@@ -155,6 +155,8 @@ class SpectralDecomposition:
         self.eigenvalues.setflags(write=False)
         self.vectors.setflags(write=False)
         lam, v = self.eigenvalues, self.vectors
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues have non-finite entries (nan or inf)")
         if lam.ndim != 1 or v.shape != (lam.size, lam.size):
             raise ValueError("eigenvalues/vectors shapes are inconsistent")
         if np.any(np.diff(lam) < 0):
@@ -259,10 +261,10 @@ def eig_herm(a) -> SpectralDecomposition:
 def require_positive(dec: SpectralDecomposition, name: str, definite: bool) -> None:
     """Reject a spectrum that is not positive semidefinite (``definite``
     false: min eigenvalue below ``-1e-12 * max``) or not positive definite
-    (``definite`` true: min eigenvalue at or below ``1e-12 * max``)."""
+    (``definite`` true: min eigenvalue at or below ``1e-12 * max``); a NaN fails."""
     lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
     cutoff = ZERO_TOL * max(hi, 1e-300)
-    if (lo <= cutoff) if definite else (lo < -cutoff):
+    if not ((lo > cutoff) if definite else (lo >= -cutoff)):
         kind = "definite" if definite else "semidefinite"
         raise ValueError(f"{name} must be positive {kind}: "
                          f"min eigenvalue {lo:.6e} vs max {hi:.6e}")
@@ -291,7 +293,8 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
     if not np.all(np.isfinite(mapped)):
         bad = lam[~np.isfinite(mapped)]
         raise ValueError(f"spectral function is not finite on eigenvalue(s) {bad}")
-    return HermitianMatrix((dec.vectors * mapped) @ dec.vectors.conj().T)
+    out = (dec.vectors * mapped) @ dec.vectors.conj().T
+    return HermitianMatrix((out + out.conj().T) / 2.0)  # exactly Hermitian: kept as is
 
 
 def coupling_kernel(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -315,10 +318,15 @@ def two_sided_fn(dec_l: SpectralDecomposition, dec_r: SpectralDecomposition,
 
 
 def op_norm(a) -> float:
+    """The 2-norm ``peak * sqrt(max eig(Y* Y))``, ``Y = A / max|a_ij|``, the Gram on
+    the smaller side: by Weyl off by about ``eps n`` relative, no square overflows,
+    and one that underflows is below eps of the norm."""
     mat = _tidy_field(_as_array(a))
-    if mat.size == 0:
+    peak = float(np.max(np.abs(mat), initial=0.0))
+    if peak == 0.0:
         return 0.0
-    return float(np.linalg.norm(mat, 2))
+    y = mat / peak if mat.shape[0] >= mat.shape[1] else mat.conj().T / peak
+    return peak * float(np.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1]))
 
 
 def hs_norm(a) -> float:

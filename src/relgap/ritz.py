@@ -17,7 +17,6 @@ from .matcore import (
     HermitianMatrix,
     Projection,
     eig_herm,
-    fractional_power,
     hs_norm,
     op_norm,
     require_positive,
@@ -30,40 +29,41 @@ ETA_CROSS_CHECK_TOL = 1e-7
 def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarray]:
     """The invariance-defect values by both routes, each ascending.
 
-    With ``H11 = W* H W`` on the trial basis W, the ``eta^2`` are the
-    eigenvalues of ``H11^{-1/2} H12 H22^{-1} H21 H11^{-1/2}``, the squared
+    With ``H11 = W* H W = V11 diag(lam11) V11*`` on the trial basis W and the
+    congruence factor ``G = V11 diag(lam11^{-1/2})`` (``G G* = H11^{-1}``),
+    the ``eta^2`` are the eigenvalues of ``G* H12 H22^{-1} H21 G``, the squared
     singular values of ``delta P`` for ``delta = H_P^{-1/2} (H - H_P) H_P^{-1/2}``.
     For the residual ``R = H W - W H11``, ``Z = H^{-1} R`` and ``Y = H^{-1} W``,
     ``X = Z - Y (W* Y)^{-1} W* Z`` gives ``R* X = H12 H22^{-1} H21`` without
     cancellation (``H11 - (W* H^{-1} W)^{-1}`` would lose ``eps cond / eta``
-    absolute accuracy in eta).  The two routes differ in how they apply
+    absolute accuracy in eta).  The two routes differ only in how they apply
     ``H^{-1}``: the eigenbasis route through H's cached eigendecomposition,
     the LU route through ``HermitianMatrix.solve``, which never reads the
     eigenbasis (on an exactly diagonal H, a row scaling by the LU's pivots).
+    The rest runs once, on the stack of both ``H^{-1} [R W]``.
     """
     dec = eig_herm(h)
     require_positive(dec, "H", definite=True)
     if p.rank == 0:
         empty = np.zeros(0)
         return empty, empty
-    w = p.basis
+    w, wt = p.basis, p.basis.conj().T
     hw = h.apply(w)
-    h11 = w.conj().T @ hw
+    h11 = wt @ hw
     h11 = (h11 + h11.conj().T) / 2.0
-    h11_ihalf = fractional_power(eig_herm(h11), -0.5).mat
+    # no check of its own: H is definite, so by Cauchy interlacing lam11 >= lam_min(H)
+    # > 0; a NaN lam11 makes both routes' etas NaN, which fails the cross-check
+    lam11, v11 = np.linalg.eigh(h11)
+    g = v11 / np.sqrt(lam11)
     r = hw - w @ h11
     rw = np.hstack([r, w])
-
-    def defect_values(h_inv_rw: np.ndarray) -> np.ndarray:
-        z, y = np.hsplit(h_inv_rw, 2)
-        cross = r.conj().T @ (z - y @ np.linalg.solve(w.conj().T @ y, w.conj().T @ z))
-        nu = np.linalg.eigvalsh(h11_ihalf @ (cross + cross.conj().T) @ h11_ihalf / 2.0)
-        return np.sqrt(np.maximum(nu, 0.0))
-
-    # V diag(1 / lam) V* [R W]
-    eta_eig = defect_values(dec.from_eigenbasis(
-        dec.to_eigenbasis(rw) * (1.0 / dec.eigenvalues)[:, None]))
-    eta_lu = defect_values(h.solve(rw))
+    # V diag(1 / lam) V* [R W] stacked over the LU route's H^{-1} [R W]
+    eig_inv = dec.from_eigenbasis(dec.to_eigenbasis(rw) * (1.0 / dec.eigenvalues)[:, None])
+    h_inv_rw = np.stack([eig_inv, h.solve(rw)])
+    z, y = h_inv_rw[..., :p.rank], h_inv_rw[..., p.rank:]
+    cross = r.conj().T @ (z - y @ np.linalg.solve(wt @ y, wt @ z))
+    nu = np.linalg.eigvalsh(g.conj().T @ (cross + cross.mT.conj()) @ g / 2.0)
+    eta_eig, eta_lu = np.sqrt(np.maximum(nu, 0.0))
     return eta_eig, eta_lu
 
 
@@ -188,9 +188,11 @@ def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,
     """
     if norm not in ("op", "hs"):
         raise ValueError(f"norm must be 'op' or 'hs', got {norm!r}")
-    if not np.isfinite(next_ev):
-        raise ValueError(f"next_ev must be finite, got {next_ev}")
     gram = np.atleast_2d(np.asarray(gram))
+    for name, value in (("gram", gram), ("ritz_min", ritz_min), ("ritz_max", ritz_max),
+                        ("next_ev", next_ev)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     s = np.linalg.eigvalsh(gram)[::-1]
     if norm == "hs":
         denom = next_ev - ritz_max

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from relgap import matcore
+from relgap import matcore, sqroot
 from relgap.forms import FormPair, eta_exact, s_operator
 from relgap.matcore import (
     HermitianMatrix,
@@ -524,7 +524,7 @@ def _counted(counts, call, names=("eigh", "eigvalsh", "svd", "norm")) -> int:
     return sum(name in names for name in counts)
 
 
-def test_decompositions_per_public_call(large_decompositions):
+def test_decompositions_per_public_call(large_decompositions, monkeypatch):
     counts = large_decompositions
     rng = make_rng(45)
 
@@ -576,5 +576,38 @@ def test_decompositions_per_public_call(large_decompositions):
     # the HS gaps are read from the cached eigenvalues: no complement basis and
     # no compression spectrum
     assert _counted(counts, hs_bounds, ("svd", "eigvalsh")) == 0
-    # T and X come from the formed S: no difference-pencil eigvalsh in sqrt_pair
-    assert _counted(counts, lambda: sqrt_pair(*_pair(rng)), ("eigvalsh",)) == 0
+    # T and X come from the formed S: the only eigvalsh in sqrt_pair are the
+    # Gram 2-norms of T and X, no difference-pencil one
+    norms = []
+    monkeypatch.setattr(sqroot, "op_norm", lambda a: norms.append(a) or matcore.op_norm(a))
+    assert _counted(counts, lambda: sqrt_pair(*_pair(rng)), ("eigvalsh",)) == len(norms) == 2
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_eta_routes_is_one_small_eigh(complex_field, monkeypatch):
+    # H11^{-1/2} enters as the congruence factor of one k-by-k eigh: no
+    # HermitianMatrix, SpectralDecomposition or fractional power on the way
+    rng = make_rng(47)
+    h = hermitian_from_spectrum(rng, rng.uniform(0.5, 10.0, N), complex_field=complex_field)
+    p = random_projection(rng, N, RANK, complex_field)
+    ref = eta_routes(h, p)  # decomposes H, once
+    eighs, built = [], []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+    for cls in (HermitianMatrix, SpectralDecomposition):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(SpectralDecomposition, "_permutation", lambda *a: built.append(a))
+    monkeypatch.setattr(matcore, "fractional_power", lambda *a: built.append(a))
+    got = eta_routes(h, p)
+    assert eighs == [(RANK, RANK)] and built == []
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("power", [-1.0, -0.5, 0.25, 0.5, 1.0])
+def test_fractional_power_is_exactly_hermitian(complex_field, power):
+    rng = make_rng(48)
+    h = hermitian_from_spectrum(rng, rng.uniform(0.5, 10.0, 12), complex_field=complex_field)
+    out = matcore.fractional_power(eig_herm(h), power)
+    assert np.array_equal(out.mat, out.mat.conj().T)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
+    SpectralDecomposition,
     _tidy_field,
     eig_herm,
     fractional_power,
@@ -184,6 +185,12 @@ class TestSpectralCalculus:
         out = fractional_power(eig_herm(np.diag([-3.0, 1.0])), 2.0)
         np.testing.assert_array_equal(out.mat, np.diag([9.0, 1.0]))
 
+    @pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, np.inf]])
+    def test_nonfinite_eigenvalues_rejected(self, lam):
+        # a NaN or inf threshold would map the whole spectrum to zero
+        with pytest.raises(ValueError, match="non-finite"):
+            fractional_power(SpectralDecomposition(lam, np.eye(2)), 0.5)
+
     def test_nonfinite_rejected(self):
         # 1e-300 survives the 1e-12 relative cutoff, and its -2 power overflows
         dec = eig_herm(np.diag([1e-300, 1e-290]))
@@ -213,6 +220,28 @@ class TestNorms:
         for _ in range(20):
             a = rng.standard_normal((5, 7))
             assert op_norm(a) <= hs_norm(a) + 1e-12
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("shape", [(40, 40), (60, 4), (4, 60), (1, 1), (9, 1), (1, 9)])
+    @pytest.mark.parametrize("kind", ["random", "graded", "rank-deficient", "zero"])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_op_norm_matches_svd(self, complex_field, shape, kind, scale):
+        # the scaled Gram's top eigenvalue against numpy's SVD 2-norm
+        rng = make_rng(71)
+        k = min(shape)
+        u, v = (np.linalg.qr(rng.standard_normal((d, k))
+                             + complex_field * 1j * rng.standard_normal((d, k)))[0] for d in shape)
+        s = {"random": rng.uniform(0.1, 3.0, k), "graded": np.logspace(0.0, -12.0, k),
+             "rank-deficient": np.r_[rng.uniform(0.1, 3.0, (k + 1) // 2), np.zeros(k // 2)],
+             "zero": np.zeros(k)}[kind]
+        a = ((u * s) @ v.conj().T) * scale
+        got = op_norm(a)
+        assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-14, abs=0.0)
+        assert (got == 0.0) == (kind == "zero")
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_op_norm_of_empty_is_zero(self, shape):
+        assert op_norm(np.zeros(shape)) == 0.0
 
 
 class TestSpectralProjector:

@@ -335,6 +335,18 @@ class TestRitzBounds:
         with pytest.raises(ValueError, match="next_ev must be finite"):
             dk_bound_from_gram(np.eye(1), 1.0, 2.0, next_ev)
 
+    @pytest.mark.parametrize("norm", ["op", "hs"])
+    @pytest.mark.parametrize("gram, ritz_min, ritz_max, name", [
+        ([[np.nan]], 1.0, 1.5, "gram"),
+        ([[np.inf]], 1.0, 1.5, "gram"),
+        ([[1e-4]], np.nan, 1.5, "ritz_min"),
+        ([[1e-4]], 1.0, np.nan, "ritz_max"),
+        ([[1e-4]], 1.0, np.inf, "ritz_max"),
+    ])
+    def test_nonfinite_gram_input_rejected(self, gram, ritz_min, ritz_max, name, norm):
+        with pytest.raises(ValueError, match=name):
+            dk_bound_from_gram(np.array(gram), ritz_min, ritz_max, 2.0, norm=norm)
+
     def test_bad_norm_rejected(self, rng):
         h = random_pd(rng, 3)
         with pytest.raises(ValueError, match="norm"):
