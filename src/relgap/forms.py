@@ -77,10 +77,9 @@ class FormPair:
 
 @dataclass(frozen=True)
 class ClosenessReport:
-    """Exact eta, the two-sided epsilon when available, and the S operator."""
+    """Exact eta and the two-sided epsilon when available."""
 
     eta: float
-    s_matrix: np.ndarray
     epsilon: float | None
     eta_from_eps: float | None
 
@@ -108,17 +107,14 @@ def _pencil(fp: FormPair) -> np.ndarray:
     return x
 
 
-def _eta(x: np.ndarray) -> float:
-    """``||S|| = max |x| / sqrt(1 + x)`` over the pencil eigenvalues x (0 if none)."""
-    return float(np.max(np.abs(x) / np.sqrt(1.0 + x), initial=0.0))
-
-
 def eta_exact(fp: FormPair) -> ClosenessReport:
-    """Exact smallest eta for the pair, together with the S operator and,
-    when M has positive rank, ``eps = max |x|`` over the pencil eigenvalues x
-    and, for eps < 1, the eta it implies, ``eps / sqrt(1 - eps)``."""
+    """Exact smallest eta for the pair, ``||S|| = max |x| / sqrt(1 + x)`` over
+    the pencil eigenvalues x (0 if none), and, when M has positive rank,
+    ``eps = max |x|`` and, for eps < 1, the eta it implies,
+    ``eps / sqrt(1 - eps)``.  S is not formed; :func:`s_operator` forms it."""
     x = _pencil(fp)
     eps = float(np.max(np.abs(x))) if x.size else None
     eta_eps = eps / np.sqrt(1.0 - eps) if eps is not None and eps < 1.0 else None
-    return ClosenessReport(eta=_eta(x), s_matrix=s_operator(fp), epsilon=eps, eta_from_eps=eta_eps)
+    eta = float(np.max(np.abs(x) / np.sqrt(1.0 + x), initial=0.0))
+    return ClosenessReport(eta=eta, epsilon=eps, eta_from_eps=eta_eps)
 

@@ -283,9 +283,12 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
     """``V diag(lam ** p) V*`` by spectral calculus, with the pseudo-inverse
     convention for negative exponents (zero maps to zero).
 
-    Raises unless the spectrum passes :func:`require_positive` as semidefinite
-    (negative or non-integer ``p`` only) and every mapped eigenvalue is finite.
+    Raises unless ``p`` is finite, the spectrum passes :func:`require_positive`
+    as semidefinite (negative or non-integer ``p`` only) and every mapped
+    eigenvalue is finite.
     """
+    if not np.isfinite(p):
+        raise ValueError(f"the power p must be finite, got {p}")
     lam = dec.eigenvalues
     if p != round(p) or p < 0:
         require_positive(dec, f"matrix raised to power {p}", definite=False)

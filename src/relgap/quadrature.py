@@ -75,7 +75,10 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
     Returns ``(integral, error_estimate)``.  Raises :class:`ConvergenceError`
     with the achieved residual if ``MAX_PANELS`` panels do not reach ``tol``,
-    and on a panel whose estimate is not finite.
+    and on a panel whose estimate is not finite.  It also raises as soon as the
+    worst panel's error estimate is down to the rounding unit of that panel's
+    largest entry: bisection then only reshuffles rounding, so a ``tol`` still
+    unmet is out of reach in double precision.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -91,7 +94,12 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
                 f"quadrature did not reach tol={tol:.3e} within {MAX_PANELS} panels; "
                 f"achieved residual {total_err:.3e}"
             )
-        neg_err, _, pa, pb, _pval = heapq.heappop(heap)
+        neg_err, _, pa, pb, pval = heapq.heappop(heap)
+        if -neg_err <= np.finfo(float).eps * float(np.max(np.abs(pval), initial=0.0)):
+            raise ConvergenceError(
+                f"quadrature did not reach tol={tol:.3e}: the worst of {n_panels} panels is "
+                f"resolved to rounding; achieved residual {total_err:.3e}"
+            )
         pm = 0.5 * (pa + pb)
         left, err_l = _panel(f, pa, pm)
         right, err_r = _panel(f, pm, pb)

@@ -9,7 +9,7 @@ residual-based competitor bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .sylvester import _dichotomy_coefficient
 ETA_CROSS_CHECK_TOL = 1e-7
 
 
-def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarray]:
-    """The invariance-defect values by both routes, each ascending.
+def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The invariance-defect values by both routes, each ascending, and the
+    ascending eigenvalues ``lam11`` of ``H11``, the Ritz values.
 
     With ``H11 = W* H W = V11 diag(lam11) V11*`` on the trial basis W and the
     congruence factor ``G = V11 diag(lam11^{-1/2})`` (``G G* = H11^{-1}``),
@@ -46,7 +47,7 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     require_positive(dec, "H", definite=True)
     if p.rank == 0:
         empty = np.zeros(0)
-        return empty, empty
+        return empty, empty, empty
     w, wt = p.basis, p.basis.conj().T
     hw = h.apply(w)
     h11 = wt @ hw
@@ -64,18 +65,20 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     cross = r.conj().T @ (z - y @ np.linalg.solve(wt @ y, wt @ z))
     nu = np.linalg.eigvalsh(g.conj().T @ (cross + cross.mT.conj()) @ g / 2.0)
     eta_eig, eta_lu = np.sqrt(np.maximum(nu, 0.0))
-    return eta_eig, eta_lu
+    return eta_eig, eta_lu, lam11
 
 
-def _cross_checked_etas(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, float, float]:
+def _cross_checked_etas(h: HermitianMatrix,
+                        p: Projection) -> tuple[np.ndarray, float, float, np.ndarray]:
     """The eigenbasis route's etas, their largest disagreement with the LU
-    route, and the tolerance that disagreement was checked against.
+    route, the tolerance that disagreement was checked against, and the Ritz
+    values.
 
     The LU route's forward error grows with the conditioning of H; the
     consistency threshold scales accordingly.  A NaN disagreement fails the
     check.
     """
-    eta_eig, eta_lu = eta_routes(h, p)
+    eta_eig, eta_lu, ritz_vals = eta_routes(h, p)
     lam = eig_herm(h).eigenvalues
     cond = lam[-1] / lam[0]
     tol = max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * cond)
@@ -85,7 +88,7 @@ def _cross_checked_etas(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, 
             "internal consistency failure: the eigenbasis and LU routes "
             f"disagree by {gap:.3e} (> {tol:.3e}); this indicates an implementation bug"
         )
-    return eta_eig, gap, float(tol)
+    return eta_eig, gap, float(tol), ritz_vals
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,6 @@ class RitzEstimate:
     hypothesis_ok: bool
     true_op: float
     true_hs: float
-    dk_bound: float | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -115,9 +117,6 @@ class RitzEstimate:
     @property
     def true_value(self) -> float:
         return self.true_hs if self.norm == "hs" else self.true_op
-
-    def with_dk(self, dk: float | None) -> "RitzEstimate":
-        return replace(self, dk_bound=dk)
 
 
 def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
@@ -137,10 +136,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         raise ValueError("trial space must have rank >= 1")
     if not np.isfinite(next_ev):
         raise ValueError(f"next_ev must be finite, got {next_ev}")
-    etas, eta_gap, eta_tol = _cross_checked_etas(h, p)
+    etas, eta_gap, eta_tol, ritz_vals = _cross_checked_etas(h, p)
     k = p.rank
-    # (H W)* W rounds as (W* H) W, the product order the tables were pinned with
-    ritz_vals = np.linalg.eigvalsh(h.apply(p.basis).conj().T @ p.basis)
     ritz_min, ritz_max = float(ritz_vals[0]), float(ritz_vals[-1])
     eta_k = float(etas[-1])
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, _eta, _pencil, s_operator
+from .forms import FormPair, eta_exact, s_operator
 from .matcore import (
     HermitianMatrix,
     Projection,
@@ -103,7 +103,7 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
     if not 0.0 < d1 < d2 < np.inf:
         raise ValueError(f"need 0 < d1 < d2 < inf, got d1={d1}, d2={d2}")
     dec_h, dec_m = eig_herm(h), eig_herm(m)
-    eta = _eta(_pencil(FormPair(h, m)))
+    eta = eta_exact(FormPair(h, m)).eta
     notes: list[str] = []
     double = l1 is not None or l2 is not None
     if double and (l1 is None or l2 is None):

@@ -38,6 +38,9 @@ def relative_gap(spectrum_a, spectrum_m) -> float:
     sm = np.asarray(spectrum_m, dtype=np.float64).ravel()
     if sa.size == 0 or sm.size == 0:
         raise ValueError("relative_gap needs two nonempty spectra")
+    both = np.concatenate([sa, sm])
+    if not np.all(np.isfinite(both)):
+        raise ValueError(f"relative_gap needs finite spectra, got {both[~np.isfinite(both)]}")
     if np.any(sa <= 0) or np.any(sm <= 0):
         raise ValueError("relative_gap is defined for positive spectra only")
     return float(_relative_distances(sa, sm).min())
@@ -169,52 +172,48 @@ class SylvesterBounds:
     notes: tuple[str, ...] = ()
 
 
-def sylvester_bounds(p: WeakSylvesterProblem, mode: str,
-                     d_minus: float | None = None, d_plus: float | None = None) -> SylvesterBounds:
-    """Evaluate one of the a-priori bounds, verifying its hypothesis from the
-    actual spectra.
+def sylvester_bounds(p: WeakSylvesterProblem, d_minus: float | None = None,
+                     d_plus: float | None = None) -> SylvesterBounds:
+    """Every a-priori bound whose hypothesis can be checked, each verified
+    from the actual spectra:
 
-    mode 'dichotomy':     ||T||    <= sqrt(D ||M||)/(D - ||M||) * ||F||,  D = 1/||A^{-1}||
-    mode 'two_interval':  ||T||    <= (low-gap + high-gap coefficient) * ||F||
-                          for sigma(A) split around sigma(M) at (d_minus, d_plus)
-    mode 'hs':            |||T|||_HS <= |||F|||_HS / gap(sigma(A), sigma(M))
+    dichotomy:     ||T||    <= sqrt(D ||M||)/(D - ||M||) * ||F||,  D = 1/||A^{-1}||
+    two-interval:  ||T||    <= (low-gap + high-gap coefficient) * ||F||
+                   for sigma(A) split around sigma(M) at (d_minus, d_plus),
+                   evaluated only when both are given
+    HS:            |||T|||_HS <= |||F|||_HS / gap(sigma(A), sigma(M))
     """
+    if (d_minus is None) != (d_plus is None):
+        raise ValueError("the two-interval bound needs both d_minus and d_plus")
     lam = p.dec_a.eigenvalues
-    mu = p.dec_m.eigenvalues
     m_norm, big_d = p.dichotomy_interval
-    gap = p.gap
     notes: list[str] = []
+    coefs: dict[str, float] = {}
 
-    if mode == "dichotomy":
-        if m_norm < big_d:
-            return SylvesterBounds(
-                gap=gap, dichotomy_bound=_dichotomy_coefficient(m_norm, big_d) * op_norm(p.f))
-        return SylvesterBounds(
-            gap=gap, notes=(f"dichotomy fails: ||M||={m_norm:.6e} >= 1/||A^-1||={big_d:.6e}",))
+    if m_norm < big_d:
+        coefs["dichotomy_bound"] = _dichotomy_coefficient(m_norm, big_d)
+    else:
+        notes.append(f"dichotomy fails: ||M||={m_norm:.6e} >= 1/||A^-1||={big_d:.6e}")
 
-    if mode == "two_interval":
-        if d_minus is None or d_plus is None:
-            raise ValueError("two_interval mode needs d_minus and d_plus")
-        m_min = float(mu.min())
+    if d_minus is not None:
+        failed: list[str] = []
+        m_min = float(p.dec_m.eigenvalues.min())
         if not (0.0 < d_minus < d_plus):
-            notes.append("need 0 < d_minus < d_plus")
+            failed.append("need 0 < d_minus < d_plus")
         if np.any((lam > d_minus) & (lam < d_plus)):
-            notes.append("sigma(A) intersects (d_minus, d_plus)")
+            failed.append("sigma(A) intersects (d_minus, d_plus)")
         if not d_minus < m_min:
-            notes.append(f"d_minus={d_minus} not below min sigma(M)={m_min:.6e}")
+            failed.append(f"d_minus={d_minus} not below min sigma(M)={m_min:.6e}")
         if not m_norm < d_plus:
-            notes.append(f"||M||={m_norm:.6e} not below d_plus={d_plus}")
-        ok = not notes  # every note so far is a failed hypothesis
+            failed.append(f"||M||={m_norm:.6e} not below d_plus={d_plus}")
+        notes += failed
         if np.all(lam >= d_plus) or np.all(lam <= d_minus):
             # degenerates to one-sided dichotomy; the formula still applies
             notes.append("sigma(A) lies on one side only")
-        if not ok:
-            return SylvesterBounds(gap=gap, notes=tuple(notes))
-        coef = _dichotomy_coefficient(d_minus, m_min) + _dichotomy_coefficient(m_norm, d_plus)
-        return SylvesterBounds(gap=gap, two_interval_bound=coef * op_norm(p.f),
-                               notes=tuple(notes))
+        if not failed:
+            coefs["two_interval_bound"] = (_dichotomy_coefficient(d_minus, m_min)
+                                           + _dichotomy_coefficient(m_norm, d_plus))
 
-    if mode == "hs":
-        return SylvesterBounds(gap=gap, hs_bound=hs_norm(p.f) / gap)
-
-    raise ValueError(f"unknown bound mode {mode!r}")
+    f_op = op_norm(p.f) if coefs else 0.0
+    return SylvesterBounds(gap=p.gap, hs_bound=hs_norm(p.f) / p.gap, notes=tuple(notes),
+                           **{name: coef * f_op for name, coef in coefs.items()})

@@ -91,7 +91,7 @@ def test_criterion_1_sharpness():
     f = ua[:, :1] @ um[:, :1].conj().T
     prob = WeakSylvesterProblem(a, m, f)
     t = solve_weak_spectral(prob)
-    bound = sylvester_bounds(prob, "dichotomy").dichotomy_bound
+    bound = sylvester_bounds(prob).dichotomy_bound
     expected = np.sqrt(big_d * m_norm) / (big_d - m_norm) * op_norm(f)
     assert abs(op_norm(t) - expected) <= 1e-12
     assert abs(bound - expected) <= 1e-12
@@ -133,7 +133,7 @@ def test_criterion_3_bound_validity_suites():
         rng = make_rng(50_000 + trial)
         prob = _random_dichotomous(rng, complex_field=bool(trial % 2))
         t = solve_weak_spectral(prob)
-        assert op_norm(t) <= sylvester_bounds(prob, "dichotomy").dichotomy_bound + slack
+        assert op_norm(t) <= sylvester_bounds(prob).dichotomy_bound + slack
 
     # two-interval bound, 200 instances
     for trial in range(200):
@@ -147,7 +147,7 @@ def test_criterion_3_bound_validity_suites():
         m = hermitian_from_spectrum(rng, m_eigs, bool(trial % 2))
         f = rng.standard_normal((a_eigs.size, m_eigs.size))
         prob = WeakSylvesterProblem(a, m, f)
-        b = sylvester_bounds(prob, "two_interval", d_minus=0.5, d_plus=1.8)
+        b = sylvester_bounds(prob, d_minus=0.5, d_plus=1.8)
         assert b.two_interval_bound is not None
         assert op_norm(solve_weak_spectral(prob)) <= b.two_interval_bound + slack
 
@@ -169,7 +169,7 @@ def test_criterion_3_bound_validity_suites():
         except ValueError:
             continue  # resonant draw
         done += 1
-        b = sylvester_bounds(prob, "hs")
+        b = sylvester_bounds(prob)
         assert hs_norm(solve_weak_spectral(prob)) <= b.hs_bound + slack
 
     # sin-theta bound and HS subspace bounds, 100 instances split at [1.0, 3.0]
@@ -212,7 +212,7 @@ def test_criterion_4_eta_route_cross_check():
         k = int(rng.integers(1, min(n // 2, 4) + 1))
         h = random_pd(rng, n, complex_field=bool(trial % 2))
         p = random_projection(rng, n, k, complex_field=bool(trial % 2))
-        a, b = eta_routes(h, p)
+        a, b, _ = eta_routes(h, p)
         worst = max(worst, float(np.max(np.abs(a - b))))
         assert np.max(np.abs(a - b)) <= 1e-9
     _report(4, f"defect-spectrum routes agree on 100 instances (worst {worst:.1e})")

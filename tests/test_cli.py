@@ -48,9 +48,24 @@ def test_sylvester_solve_spectral(matrix_files, tmp_path, capsys):
     report = _report(capsys.readouterr().out)
     assert report["method"] == "spectral"
     assert report["residual"] <= 1e-9
-    assert report["dichotomy"]["dichotomy_bound"] >= report["norm_t_op"]
+    assert report["bounds"]["dichotomy_bound"] >= report["norm_t_op"]
     t = load_matrix(out)
     assert t.shape == (3, 2)
+
+
+def test_sylvester_solve_one_bounds_call(matrix_files, tmp_path, monkeypatch, capsys):
+    import relgap.cli
+
+    calls = []
+    bounds = relgap.cli.sylvester_bounds
+    monkeypatch.setattr(relgap.cli, "sylvester_bounds", lambda *a: calls.append(a) or bounds(*a))
+    assert main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+                 "--f", matrix_files["f"], "--out", str(tmp_path / "t.mtx")]) == 0
+    report = _report(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert list(report) == ["method", "residual", "bounds", "norm_t_op", "norm_t_hs"]
+    assert report["bounds"]["hs_bound"] >= report["norm_t_hs"]
+    assert report["bounds"]["two_interval_bound"] is None
 
 
 def test_sylvester_solve_quadrature_matches(matrix_files, tmp_path, capsys):
@@ -234,7 +249,8 @@ def test_ritz_estimate_nan_cross_check_exit_code(tmp_path, monkeypatch, capsys):
     save_matrix(hp, hermitian_from_spectrum(rng, [1.0, 2.0, 5.0, 6.0]).mat)
     save_matrix(bp, np.linalg.qr(rng.standard_normal((4, 2)))[0])
     monkeypatch.setattr(relgap.ritz, "eta_routes",
-                        lambda h, p: (np.array([np.nan, 0.2]), np.array([0.1, 0.2])))
+                        lambda h, p: (np.array([np.nan, 0.2]), np.array([0.1, 0.2]),
+                                      np.array([1.0, 2.0])))
     assert main(["ritz", "estimate", "--h", str(hp), "--basis", str(bp),
                  "--next-ev", "5.0"]) == 3
     assert "disagree by nan" in capsys.readouterr().err

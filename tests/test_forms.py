@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relgap import forms
 from relgap.forms import FormPair, _pencil, eta_exact, s_operator
 from relgap.matcore import HermitianMatrix, eig_herm, hs_norm, op_norm
 from relgap.sqroot import sqrt_pair
@@ -28,14 +29,26 @@ def _comparable_pair(rng, n, max_eps=0.8, complex_field=False):
 class TestEtaExact:
     def test_equal_pair_is_zero(self, rng):
         m = random_pd(rng, 5, complex_field=True)
-        rep = eta_exact(_pair(m.mat, m.mat))
-        assert rep.eta <= 1e-12
-        np.testing.assert_allclose(rep.s_matrix, 0.0, atol=1e-12)
+        fp = _pair(m.mat, m.mat)
+        assert eta_exact(fp).eta <= 1e-12
+        np.testing.assert_allclose(s_operator(fp), 0.0, atol=1e-12)
 
     def test_scalar_channels(self):
-        rep = eta_exact(_pair(np.array([[4.0]]), np.array([[1.0]])))
-        assert rep.eta == pytest.approx(1.5)
-        np.testing.assert_allclose(rep.s_matrix, [[1.5]])
+        fp = _pair(np.array([[4.0]]), np.array([[1.0]]))
+        assert eta_exact(fp).eta == pytest.approx(1.5)
+        np.testing.assert_allclose(s_operator(fp), [[1.5]])
+
+    def test_s_never_formed(self, rng, monkeypatch):
+        # eta and eps come from the difference pencil alone
+        fp = _pair(random_pd(rng, 5).mat, random_pd(rng, 5).mat)
+        ref = eta_exact(fp)
+
+        def forbidden(*args):
+            raise AssertionError("eta_exact formed S")
+
+        monkeypatch.setattr(forms, "s_operator", forbidden)
+        monkeypatch.setattr(forms, "two_sided_fn", forbidden)
+        assert eta_exact(fp) == ref
 
     def test_two_diagonal_channels(self):
         rep = eta_exact(_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0])))
@@ -309,7 +322,7 @@ class TestClosedFormPencil:
                                        for c, q in CLOSED_FORM_CASES if 2.0 ** c <= 1e6]
         for seed, log2_cond, q, rtol in cases:
             fp, x = _closed_form_pair(seed, log2_cond, q, complex_field)
-            s = eta_exact(fp).s_matrix
+            s = s_operator(fp)
             assert _rel(op_norm(s), np.max(np.abs(x) / np.sqrt(1.0 + x))) <= rtol
             assert _rel(hs_norm(s), np.sqrt(np.sum(x ** 2 / (1.0 + x)))) <= rtol
 

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from relgap import matcore, sqroot
+from relgap import matcore, ritz, sqroot
 from relgap.forms import FormPair, eta_exact, s_operator
 from relgap.matcore import (
     HermitianMatrix,
@@ -404,10 +404,10 @@ def test_eta_routes_on_diagonal(complex_field, monkeypatch):
     n, k = 30, 3
     lam = rng.uniform(0.5, 20.0, n)
     p = random_projection(rng, n, k, complex_field)
-    eta_eig, eta_lu = eta_routes(HermitianMatrix(np.diag(lam)), p)
+    eta_eig, eta_lu, _ = eta_routes(HermitianMatrix(np.diag(lam)), p)
     # a rotated copy of the same spectrum and trial space has the same etas
     q = random_unitary(rng, n, complex_field=False)
-    rotated = eta_routes(HermitianMatrix((q * lam) @ q.T), Projection(q @ p.basis))
+    rotated = eta_routes(HermitianMatrix((q * lam) @ q.T), Projection(q @ p.basis))[:2]
     for got in (eta_eig, eta_lu):
         for ref in rotated:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(ref))
@@ -538,8 +538,7 @@ def test_decompositions_per_public_call(large_decompositions, monkeypatch):
         m = hermitian_from_spectrum(rng, rng.uniform(0.4, 2.0, N), complex_field=False)
         prob = WeakSylvesterProblem(a, m, rng.standard_normal((N, N)))
         weak_residual(prob, solve_weak_spectral(prob))
-        sylvester_bounds(prob, "dichotomy")
-        sylvester_bounds(prob, "hs")
+        sylvester_bounds(prob)
 
     # from_span's n-by-k SVD builds the Ritz input, so it runs outside the count
     ritz_h, ritz_p = _pair(rng)[0], random_projection(rng, N, RANK)
@@ -591,17 +590,29 @@ def test_eta_routes_is_one_small_eigh(complex_field, monkeypatch):
     h = hermitian_from_spectrum(rng, rng.uniform(0.5, 10.0, N), complex_field=complex_field)
     p = random_projection(rng, N, RANK, complex_field)
     ref = eta_routes(h, p)  # decomposes H, once
-    eighs, built = [], []
-    eigh = np.linalg.eigh
+    eighs, eigvalshs, built, norms = [], [], [], []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: eigvalshs.append(np.shape(a)) or eigvalsh(a))
     for cls in (HermitianMatrix, SpectralDecomposition):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     monkeypatch.setattr(SpectralDecomposition, "_permutation", lambda *a: built.append(a))
     monkeypatch.setattr(matcore, "fractional_power", lambda *a: built.append(a))
     got = eta_routes(h, p)
-    assert eighs == [(RANK, RANK)] and built == []
+    # the pencils of both routes, stacked
+    assert eighs == [(RANK, RANK)] and eigvalshs == [(2, RANK, RANK)] and built == []
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
+    # ritz_bounds takes its Ritz values from that eigh: its only other k-by-k
+    # eigvalsh is the Gram 2-norm of the true error
+    eighs.clear()
+    eigvalshs.clear()
+    monkeypatch.setattr(ritz, "op_norm", lambda a: norms.append(a) or matcore.op_norm(a))
+    est = ritz_bounds(h, p, next_ev=20.0)
+    assert eighs == [(RANK, RANK)] and built == [] and len(norms) == 1
+    assert eigvalshs == [(2, RANK, RANK), (RANK, RANK)]
+    assert (est.ritz_min, est.ritz_max) == (ref[2][0], ref[2][-1])
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

@@ -191,6 +191,12 @@ class TestSpectralCalculus:
         with pytest.raises(ValueError, match="non-finite"):
             fractional_power(SpectralDecomposition(lam, np.eye(2)), 0.5)
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_power_rejected(self, power):
+        # round(p) raised "cannot convert float NaN to integer" or OverflowError
+        with pytest.raises(ValueError, match=f"the power p must be finite, got {power}"):
+            fractional_power(eig_herm(np.diag([4.0, 9.0])), power)
+
     def test_nonfinite_rejected(self):
         # 1e-300 survives the 1e-12 relative cutoff, and its -2 power overflows
         dec = eig_herm(np.diag([1e-300, 1e-290]))

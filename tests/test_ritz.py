@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import relgap.ritz
-from relgap.forms import FormPair, eta_exact
+from relgap.forms import FormPair, s_operator
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
@@ -102,7 +102,7 @@ class TestEtaSpectrum:
             k = int(rng.integers(1, min(n // 2, 4) + 1))
             h = random_pd(rng, n, complex_field=bool(trial % 2))
             p = random_projection(rng, n, k, complex_field=bool(trial % 2))
-            a, b = eta_routes(h, p)
+            a, b, _ = eta_routes(h, p)
             assert np.max(np.abs(a - b)) <= 1e-9
 
     @pytest.mark.parametrize("space", ["random", "near-invariant"])
@@ -120,7 +120,7 @@ class TestEtaSpectrum:
                 p = random_projection(rng, n, k, complex_field=complex_field)
             else:
                 p = _tilted_eigenspace(rng, h, k, (0.0, 1e-8, 1e-6, 1e-4)[trial % 4])
-            a, b = eta_routes(h, p)
+            a, b, _ = eta_routes(h, p)
             assert np.max(np.abs(a - b)) <= 1e-9
 
     @pytest.mark.parametrize("tilt", [3e-3, 1e-3])
@@ -139,7 +139,7 @@ class TestEtaSpectrum:
             basis[trunc + mode, j] = 1.0
         w = np.linalg.qr(basis)[0]
         ref = _decimal_etas(lam, w)
-        for route in eta_routes(HermitianMatrix(np.diag(lam)), Projection(w)):
+        for route in eta_routes(HermitianMatrix(np.diag(lam)), Projection(w))[:2]:
             np.testing.assert_allclose(route, ref, rtol=1e-12, atol=0.0)
 
     def test_rank_zero_empty(self, rng):
@@ -178,7 +178,7 @@ class TestEtaSpectrum:
             eta_k = float(etas[-1])
             if eta_k >= 1.0:
                 continue
-            s = eta_exact(FormPair(h, hp)).s_matrix
+            s = s_operator(FormPair(h, hp))
             dec = eig_herm(hp)
             hp_ihalf = (dec.vectors / np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
             delta = hp_ihalf @ (h.mat - hp.mat) @ hp_ihalf
@@ -260,6 +260,17 @@ class TestRitzBounds:
         assert not est.hypothesis_ok
         assert est.bound_op == pytest.approx(np.sqrt(6.0) / 1.0 * 0.5 / np.sqrt(0.5))
 
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_ritz_values_are_the_h11_spectrum(self, rng, complex_field):
+        # the extreme Ritz values come from the defect pass's eigh of H11
+        h = random_pd(rng, 9, complex_field=complex_field)
+        p = random_projection(rng, 9, 3, complex_field=complex_field)
+        est = ritz_bounds(h, p, 50.0)
+        lam11 = eta_routes(h, p)[2]
+        assert (est.ritz_min, est.ritz_max) == (lam11[0], lam11[-1])
+        ref = np.linalg.eigvalsh(p.basis.conj().T @ h.mat @ p.basis)
+        np.testing.assert_allclose(lam11, ref, rtol=1e-13)
+
     def test_dominance_when_hypothesis_holds(self):
         checked = 0
         for trial in range(120):
@@ -286,7 +297,7 @@ class TestRitzBounds:
         h = random_pd(rng, 8, complex_field=True)
         p = random_projection(rng, 8, 3, complex_field=True)
         est = ritz_bounds(h, p, 20.0)
-        eta_eig, eta_lu = eta_routes(h, p)
+        eta_eig, eta_lu, _ = eta_routes(h, p)
         assert est.eta_disagreement == pytest.approx(np.max(np.abs(eta_eig - eta_lu)), abs=1e-15)
         assert ETA_CROSS_CHECK_TOL <= est.eta_tol
         assert est.eta_disagreement <= est.eta_tol
@@ -313,7 +324,8 @@ class TestRitzBounds:
         h = random_pd(rng, 6)
         p = random_projection(rng, 6, 2)
         monkeypatch.setattr(relgap.ritz, "eta_routes",
-                            lambda h, p: (np.array([0.1, np.nan]), np.array([0.1, 0.2])))
+                            lambda h, p: (np.array([0.1, np.nan]), np.array([0.1, 0.2]),
+                                          np.array([1.0, 2.0])))
         with pytest.raises(RuntimeError, match="disagree by nan"):
             ritz_bounds(h, p, 20.0)
 

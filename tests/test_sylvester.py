@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +65,16 @@ class TestRelativeGap:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             relative_gap([1.0, -2.0], [1.0])
+
+    @pytest.mark.parametrize("sa, sm, bad", [
+        ([np.nan], [1.0], "[nan]"),
+        ([np.inf], [1.0], "[inf]"),
+        ([1.0], [1e308, np.inf], "[inf]"),
+    ], ids=["nan", "inf", "inf-beside-huge"])
+    def test_nonfinite_rejected(self, sa, sm, bad):
+        # each read nan, with a RuntimeWarning
+        with pytest.raises(ValueError, match=re.escape(f"finite spectra, got {bad}")):
+            relative_gap(sa, sm)
 
     @given(a=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=6),
            b=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=6),
@@ -193,6 +205,23 @@ class TestQuadratureSolver:
         with pytest.raises(ConvergenceError, match="within 2 panels; achieved residual"):
             integrate_adaptive(lambda s: np.abs(s - 0.3)[:, None, None], 0.0, 1.0, tol=1e-14)
 
+    @pytest.mark.parametrize("integrand", [np.cos, lambda s: np.abs(s - 0.3)],
+                             ids=["smooth", "kink"])
+    def test_tol_below_rounding_fails_fast(self, integrand):
+        # no panel count resolves an integral of size 1 to 1e-300: the search
+        # stops once its worst panel is resolved to rounding, long before the
+        # MAX_PANELS budget
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return integrand(s)[:, None, None]
+
+        with pytest.raises(ConvergenceError,
+                           match="did not reach tol=1.000e-300: the worst of .* rounding"):
+            integrate_adaptive(f, 0.0, 1.0, tol=1e-300)
+        assert len(calls) < 200
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
     def test_bad_tol_rejected(self, tol):
         # an infinite tol accepted the first panel whatever its error
@@ -246,7 +275,7 @@ class TestQuadratureSolver:
 class TestBounds:
     def test_dichotomy_example(self):
         p = _problem([4.0, 5.0], [1.0], [[1.0], [0.0]])
-        b = sylvester_bounds(p, "dichotomy")
+        b = sylvester_bounds(p)
         assert b.dichotomy_bound == pytest.approx(2.0 / 3.0)
 
     def test_dichotomy_sharp(self, rng):
@@ -257,19 +286,19 @@ class TestBounds:
         f = ua[:, :1] @ um[:, :1].T
         p = WeakSylvesterProblem(a, m, f)
         t = solve_weak_spectral(p)
-        b = sylvester_bounds(p, "dichotomy")
+        b = sylvester_bounds(p)
         assert abs(op_norm(t) - b.dichotomy_bound) <= 1e-12
 
     def test_dichotomy_violated_flagged(self):
         p = _problem([1.0, 4.0], [2.0], [[1.0], [1.0]])  # sigma(M) inside sigma(A) hull
-        b = sylvester_bounds(p, "dichotomy")
+        b = sylvester_bounds(p)
         assert b.dichotomy_bound is None
         assert any("dichotomy fails" in note for note in b.notes)
         assert b.gap > 0
 
     def test_hs_example(self):
         p = _problem([2.0, 8.0], [3.0], [[1.0], [1.0]])
-        b = sylvester_bounds(p, "hs")
+        b = sylvester_bounds(p)
         assert b.gap == pytest.approx(1.0 / np.sqrt(6.0))
         assert b.hs_bound == pytest.approx(np.sqrt(2.0) * np.sqrt(6.0))
         t = solve_weak_spectral(p)
@@ -278,15 +307,15 @@ class TestBounds:
 
     def test_zero_rhs_bounds_vanish(self):
         p = _problem([4.0], [1.0], [[0.0]])
-        assert sylvester_bounds(p, "dichotomy").dichotomy_bound == 0.0
-        assert sylvester_bounds(p, "hs").hs_bound == 0.0
+        b = sylvester_bounds(p)
+        assert b.dichotomy_bound == b.hs_bound == 0.0
 
     def test_two_interval(self, rng):
         a = hermitian_from_spectrum(rng, [0.2, 0.4, 2.5, 3.5])
         m = hermitian_from_spectrum(rng, [0.9, 1.4])
         f = rng.standard_normal((4, 2))
         p = WeakSylvesterProblem(a, m, f)
-        b = sylvester_bounds(p, "two_interval", d_minus=0.5, d_plus=2.0)
+        b = sylvester_bounds(p, d_minus=0.5, d_plus=2.0)
         coef = (np.sqrt(0.9 * 0.5) / (0.9 - 0.5)) + (np.sqrt(2.0 * 1.4) / (2.0 - 1.4))
         assert b.two_interval_bound == pytest.approx(coef * op_norm(f))
         t = solve_weak_spectral(p)
@@ -296,7 +325,7 @@ class TestBounds:
         a = hermitian_from_spectrum(rng, [0.2, 1.0, 3.0])
         m = hermitian_from_spectrum(rng, [0.5, 0.6])
         p = WeakSylvesterProblem(a, m, np.ones((3, 2)))
-        b = sylvester_bounds(p, "two_interval", d_minus=0.4, d_plus=2.0)
+        b = sylvester_bounds(p, d_minus=0.4, d_plus=2.0)
         assert b.two_interval_bound is None
         assert b.notes
 
@@ -307,23 +336,36 @@ class TestBounds:
     ], ids=["order", "d_minus", "d_plus"])
     def test_two_interval_hypothesis_notes(self, d_minus, d_plus, note):
         p = _problem([0.2, 3.0], [0.9, 1.4], np.ones((2, 2)))
-        b = sylvester_bounds(p, "two_interval", d_minus=d_minus, d_plus=d_plus)
+        b = sylvester_bounds(p, d_minus=d_minus, d_plus=d_plus)
         assert b.two_interval_bound is None
         assert any(note in n for n in b.notes), b.notes
 
     def test_two_interval_one_sided_still_bounded(self):
         # sigma(A) above d_plus only: the formula still applies, with a note
         p = _problem([2.5, 3.5], [0.9, 1.4], np.ones((2, 2)))
-        b = sylvester_bounds(p, "two_interval", d_minus=0.5, d_plus=2.0)
+        b = sylvester_bounds(p, d_minus=0.5, d_plus=2.0)
         assert b.notes == ("sigma(A) lies on one side only",)
         assert b.two_interval_bound is not None
         assert op_norm(solve_weak_spectral(p)) <= b.two_interval_bound
 
-    def test_unknown_mode(self):
-        p = _problem([4.0], [1.0], [[1.0]])
-        for mode in ("frobenius", "symmetric"):
-            with pytest.raises(ValueError, match="unknown bound mode"):
-                sylvester_bounds(p, mode)
+    def test_one_call_holds_every_checkable_bound(self, monkeypatch):
+        p = _problem([2.5, 3.5], [0.9, 1.4], np.ones((2, 2)))
+        norms = []
+        monkeypatch.setattr(sylvester_module, "op_norm",
+                            lambda a: norms.append(a) or op_norm(a))
+        plain = sylvester_bounds(p)
+        assert plain.two_interval_bound is None and plain.notes == ()
+        assert None not in (plain.dichotomy_bound, plain.hs_bound)
+        split = sylvester_bounds(p, d_minus=0.5, d_plus=2.0)
+        assert None not in (split.dichotomy_bound, split.two_interval_bound, split.hs_bound)
+        assert (split.dichotomy_bound, split.hs_bound) == (plain.dichotomy_bound, plain.hs_bound)
+        assert len(norms) == 2  # ||F|| once per call, shared by both operator-norm bounds
+
+    @pytest.mark.parametrize("split", [{"d_minus": 0.5}, {"d_plus": 2.0}])
+    def test_two_interval_needs_both_ends(self, split):
+        p = _problem([2.5, 3.5], [0.9, 1.4], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="needs both d_minus and d_plus"):
+            sylvester_bounds(p, **split)
 
     def test_bound_validity_randomized(self):
         # dichotomy and hs bounds dominate the solved instance, 60 trials each
@@ -331,10 +373,9 @@ class TestBounds:
             rng = make_rng(700 + trial)
             p = _random_dichotomous(rng, complex_field=bool(trial % 2))
             t = solve_weak_spectral(p)
-            b_di = sylvester_bounds(p, "dichotomy")
-            b_hs = sylvester_bounds(p, "hs")
-            assert op_norm(t) <= b_di.dichotomy_bound + 1e-12
-            assert hs_norm(t) <= b_hs.hs_bound + 1e-12
+            b = sylvester_bounds(p)
+            assert op_norm(t) <= b.dichotomy_bound + 1e-12
+            assert hs_norm(t) <= b.hs_bound + 1e-12
 
 
 class TestProblemValidation:
