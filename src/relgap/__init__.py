@@ -19,7 +19,6 @@ from .matcore import (  # noqa: F401
     load_matrix,
     op_norm,
     save_matrix,
-    spectral_projector,
 )
 from .forms import (  # noqa: F401
     ClosenessReport,

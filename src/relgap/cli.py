@@ -80,10 +80,8 @@ def _cmd_subspace_bound(args) -> int:
         args.usage_error("--d2 is required unless --hs is given")
     h = HermitianMatrix(load_matrix(args.h))
     m = HermitianMatrix(load_matrix(args.m))
-    if args.hs:
-        sys.stdout.write(_json_text(hs_subspace_bounds(h, m, args.d1)))
-        return 0
-    report = subspace_bounds(h, m, args.d1, args.d2, l1=args.l1, l2=args.l2)
+    report = (hs_subspace_bounds(h, m, args.d1) if args.hs
+              else subspace_bounds(h, m, args.d1, args.d2, l1=args.l1, l2=args.l2))
     sys.stdout.write(_json_text(report))
     return 0
 

@@ -1,5 +1,5 @@
 """Dense Hermitian linear algebra: eigendecomposition, fractional powers,
-spectral projectors and the operator / Hilbert-Schmidt norms used repo-wide.
+orthonormal subspace bases and the operator / Hilbert-Schmidt norms used repo-wide.
 
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
 once, on first use, and every consumer shares that read-only result.  An
@@ -243,10 +243,6 @@ class Projection:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def perp(self, x: np.ndarray) -> np.ndarray:
-        """``(I - P) x = x - W (W* x)``, without forming the projector."""
-        return x - self.basis @ (self.basis.conj().T @ x)
-
 
 def eig_herm(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
@@ -334,17 +330,6 @@ def op_norm(a) -> float:
 
 def hs_norm(a) -> float:
     return float(np.linalg.norm(_tidy_field(_as_array(a)), "fro"))
-
-
-def spectral_projector(dec: SpectralDecomposition, a: float, b: float) -> Projection:
-    """Projection onto the span of eigenvectors with eigenvalue in ``[a, b]``.
-
-    An empty selection yields a valid rank-0 projection; a NaN bound is an error.
-    """
-    if not a <= b:
-        raise ValueError(f"interval bounds out of order or NaN: [{a}, {b}]")
-    keep = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
-    return Projection(dec.vectors[:, keep])
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,8 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
     where ``|||delta P|||`` is eta_k for the operator norm and
     ``sqrt(eta_1^2 + ... + eta_k^2)`` for the Hilbert-Schmidt norm.  The
     smallness hypothesis ``eta_k/(1-eta_k) < (next_ev - D_P)/(next_ev + D_P)``
-    is checked and flagged, never assumed.
+    and ``next_ev <= lambda_{k+1}(H)`` (up to ``n eps max|lambda|``, read from
+    the cached decomposition) are checked and noted, never assumed.
     """
     if norm not in ("op", "hs"):
         raise ValueError(f"norm must be 'op' or 'hs', got {norm!r}")
@@ -143,6 +144,7 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
 
     notes: list[str] = []
     bound_op = bound_hs = None
+    hyp = False
     if next_ev <= ritz_max:
         notes.append(f"next_ev={next_ev:.6e} does not exceed largest Ritz value {ritz_max:.6e}")
     elif eta_k >= 1.0:
@@ -151,11 +153,18 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         prefix = _dichotomy_coefficient(ritz_max, next_ev)
         bound_op = prefix * eta_k / np.sqrt(1.0 - eta_k)
         bound_hs = prefix * float(np.sqrt(np.sum(etas ** 2))) / np.sqrt(1.0 - eta_k)
-    hyp = (next_ev > ritz_max and eta_k < 1.0
-           and eta_k / (1.0 - eta_k) < (next_ev - ritz_max) / (next_ev + ritz_max))
+        small, room = eta_k / (1.0 - eta_k), (next_ev - ritz_max) / (next_ev + ritz_max)
+        hyp = small < room
+        if not hyp:
+            notes.append(f"eta_k/(1-eta_k)={small:.6e} not below "
+                         f"(next_ev-D_P)/(next_ev+D_P)={room:.6e}")
 
     dec_h = eig_herm(h)
-    above = dec_h.eigenvalues > dec_h.eigenvalues[k - 1]   # (E_H(lambda_k))_perp
+    lam = dec_h.eigenvalues
+    if k < lam.size and next_ev > lam[k] + lam.size * np.finfo(float).eps * np.abs(lam).max():
+        notes.append(f"next_ev={next_ev:.6e} exceeds the (k+1)-st eigenvalue {lam[k]:.6e} of H")
+        hyp = False
+    above = lam > lam[k - 1]   # (E_H(lambda_k))_perp
     mixed = dec_h.to_eigenbasis(p.basis)[above]
     return RitzEstimate(
         etas=etas,

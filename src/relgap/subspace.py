@@ -1,8 +1,9 @@
 """Projection-pair geometry and sin-theta type bounds for spectral projections
 of two form-close operators, in the operator and Hilbert-Schmidt norms.
 
-The two bounds compare spectral projections taken from the cached
-eigendecompositions; the Hilbert-Schmidt bound reads its relative gaps from the
+The two bounds name the spectral projections by eigenvalue masks of the
+cached eigendecompositions and read every true value and coupling from
+eigenvector blocks; the Hilbert-Schmidt bound reads its relative gaps from the
 eigenvalues on either side of the cut ``d1``.
 """
 
@@ -12,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, eta_exact, s_operator
+from .forms import FormPair, eta_exact
 from .matcore import (
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
+    _pseudo_power,
     eig_herm,
     hs_norm,
     op_norm,
-    spectral_projector,
 )
 from .sylvester import _dichotomy_coefficient, relative_gap
 
@@ -66,12 +67,16 @@ def pair_analysis(p: Projection, q: Projection) -> ProjectionPairReport:
     )
 
 
-def _projector_pair(dec_h: SpectralDecomposition, dec_m: SpectralDecomposition,
-                    a: float, b: float):
-    """``Q = E_H[a, b]``, ``P = E_M[a, b]`` and the n-by-k blocks ``(I - Q) W_P``
-    and ``(I - P) W_Q``; a NaN bound raises ValueError."""
-    q, p = spectral_projector(dec_h, a, b), spectral_projector(dec_m, a, b)
-    return q, p, q.perp(p.basis), p.perp(q.basis)
+def _mixed_blocks(dec_h: SpectralDecomposition, dec_m: SpectralDecomposition,
+                  a: float, b: float):
+    """The masks ``in_H``, ``in_M`` of ``Q = E_H[a, b]``, ``P = E_M[a, b]`` and the
+    blocks ``V_H[:, ~in_H]* V_M[:, in_M]``, ``V_M[:, ~in_M]* V_H[:, in_H]``, which are
+    ``(I - Q) W_P`` and ``(I - P) W_Q`` in eigencoordinates; a NaN bound raises ValueError."""
+    if not a <= b:
+        raise ValueError(f"interval bounds out of order or NaN: [{a}, {b}]")
+    in_h, in_m = ((d.eigenvalues >= a) & (d.eigenvalues <= b) for d in (dec_h, dec_m))
+    return (in_h, in_m, dec_h.to_eigenbasis(dec_m.vectors[:, in_m])[~in_h],
+            dec_m.to_eigenbasis(dec_h.vectors[:, in_h])[~in_m])
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
         notes.append(f"band projections E[{l2}, {d1}]")
 
     # ||P - Q|| = max(||(I-Q) W_P||, ||(I-P) W_Q||) for any two orthogonal projections
-    _, _, qperp_p, pperp_q = _projector_pair(dec_h, dec_m, *band)
+    _, _, qperp_p, pperp_q = _mixed_blocks(dec_h, dec_m, *band)
     true = max(op_norm(qperp_p), op_norm(pperp_q))
     return BoundReport(bound=coef * eta, hypothesis_ok=hypothesis_ok,
                        true_value=true, eta=eta, notes=tuple(notes))
@@ -167,13 +172,20 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
     The mixed products are controlled through the S operator and the relative
     gaps between the parts of sigma(H) and sigma(M) on either side of ``d1``,
     read from the cached eigenvalues: the block compressions of H and M by Q,
-    P and their complements have exactly those spectra.  Every true value and
-    coupling term is read from n-by-k blocks, ``(I - Q) X = X - W_Q (W_Q* X)``.
-    A NaN ``d1`` raises ValueError.
+    P and their complements have exactly those spectra.  S is never formed: the
+    couplings are the HS norms of the blocks ``S_hat[~in_H, in_M]`` and
+    ``S_hat[in_H, ~in_M]`` of ``S = V_H S_hat V_M*``, ``S_hat = diag(lam^{+1/2}) V_H*
+    (H - M) V_M diag(mu^{+1/2})`` (pseudo powers), and ``|||S||| = |||S_hat|||``.
+    A NaN ``d1`` and a pair whose kernels differ raise ValueError.
     """
     fp = FormPair(h, m)
-    q, p, qperp_p, pperp_q = _projector_pair(fp.dec_h, fp.dec_m, -np.inf, d1)
-    s = s_operator(fp)
+    dec_h, dec_m = fp.dec_h, fp.dec_m
+    lam_h, lam_m = dec_h.eigenvalues, dec_m.eigenvalues
+    in_h, in_m, qperp_p, pperp_q = _mixed_blocks(dec_h, dec_m, -np.inf, d1)
+    fp.ensure_shared_kernel()
+    # V_H* (H - M) V_M as V_H* (V_M* (H - M))*, H - M being exactly Hermitian
+    core = dec_h.to_eigenbasis(dec_m.to_eigenbasis(fp.h.mat - fp.m.mat).conj().T)
+    s_hat = np.outer(_pseudo_power(lam_h, -0.5), _pseudo_power(lam_m, -0.5)) * core
     true_qperp_p = hs_norm(qperp_p)
     true_pperp_q = hs_norm(pperp_q)
     true_diff = float(np.hypot(true_qperp_p, true_pperp_q))
@@ -190,24 +202,20 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
             notes.append(f"{label}: compression spectrum not positive")
             return None
 
-    lam_h, lam_m = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
-    gap_low = _gap_or_none(lam_h[lam_h > d1], lam_m[lam_m <= d1], "gap(sigma(A), sigma(M))")
-    gap_high = _gap_or_none(lam_m[lam_m > d1], lam_h[lam_h <= d1], "gap(sigma(W), sigma(Hc))")
+    gap_low = _gap_or_none(lam_h[~in_h], lam_m[in_m], "gap(sigma(A), sigma(M))")
+    gap_high = _gap_or_none(lam_m[~in_m], lam_h[in_h], "gap(sigma(W), sigma(Hc))")
 
-    f_low = hs_norm(q.perp(s @ p.basis))
-    f_high = hs_norm(p.perp(s.conj().T @ q.basis))
-
-    def _rhs(f_hs: float, gap: float | None, trivial: bool) -> float | None:
-        if trivial:
+    def _rhs(coupling: np.ndarray, gap: float | None) -> float | None:
+        if coupling.size == 0:  # Q = I or P = 0 (Q = 0 or P = I): the mixed product is 0
             return 0.0
-        return None if gap is None else f_hs / gap
+        return None if gap is None else hs_norm(coupling) / gap
 
-    b1 = _rhs(f_low, gap_low, q.rank == q.n or p.rank == 0)
-    b2 = _rhs(f_high, gap_high, q.rank == 0 or p.rank == p.n)
+    b1 = _rhs(s_hat[np.ix_(~in_h, in_m)], gap_low)
+    b2 = _rhs(s_hat[np.ix_(in_h, ~in_m)], gap_high)
     b_diff = None if (b1 is None or b2 is None) else float(np.hypot(b1, b2))
 
     gaps = [g for g in (gap_low, gap_high) if g is not None]
-    b_comb = hs_norm(s) / min(gaps) if len(gaps) == 2 else None
+    b_comb = hs_norm(s_hat) / min(gaps) if len(gaps) == 2 else None
 
     return HsSubspaceBounds(
         bound_qperp_p=b1,

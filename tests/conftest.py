@@ -60,6 +60,19 @@ def random_pd_logcond(rng, n: int, max_log10_cond: float,
     return hermitian_from_spectrum(rng, eigs, complex_field)
 
 
+def spectral_projector(dec, a: float, b: float) -> Projection:
+    """Reference projection onto the eigenvectors of ``dec`` with eigenvalue in
+    ``[a, b]``; an empty selection is a rank-0 projection, a NaN bound an error."""
+    if not a <= b:
+        raise ValueError(f"interval bounds out of order or NaN: [{a}, {b}]")
+    return Projection(dec.vectors[:, (dec.eigenvalues >= a) & (dec.eigenvalues <= b)])
+
+
+def perp(p: Projection, x: np.ndarray) -> np.ndarray:
+    """Reference ``(I - P) x = x - W (W* x)`` for the basis W of ``p``."""
+    return x - p.basis @ (p.basis.conj().T @ x)
+
+
 def random_projection(rng, n: int, k: int, complex_field: bool = False) -> Projection:
     z = rng.standard_normal((n, k))
     if complex_field:

@@ -32,6 +32,7 @@ from relgap.sylvester import (
 from conftest import (
     hermitian_from_spectrum,
     make_rng,
+    perp,
     random_pd,
     random_pd_logcond,
     random_projection,
@@ -235,8 +236,8 @@ def test_criterion_5_projection_pair_alternative():
         done += 1
         assert abs(rep.norm_p_qperp - rep.norm_q_pperp) <= 1e-10
         assert abs(rep.norm_p_qperp - rep.norm_diff) <= 1e-10
-        qp = hs_norm(q.perp(p.basis))
-        pq = hs_norm(p.perp(q.basis))
+        qp = hs_norm(perp(q, p.basis))
+        pq = hs_norm(perp(p, q.basis))
         assert abs(rep.hs_diff ** 2 - (qp ** 2 + pq ** 2)) <= 1e-10
     _report(5, "three-norm equality and Pythagorean split verified on 100 pairs")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relgap.cli import build_parser, main
-from relgap.matcore import load_matrix, save_matrix
+from relgap.matcore import eig_herm, load_matrix, save_matrix
 
 from conftest import hermitian_from_spectrum, make_rng
 
@@ -209,6 +209,31 @@ def test_ritz_estimate(tmp_path, capsys):
     assert rep["norm"] == "hs"
     assert "dk_bound" in rep and "hypothesis_ok" in rep
     assert 0.0 <= rep["eta_disagreement"] <= rep["eta_tol"]
+
+
+def test_ritz_estimate_next_ev_above_the_spectrum(tmp_path, capsys):
+    # H has 5 eigenvalues in [1, 2] and the rest in [8, 16], so lambda_6 = 8,
+    # and the basis tilts its first 5 eigenvectors; next_ev = 100 once gave
+    # hypothesis_ok: true, no notes and a bound below the truth
+    rng = make_rng(61)
+    n, k = 100, 5
+    lam = np.concatenate([[1.0, 2.0], rng.uniform(1.0, 2.0, k - 2),
+                          [8.0, 16.0], rng.uniform(8.0, 16.0, n - k - 2)])
+    h = hermitian_from_spectrum(rng, lam, complex_field=False)
+    tilt = rng.standard_normal((n, k))
+    basis = eig_herm(h).vectors[:, :k] + 0.02 * tilt / np.linalg.norm(tilt, 2)
+    hp, bp = tmp_path / "h.mtx", tmp_path / "b.mtx"
+    save_matrix(hp, h.mat)
+    save_matrix(bp, basis)
+    args = ["ritz", "estimate", "--h", str(hp), "--basis", str(bp), "--hs", "--next-ev"]
+    assert main(args + ["8"]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["hypothesis_ok"] and rep["notes"] == []
+    assert main(args + ["100"]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["hypothesis_ok"] is False
+    assert rep["notes"] == ["next_ev=1.000000e+02 exceeds the (k+1)-st eigenvalue "
+                            f"{eig_herm(h).eigenvalues[k]:.6e} of H"]
 
 
 def test_subspace_bound_nan_pencil_exit_code(tmp_path, monkeypatch, capsys):

@@ -17,10 +17,9 @@ from relgap.matcore import (
     load_matrix,
     op_norm,
     save_matrix,
-    spectral_projector,
 )
 
-from conftest import hermitian_from_spectrum, make_rng, random_hermitian
+from conftest import hermitian_from_spectrum, make_rng, random_hermitian, spectral_projector
 
 
 def _exact_hermitian_cases():
@@ -251,6 +250,9 @@ class TestNorms:
 
 
 class TestSpectralProjector:
+    # the tests' reference spectral projector (conftest), which the subspace
+    # truth oracles are built from
+
     def test_below_cutoff(self):
         dec = eig_herm(np.diag([1.0, 4.0]))
         p = spectral_projector(dec, -np.inf, 2.0)

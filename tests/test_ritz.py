@@ -24,6 +24,7 @@ from relgap.ritz import (
 from conftest import (
     hermitian_from_spectrum,
     make_rng,
+    perp,
     random_pd,
     random_pd_logcond,
     random_projection,
@@ -258,7 +259,25 @@ class TestRitzBounds:
         np.testing.assert_allclose(est.etas, [0.5])
         # eta/(1-eta) = 1 against (D - D_P)/(D + D_P) = 0.2
         assert not est.hypothesis_ok
+        assert est.notes == ("eta_k/(1-eta_k)=1.000000e+00 not below "
+                             "(next_ev-D_P)/(next_ev+D_P)=2.000000e-01",)
         assert est.bound_op == pytest.approx(np.sqrt(6.0) / 1.0 * 0.5 / np.sqrt(0.5))
+
+    @pytest.mark.parametrize("excess, noted", [(0.0, False), (4e-15, False),
+                                               (1e-12, True), (1.0, True)])
+    def test_next_ev_checked_against_the_spectrum(self, excess, noted):
+        # next_ev may exceed lambda_{k+1}(H) = 2 only by n eps max|lambda| (9.8e-15)
+        h = HermitianMatrix(np.diag([1.0, 2.0, 10.0, 11.0]))
+        w = np.array([[np.cos(0.01)], [0.0], [np.sin(0.01)], [0.0]])
+        est = ritz_bounds(h, Projection(w), 2.0 + excess)
+        note = f"next_ev={2.0 + excess:.6e} exceeds the (k+1)-st eigenvalue {2.0:.6e} of H"
+        assert est.notes == ((note,) if noted else ())
+        assert est.hypothesis_ok is not noted
+        assert est.bound_hs is not None
+
+    def test_next_ev_unchecked_for_the_whole_space(self):
+        est = ritz_bounds(HermitianMatrix(np.diag([1.0, 2.0])), Projection(np.eye(2)), 100.0)
+        assert est.hypothesis_ok and est.notes == ()
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     def test_ritz_values_are_the_h11_spectrum(self, rng, complex_field):
@@ -419,7 +438,7 @@ class TestDkResidualBound:
             dk = dk_residual_bound(h, p.basis, next_ev, norm="hs")
             if dk is None:
                 continue
-            true_hs = hs_norm(Projection(dec.vectors[:, :k]).perp(p.basis))
+            true_hs = hs_norm(perp(Projection(dec.vectors[:, :k]), p.basis))
             assert true_hs <= dk + 1e-10
 
 

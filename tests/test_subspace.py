@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from relgap.matcore import (
     eig_herm,
     hs_norm,
     op_norm,
-    spectral_projector,
 )
 from relgap.subspace import (
     hs_subspace_bounds,
@@ -20,9 +21,11 @@ from relgap.sylvester import WeakSylvesterProblem, relative_gap, solve_weak_spec
 from conftest import (
     hermitian_from_spectrum,
     make_rng,
+    perp,
     random_pd,
     random_projection,
     random_unitary,
+    spectral_projector,
 )
 
 
@@ -92,7 +95,7 @@ class TestPairAnalysis:
             done += 1
             assert abs(rep.norm_p_qperp - rep.norm_q_pperp) <= 1e-10
             assert abs(rep.norm_p_qperp - rep.norm_diff) <= 1e-10
-            qp, pq = q.perp(p.basis), p.perp(q.basis)
+            qp, pq = perp(q, p.basis), perp(p, q.basis)
             assert abs(rep.hs_diff ** 2 - (hs_norm(qp) ** 2 + hs_norm(pq) ** 2)) <= 1e-10
 
 
@@ -232,6 +235,18 @@ class TestSubspaceBounds:
         assert any("band" in n for n in rep.notes)
         assert rep.true_value <= rep.bound + 1e-12
 
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_double_interval_truth_is_the_band_projector_gap(self, rng, complex_field):
+        # E_H[l2, d1] against E_M[l2, d1]: the mixing with the eigenvalues
+        # below l2 counts as much as that with those above d1
+        h, m = _congruent_pair(rng, [0.2, 0.3, 1.0, 1.1, 5.0, 6.0], strength=0.05,
+                               complex_field=complex_field)
+        rep = subspace_bounds(h, m, 2.0, 4.0, l1=0.45, l2=0.8)
+        q = spectral_projector(eig_herm(h), 0.8, 2.0)
+        p = spectral_projector(eig_herm(m), 0.8, 2.0)
+        assert (q.rank, p.rank) == (2, 2)
+        assert abs(rep.true_value - op_norm(p.projector - q.projector)) <= 1e-14
+
     def test_semidefinite_pair_with_shared_kernel(self, rng):
         # the common kernel sits inside both projections and drops out of
         # P - Q; eta comes from the pseudo powers on the common range
@@ -284,6 +299,31 @@ class TestSubspaceBounds:
         h = hermitian_from_spectrum(rng, [0.2, 1.0, 5.0])
         with pytest.raises(ValueError, match="0 < d1 < d2 < inf"):
             subspace_bounds(h, h, 3.0, np.inf)
+
+
+def test_reports_form_no_s_and_no_projection(rng, monkeypatch):
+    # both reports read every block in eigencoordinates, and still reject a
+    # NaN cut and a pair whose kernels differ
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formed S or built a Projection")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "relgap" and hasattr(module, "s_operator"):
+            monkeypatch.setattr(module, "s_operator", forbidden)
+    monkeypatch.setattr(Projection, "__post_init__", forbidden)
+    reports = {
+        "single": lambda h, m, d1: subspace_bounds(h, m, d1, 4.0),
+        "band": lambda h, m, d1: subspace_bounds(h, m, d1, 4.0, l1=0.45, l2=0.8),
+        "hs": hs_subspace_bounds,
+    }
+    h, m = _congruent_pair(rng, [0.2, 0.3, 1.0, 1.1, 5.0, 6.0], strength=0.01)
+    h0, m0 = HermitianMatrix(np.diag([0.0, 1.0, 5.0])), HermitianMatrix(np.diag([1.0, 0.0, 5.0]))
+    for name, report in reports.items():
+        assert report(h, m, 2.0).hypothesis_ok, name
+        with pytest.raises(ValueError, match="NaN|0 < d1 < d2"):
+            report(h, m, np.nan)
+        with pytest.raises(ValueError, match="share their kernel"):
+            report(h0, m0, 2.0)
 
 
 class TestHsSubspaceBounds:
@@ -361,8 +401,8 @@ class TestHsSubspaceBounds:
             q = random_projection(rng, n, int(rng.integers(0, n + 1)),
                                   complex_field=bool(trial % 2))
             diff2 = hs_norm(p.projector - q.projector) ** 2
-            qp = hs_norm(q.perp(p.basis)) ** 2
-            pq = hs_norm(p.perp(q.basis)) ** 2
+            qp = hs_norm(perp(q, p.basis)) ** 2
+            pq = hs_norm(perp(p, q.basis)) ** 2
             assert abs(diff2 - (qp + pq)) <= 1e-10
 
 
