@@ -4,9 +4,11 @@ The model operator has known eigenpairs ``omega_k = (k + theta/2pi)^2 - alpha``
 with exponential eigenfunctions; truncating to modes -K..K makes it an exactly
 diagonal matrix, so the model's H costs no LAPACK: it decomposes by sorting
 its diagonal and the Ritz LU route solves by row scaling.  Each model builds
-H and that decomposition once, and every later run shares them.  Every other
-product with H or its permutation eigenbasis is a row scaling, gather or
-scatter, so a table row costs O(nk) in the dimension n.  The trial space is
+H from its diagonal and that decomposition once, in O(n) memory, and every
+later run shares them; no n x n array is formed unless a caller reads H's
+dense matrix or eigenbasis.  Every product with H or its permutation
+eigenbasis is a row scaling, gather or scatter, so a table row costs O(nk)
+in the dimension n.  The trial space is
 built by equidistant interpolation of the eigenfunctions of modes 0 and -1,
 the two lowest for every theta, on ``linspace(0, 2 pi, N)`` (cubic or
 linear), expanded in the eigenbasis at one FFT per interpolant.  Each run
@@ -49,9 +51,10 @@ class TruncationWarning(UserWarning):
     """The truncated eigenbasis misses a non-negligible part of an interpolant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MathieuModel:
-    """Truncated quasi-periodic model operator, diagonal in its own eigenbasis.
+    """Truncated quasi-periodic model operator, diagonal in its own eigenbasis;
+    compared and hashed by identity.
 
     Coordinates are indexed by the mode number k = -K..K (array index k + K);
     the L2 inner product is the Euclidean one on coordinates.
@@ -65,8 +68,9 @@ class MathieuModel:
 
     @cached_property
     def h(self) -> HermitianMatrix:
-        """The operator ``diag(omegas)``, built once and shared with its decomposition."""
-        return HermitianMatrix(np.diag(self.omegas))
+        """The operator ``diag(omegas)``, built once from its diagonal and shared
+        with its decomposition."""
+        return HermitianMatrix.from_diagonal(self.omegas)
 
     def eigenfunction_samples(self, k: int, t: np.ndarray) -> np.ndarray:
         """Normalized eigenfunction ``exp(-i (k + theta/2pi) t) / sqrt(2 pi)``."""
@@ -92,7 +96,7 @@ def mathieu_model(theta: float, alpha: float, trunc: int) -> MathieuModel:
             f"configuration is not positive definite: min omega = {omegas.min():.6e} "
             f"(alpha must be below min_k (k + theta/2pi)^2)"
         )
-    omegas.setflags(write=False)  # model.h caches diag(omegas)
+    omegas.setflags(write=False)
     return MathieuModel(theta=theta, alpha=alpha, trunc=trunc, ks=ks, omegas=omegas)
 
 

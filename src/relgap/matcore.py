@@ -4,16 +4,18 @@ orthonormal subspace bases and the operator / Hilbert-Schmidt norms used repo-wi
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
 once, on first use, and every consumer shares that read-only result.  An
 exactly diagonal matrix (every off-diagonal entry zero) decomposes in
-O(n log n) past its input copy, by a sort without LAPACK, into a permutation
-basis: :meth:`HermitianMatrix.apply`, :meth:`SpectralDecomposition.to_eigenbasis`
+O(n log n), by a sort without LAPACK, into a permutation basis:
+:meth:`HermitianMatrix.apply`, :meth:`SpectralDecomposition.to_eigenbasis`
 and :meth:`SpectralDecomposition.from_eigenbasis` then act by row scaling,
-gather and scatter instead of n x n products.  Real inputs stay real, complex
-inputs stay complex.
+gather and scatter instead of n x n products.  A matrix built from its
+diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
+memory until a dense array is read.  Real inputs stay real, complex inputs
+stay complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -45,19 +47,24 @@ def _tidy_field(mat: np.ndarray) -> np.ndarray:
     return mat.astype(np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A dense self-adjoint matrix over the real or complex scalars.
+    """A self-adjoint matrix over the real or complex scalars, compared and
+    hashed by identity.
 
     The constructor keeps an exactly Hermitian input bit for bit (in a
     read-only copy), rejects other inputs whose asymmetry exceeds
     ``1e-13 * ||A||_F`` and stores ``(A + A*) / 2`` of the rest.
+    :meth:`from_diagonal` builds a diagonal matrix from its diagonal and holds
+    O(n) memory: its dense :attr:`mat` is built on first read, and ``n``,
+    :meth:`apply`, :meth:`solve` and :attr:`decomposition` never build it.
     """
 
-    mat: np.ndarray
+    entries: InitVar[np.ndarray]
+    _n: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        mat = _tidy_field(self.mat)
+    def __post_init__(self, entries):
+        mat = _tidy_field(entries)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         if mat.shape[0] < 1:
@@ -77,12 +84,38 @@ class HermitianMatrix:
                     f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * peak * scale:.3e}"
                 )
             mat = _tidy_field((mat + adjoint) / 2.0)
-        object.__setattr__(self, "mat", mat)
-        self.mat.setflags(write=False)
+        mat.setflags(write=False)
+        object.__setattr__(self, "_n", mat.shape[0])
+        object.__setattr__(self, "mat", mat)  # fills the cached property
+
+    @classmethod
+    def from_diagonal(cls, diagonal) -> "HermitianMatrix":
+        """The matrix ``diag(d)`` for a nonempty 1-d array of finite reals,
+        held as a read-only float64 copy of ``d``."""
+        d = np.asarray(diagonal)
+        if d.ndim != 1 or d.size < 1 or d.dtype.kind not in "biuf":
+            raise ValueError(f"expected a nonempty real 1-d diagonal, "
+                             f"got shape {d.shape} and dtype {d.dtype}")
+        d = d.astype(np.float64)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("diagonal has non-finite entries (nan or inf)")
+        d.setflags(write=False)
+        h = object.__new__(cls)
+        object.__setattr__(h, "_n", d.size)
+        object.__setattr__(h, "_diagonal", d)  # fills the cached property
+        return h
 
     @property
     def n(self) -> int:
-        return self.mat.shape[0]
+        return self._n
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, read-only; for :meth:`from_diagonal` built on first
+        read as ``np.diag(d)``."""
+        mat = np.diag(self._diagonal)
+        mat.setflags(write=False)
+        return mat
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.mat, dtype=dtype)
@@ -135,23 +168,26 @@ class HermitianMatrix:
         return SpectralDecomposition(lam, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues plus orthonormal eigenvector columns (read-only).
+    """Ascending eigenvalues plus orthonormal eigenvector columns (read-only),
+    compared and hashed by identity.
 
     Orthonormality is checked on construction through the n x n product
     ``V* V``.  ``perm`` is set only by :meth:`_permutation`, the eigenbasis of
-    an exactly diagonal matrix: ``V[:, j] = e_{perm[j]}``.  It is None for any
-    other decomposition.
+    an exactly diagonal matrix: ``V[:, j] = e_{perm[j]}``.  That decomposition
+    holds O(n) memory and builds :attr:`vectors` on first read;
+    :meth:`to_eigenbasis` and :meth:`from_eigenbasis` never build it.  ``perm``
+    is None for any other decomposition.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    perm: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    columns: InitVar[np.ndarray]
+    perm: np.ndarray | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, columns):
         object.__setattr__(self, "eigenvalues", np.array(self.eigenvalues, dtype=np.float64))
-        object.__setattr__(self, "vectors", _tidy_field(self.vectors))
+        object.__setattr__(self, "vectors", _tidy_field(columns))  # fills the cached property
         self.eigenvalues.setflags(write=False)
         self.vectors.setflags(write=False)
         lam, v = self.eigenvalues, self.vectors
@@ -169,18 +205,26 @@ class SpectralDecomposition:
     def _permutation(cls, eigenvalues: np.ndarray, perm: np.ndarray) -> "SpectralDecomposition":
         """The decomposition with basis ``V[:, j] = e_{perm[j]}``, built from the
         index array past the dense checks: ``perm`` is checked in O(n) and V is
-        one scatter of ones into zeros."""
+        not formed."""
         n = perm.size
         if (eigenvalues.shape != (n,) or np.any(np.diff(eigenvalues) < 0)
                 or not np.array_equal(np.bincount(perm, minlength=n), np.ones(n))):
             raise ValueError("need nondecreasing eigenvalues and a permutation of range(n)")
-        vectors = np.zeros((n, n))
-        vectors[perm, np.arange(n)] = 1.0
         dec = object.__new__(cls)
-        for name, value in (("eigenvalues", eigenvalues), ("vectors", vectors), ("perm", perm)):
+        for name, value in (("eigenvalues", eigenvalues), ("perm", perm)):
             value.setflags(write=False)
             object.__setattr__(dec, name, value)
         return dec
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The eigenvector columns, read-only; on a permutation basis built on
+        first read by one scatter of ones into zeros."""
+        n = self.perm.size
+        vectors = np.zeros((n, n))
+        vectors[self.perm, np.arange(n)] = 1.0
+        vectors.setflags(write=False)
+        return vectors
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """``V* x``; on a permutation basis the row gather ``x[perm]``."""
@@ -198,9 +242,10 @@ class SpectralDecomposition:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection:
-    """An orthonormal basis of a subspace; the projector matrix is derived."""
+    """An orthonormal basis of a subspace, compared and hashed by identity; the
+    projector matrix is derived."""
 
     basis: np.ndarray
 

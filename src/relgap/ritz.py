@@ -26,6 +26,12 @@ from .sylvester import _dichotomy_coefficient
 ETA_CROSS_CHECK_TOL = 1e-7
 
 
+def _next_ev_too_high(lam: np.ndarray, k: int, next_ev: float) -> bool:
+    """Whether ``next_ev`` exceeds the (k+1)-st of the ascending eigenvalues
+    ``lam`` by more than ``n eps max|lam|``; never when ``k >= n``."""
+    return k < lam.size and next_ev > lam[k] + lam.size * np.finfo(float).eps * np.abs(lam).max()
+
+
 def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The invariance-defect values by both routes, each ascending, and the
     ascending eigenvalues ``lam11`` of ``H11``, the Ritz values.
@@ -161,7 +167,7 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
 
     dec_h = eig_herm(h)
     lam = dec_h.eigenvalues
-    if k < lam.size and next_ev > lam[k] + lam.size * np.finfo(float).eps * np.abs(lam).max():
+    if _next_ev_too_high(lam, k, next_ev):
         notes.append(f"next_ev={next_ev:.6e} exceeds the (k+1)-st eigenvalue {lam[k]:.6e} of H")
         hyp = False
     above = lam > lam[k - 1]   # (E_H(lambda_k))_perp
@@ -214,7 +220,12 @@ def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,
 def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
                       norm: str = "hs") -> float | None:
     """Residual (Davis-Kahan style) competitor bound from the Rayleigh
-    residuals ``r_i = H w_i - (w_i, H w_i) w_i`` of the trial vectors."""
+    residuals ``r_i = H w_i - (w_i, H w_i) w_i`` of the trial vectors.
+
+    Returns None when the denominator is not positive, or when ``next_ev``
+    exceeds the (k+1)-st eigenvalue of H (the rule :func:`ritz_bounds` notes,
+    read from H's cached decomposition), where the formula bounds nothing.
+    """
     w = np.atleast_2d(np.asarray(w))
     k = w.shape[1]
     if k == 0:
@@ -227,5 +238,6 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     resid = hw - w * rho
     gram = resid.conj().T @ resid
     ritz_vals = np.linalg.eigvalsh(w.conj().T @ hw)
-    return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
-                              next_ev, norm=norm)
+    bound = dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
+                               next_ev, norm=norm)
+    return None if _next_ev_too_high(eig_herm(h).eigenvalues, k, next_ev) else bound

@@ -75,22 +75,25 @@ def _ray_integral(f, rate: float, weight: float) -> np.ndarray:
     return integrate_adaptive(integrand, np.log(t0), np.log(t1), tol=1e-10)[0]
 
 
-def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix) -> SqrtIntegralResult:
+def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
+                           t_pair: np.ndarray) -> SqrtIntegralResult:
     """Quadrature evaluation of
 
         X = int_0^inf exp(-M^{-1/2} t) M^{-1/4} T H^{-1/4} exp(-H^{-1/2} t) dt
 
     in log time (``_ray_integral``), with matrix exponentials by spectral
-    calculus; the self-test of the exponential identity at ``C = H^{-1/2}``
-    runs through the same substitution.
+    calculus, for the pair's T as :func:`sqrt_pair` forms it
+    (``SqrtPerturbation.t``); the self-test of the exponential identity at
+    ``C = H^{-1/2}`` runs through the same substitution.
     """
     fp = _definite_pair(h, m)
+    if np.shape(t_pair) != (h.n, h.n):
+        raise ValueError(f"T of shape {np.shape(t_pair)} does not match dimension {h.n}")
     dec_h, dec_m = fp.dec_h, fp.dec_m
     vm, vh = dec_m.vectors, dec_h.vectors
     c_m = 1.0 / np.sqrt(dec_m.eigenvalues)
     c_h = 1.0 / np.sqrt(dec_h.eigenvalues)
 
-    t_pair = -s_operator(fp).conj().T
     core = fractional_power(dec_m, -0.25).mat @ t_pair @ fractional_power(dec_h, -0.25).mat
 
     def integrand(t: np.ndarray) -> np.ndarray:

@@ -319,8 +319,8 @@ def test_criterion_9_square_root_chain():
         n = int(rng.integers(2, 7))
         h = random_pd(rng, n, complex_field=bool(trial % 2))
         m = random_pd(rng, n, complex_field=bool(trial % 2))
-        res = sqrt_integral_solution(h, m)
         pair = sqrt_pair(h, m)
+        res = sqrt_integral_solution(h, m, pair.t)
         worst = max(worst, float(np.max(np.abs(res.x - pair.x))))
         assert np.max(np.abs(res.x - pair.x)) <= 1e-8
     _report(9, f"square-root closeness halves through the chain (200 pairs); "

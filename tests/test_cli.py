@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,9 +230,11 @@ def test_ritz_estimate_next_ev_above_the_spectrum(tmp_path, capsys):
     assert main(args + ["8"]) == 0
     rep = _report(capsys.readouterr().out)
     assert rep["hypothesis_ok"] and rep["notes"] == []
+    assert rep["dk_bound"] >= rep["true_hs"]
     assert main(args + ["100"]) == 0
     rep = _report(capsys.readouterr().out)
     assert rep["hypothesis_ok"] is False
+    assert rep["dk_bound"] is None  # it once read a number below the truth
     assert rep["notes"] == ["next_ev=1.000000e+02 exceeds the (k+1)-st eigenvalue "
                             f"{eig_herm(h).eigenvalues[k]:.6e} of H"]
 
@@ -356,6 +359,22 @@ def test_bench_markdown(tmp_path):
                  "--K", "8", "--ns", "8", "--interp", "linear", "--norm", "hs",
                  "--out", str(out), "--markdown", str(md)]) == 0
     assert md.read_text().startswith("| quantity | N=8 |")
+
+
+def test_bench_model_holds_no_dense_operator(tmp_path):
+    # at K = 1000 one dense n x n float64 array is 32 MB (n = 2001); the model
+    # operator built dense grew the peak by about twice that
+    n = 2 * 1000 + 1
+    tracemalloc.start()
+    try:
+        code = main(["bench", "mathieu", "--theta", str(np.pi - 1e-4), "--alpha", "0.2499",
+                     "--K", "1000", "--ns", "100", "--interp", "linear",
+                     "--out", str(tmp_path / "rows.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < n * n * 8 / 8
 
 
 def test_bench_non_finite_alpha_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,16 +272,34 @@ def test_repeated_run_reuses_model_operator(monkeypatch):
     run_benchmark(model, [5], "cubic")
     dec = model.h.decomposition
     built = []
-    init = HermitianMatrix.__post_init__
+    init, from_diagonal = HermitianMatrix.__post_init__, HermitianMatrix.from_diagonal
 
-    def recording(self):
-        init(self)
+    def recording(self, entries):
+        init(self, entries)
         built.append(self.n)
 
     monkeypatch.setattr(HermitianMatrix, "__post_init__", recording)
+    monkeypatch.setattr(HermitianMatrix, "from_diagonal",
+                        lambda d: built.append(len(d)) or from_diagonal(d))
     run_benchmark(model, [5, 6], "cubic")
     assert model.omegas.size not in built
     assert model.h.decomposition is dec
+
+
+def test_linear_table_row_allocates_no_dense_array():
+    # the K = 320 model's H and its eigenbasis hold O(n) memory: building,
+    # decomposing and one linear row stay far below one n x n float64 array
+    # (3.3 MB at n = 641), which the dense model operator took twice
+    n = 2 * 320 + 1
+    tracemalloc.start()
+    try:
+        model = mathieu_model(THETA, ALPHA, 320)
+        run_benchmark(model, [100], "linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    assert "mat" not in vars(model.h) and "vectors" not in vars(model.h.decomposition)
 
 
 class TestEmission:

@@ -15,6 +15,7 @@ import pytest
 
 from relgap import matcore, ritz, sqroot
 from relgap.forms import FormPair, eta_exact, s_operator
+from relgap.harness import mathieu_model
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
@@ -245,6 +246,36 @@ def test_diagonal_build_copies_once(monkeypatch):
     assert copies.count((n, n)) <= 1
 
 
+@pytest.mark.parametrize("route", ["from_diagonal", "dense"])
+@pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
+def test_diagonal_dense_arrays_built_on_first_read(d, route):
+    # both entry points share _diagonal and perm; the constructor from the
+    # diagonal builds no n x n array until mat or vectors is read, and then
+    # the arrays the dense input would hold, read-only and cached
+    h = (HermitianMatrix.from_diagonal(d) if route == "from_diagonal"
+         else HermitianMatrix(np.diag(d)))
+    dec = h.decomposition
+    x = make_rng(63).standard_normal((d.size, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # some cases hold zeros
+        h.apply(x), h.solve(x), dec.from_eigenbasis(dec.to_eigenbasis(x))
+    assert h.n == d.size and ("mat" in vars(h)) == (route == "dense")
+    assert "vectors" not in vars(dec)
+    np.testing.assert_array_equal(dec.perm, np.argsort(d, kind="stable"))
+    for got, want in ((h.mat, np.diag(d)), (dec.vectors, np.eye(d.size)[:, dec.perm])):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert h.mat is h.mat and dec.vectors is dec.vectors and dec is h.decomposition
+
+
+@pytest.mark.parametrize("d", [np.array([1.0, np.nan]), [np.inf], np.array([1.0 + 0j]),
+                               np.zeros(0), np.eye(2), ["1.0"]],
+                         ids=["nan", "inf", "complex", "empty", "2-d", "text"])
+def test_from_diagonal_rejects_malformed(d):
+    with pytest.raises(ValueError, match="non-finite|nonempty real 1-d diagonal"):
+        HermitianMatrix.from_diagonal(d)
+
+
 @pytest.mark.parametrize("perm", [np.array([0, 0, 2]), np.array([0, 1, 3]), np.array([1, 2])],
                          ids=["repeated", "out-of-range", "short"])
 def test_permutation_construction_checks_indices(perm):
@@ -435,22 +466,27 @@ def _poison(h):
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_diagonal_path_never_reads_dense_arrays(complex_field):
     # every product with a diagonal H or its eigenbasis goes by index, so
-    # NaN in the dense arrays changes no output bit
+    # NaN in the dense arrays changes no output bit; the model's H, built
+    # from its diagonal, has not even formed them when the outputs are in
     rng = make_rng(67)
-    n, k = 40, 2
-    lam = rng.uniform(0.5, 20.0, n)
-    # a tilt of the two lowest eigenvectors: every bound is defined
-    p = Projection.from_span(np.eye(n)[:, np.argsort(lam)[:k]]
-                             + 0.02 * random_projection(rng, n, k, complex_field).basis)
-    next_ev = float(np.sort(lam)[k])
-    h = HermitianMatrix(np.diag(lam))
-    assert h._diagonal is not None and h.decomposition.perm is not None
-    before = _table_path_outputs(h, p, next_ev)
-    assert np.all(np.isfinite(np.concatenate(before)))
-    _poison(h)
-    after = _table_path_outputs(h, p, next_ev)
-    for got, ref in zip(after, before):
-        assert got.tobytes() == ref.tobytes()
+    lam = rng.uniform(0.5, 20.0, 40)
+    for h, from_diagonal in ((HermitianMatrix(np.diag(lam)), False),
+                             (mathieu_model(np.pi - 1e-4, 0.2499, 20).h, True)):
+        n, k = h.n, 2
+        lam = h._diagonal
+        # a tilt of the two lowest eigenvectors: every bound is defined
+        p = Projection.from_span(np.eye(n)[:, np.argsort(lam)[:k]]
+                                 + 0.02 * random_projection(rng, n, k, complex_field).basis)
+        next_ev = float(np.sort(lam)[k])
+        assert h._diagonal is not None and h.decomposition.perm is not None
+        before = _table_path_outputs(h, p, next_ev)
+        assert np.all(np.isfinite(np.concatenate(before)))
+        if from_diagonal:
+            assert "mat" not in vars(h) and "vectors" not in vars(h.decomposition)
+        _poison(h)
+        after = _table_path_outputs(h, p, next_ev)
+        for got, ref in zip(after, before):
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("call", ["eta_routes", "ritz_bounds", "dk_residual_bound"])
@@ -596,7 +632,7 @@ def test_eta_routes_is_one_small_eigh(complex_field, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: eigvalshs.append(np.shape(a)) or eigvalsh(a))
     for cls in (HermitianMatrix, SpectralDecomposition):
-        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+        monkeypatch.setattr(cls, "__post_init__", lambda self, _: built.append(self))
     monkeypatch.setattr(SpectralDecomposition, "_permutation", lambda *a: built.append(a))
     monkeypatch.setattr(matcore, "fractional_power", lambda *a: built.append(a))
     got = eta_routes(h, p)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relgap.harness import mathieu_model
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
@@ -465,6 +466,25 @@ class TestMatrixTextFormat:
         a = np.array(values).reshape(1, -1)
         save_matrix(path, a)
         np.testing.assert_array_equal(load_matrix(path), a)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HermitianMatrix(np.eye(3)),
+    lambda: HermitianMatrix.from_diagonal([1.0, 2.0, 3.0]),
+    lambda: SpectralDecomposition(np.arange(3.0), np.eye(3)),
+    lambda: Projection(np.eye(3)[:, :2]),
+    lambda: mathieu_model(np.pi, 0.0, 3),
+], ids=["HermitianMatrix", "HermitianMatrix-from-diagonal", "SpectralDecomposition",
+        "Projection", "MathieuModel"])
+def test_equality_and_hash_by_identity(make):
+    # the generated __eq__ compared arrays (ValueError: truth value is
+    # ambiguous) and __hash__ hashed them (TypeError); by identity, neither
+    # fills lazy state such as a dense matrix built from a diagonal
+    a, b = make(), make()
+    state = dict(vars(a))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert vars(a) == state
 
 
 def test_spectrum_factory_helper(rng):
