@@ -114,7 +114,7 @@ def _interpolant(model: MathieuModel, n_points: int, interp: str, k: int) -> Pie
     return piecewise_linear(t, samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialFunctions:
     """One table row's interpolants, their derivatives, and the L2 Gram matrix
     of the interpolants followed by the derivatives."""

@@ -11,10 +11,15 @@ gather and scatter instead of n x n products.  A matrix built from its
 diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
 memory until a dense array is read.  Real inputs stay real, complex inputs
 stay complex.
+
+The matrix text reader :func:`load_matrix` parses the body in fixed 64 KiB
+text chunks into one preallocated array, so a load holds about one copy of
+the matrix; :func:`save_matrix` writes one row at a time.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -35,16 +40,18 @@ def _as_array(a) -> np.ndarray:
     return np.asarray(a)
 
 
-def _tidy_field(mat: np.ndarray) -> np.ndarray:
+def _tidy_field(mat: np.ndarray, copy: bool = True) -> np.ndarray:
     """Return a float64/complex128 copy; drop an identically-zero imaginary part.
-    Every matrix entering the package passes here, which rejects nan and inf."""
+    Every matrix entering the package passes here, which rejects nan and inf.
+    With ``copy`` false, for callers that only read the result, an input that
+    already has the target dtype is returned as is."""
     mat = np.asarray(mat)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries (nan or inf)")
     if np.iscomplexobj(mat):
-        mat = mat.astype(np.complex128)
+        mat = mat.astype(np.complex128, copy=copy)
         return mat if np.any(mat.imag) else mat.real.copy()
-    return mat.astype(np.float64)
+    return mat.astype(np.float64, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +204,9 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues/vectors shapes are inconsistent")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
-        gram_defect = np.linalg.norm(v.conj().T @ v - np.eye(lam.size), "fro")
+        gram = v.conj().T @ v
+        gram.flat[:: lam.size + 1] -= 1.0  # V* V - I with no n x n identity
+        gram_defect = np.linalg.norm(gram, "fro")
         if gram_defect > 1e-11:
             raise ValueError(f"eigenvector columns are not orthonormal (defect {gram_defect:.3e})")
 
@@ -354,18 +363,18 @@ def two_sided_fn(dec_l: SpectralDecomposition, dec_r: SpectralDecomposition,
                  x: np.ndarray) -> np.ndarray:
     """``U_l (k(lam_i, mu_j) o (U_l* X U_r)) U_r*`` for the eigenbases of two
     decompositions; ``kernel`` gets the left eigenvalues as a column and the
-    right ones as a row."""
+    right ones as a row, and its real weights multiply the core in place."""
     ul, ur = dec_l.vectors, dec_r.vectors
     core = ul.conj().T @ (x @ ur)
-    weights = kernel(dec_l.eigenvalues[:, None], dec_r.eigenvalues[None, :])
-    return ul @ (weights * core) @ ur.conj().T
+    core *= kernel(dec_l.eigenvalues[:, None], dec_r.eigenvalues[None, :])
+    return ul @ core @ ur.conj().T
 
 
 def op_norm(a) -> float:
     """The 2-norm ``peak * sqrt(max eig(Y* Y))``, ``Y = A / max|a_ij|``, the Gram on
     the smaller side: by Weyl off by about ``eps n`` relative, no square overflows,
     and one that underflows is below eps of the norm."""
-    mat = _tidy_field(_as_array(a))
+    mat = _tidy_field(_as_array(a), copy=False)
     peak = float(np.max(np.abs(mat), initial=0.0))
     if peak == 0.0:
         return 0.0
@@ -374,7 +383,7 @@ def op_norm(a) -> float:
 
 
 def hs_norm(a) -> float:
-    return float(np.linalg.norm(_tidy_field(_as_array(a)), "fro"))
+    return float(np.linalg.norm(_tidy_field(_as_array(a), copy=False), "fro"))
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +394,34 @@ def hs_norm(a) -> float:
 #   token pair "re im".  17 significant digits round-trip float64 exactly.
 # ---------------------------------------------------------------------------
 
+_CHUNK_CHARS = 1 << 16  # characters of body text load_matrix splits at a time
+
+
 def save_matrix(dest, a) -> None:
-    """Write ``a`` in the matrix text format to a path or an open text stream."""
-    mat = _tidy_field(np.atleast_2d(_as_array(a)))
+    """Write ``a`` in the matrix text format to a path or an open text stream,
+    one ``"%.17g"`` row at a time."""
+    mat = _tidy_field(np.atleast_2d(_as_array(a)), copy=False)
     n, m = mat.shape
     field = "complex" if np.iscomplexobj(mat) else "real"
-    flat = mat.view(np.float64) if field == "complex" else mat  # re, im alternate
-    row = " ".join(["%.17g"] * flat.shape[1])
-    text = "\n".join([f"{n} {m} {field}"] + [row % tuple(r) for r in flat.tolist()]) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-        return
-    with open(dest, "w") as fh:
-        fh.write(text)
+    row = " ".join(["%.17g"] * (2 * m if field == "complex" else m)) + "\n"
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
+        fh.write(f"{n} {m} {field}\n")
+        for r in mat:
+            if field == "complex":
+                r = np.ascontiguousarray(r).view(np.float64)  # re, im alternate
+            fh.write(row % tuple(r.tolist()))
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a matrix in the text format into a new float64 array, complex128
+    when some imaginary part is nonzero.
+
+    The body is split on whitespace in chunks of ``_CHUNK_CHARS`` characters
+    (a token cut at a chunk's end joins the next chunk) and each token is
+    parsed by ``float()`` into one preallocated array, so the text is never
+    held whole.  Errors come in this order: the header, the token count, the
+    first token ``float()`` rejects, a nan or inf entry.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -410,11 +431,31 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"negative dimension in matrix header {header!r}")
         if field not in ("real", "complex"):
             raise ValueError(f"unknown scalar field {field!r}")
-        toks = fh.read().split()
-    count = (2 if field == "complex" else 1) * n * m
-    if len(toks) != count:
-        raise ValueError(f"expected {count} numbers, found {len(toks)}")
-    vals = np.fromiter(map(float, toks), np.float64, count)
+        count = (2 if field == "complex" else 1) * n * m
+        try:
+            vals = np.empty(count)
+        except (MemoryError, ValueError):  # a header no array holds: count the
+            vals = np.empty(0)  # tokens only, so a short body gets the count error
+        found, cut, bad = 0, "", None
+        while True:
+            chunk = fh.read(max(_CHUNK_CHARS, len(cut)))  # a long cut token doubles the read
+            toks = (cut + chunk).split()
+            cut = toks.pop() if chunk and not chunk[-1].isspace() else ""
+            end = found + len(toks)
+            if bad is None and end <= vals.size:
+                try:
+                    vals[found:end] = np.fromiter(map(float, toks), np.float64, len(toks))
+                except ValueError as exc:
+                    bad = exc  # raised only once the count is known to match
+            found = end
+            if not chunk:
+                break
+    if found != count:
+        raise ValueError(f"expected {count} numbers, found {found}")
+    if bad is not None:
+        raise bad
+    if vals.size != count:
+        raise MemoryError(f"cannot hold the {count} numbers of {str(path)!r}")
     if field == "complex":
         vals = vals.view(np.complex128)  # keeps signed zeros in both parts
-    return _tidy_field(vals.reshape(n, m))
+    return _tidy_field(vals.reshape(n, m), copy=False)

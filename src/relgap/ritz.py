@@ -97,7 +97,7 @@ def _cross_checked_etas(h: HermitianMatrix,
     return eta_eig, gap, float(tol), ritz_vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzEstimate:
     """Defect spectrum, Ritz values, the relative subspace-error bounds, and
     the true error computed from exact spectral data for validation."""

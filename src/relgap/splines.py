@@ -24,7 +24,7 @@ _TAYLOR_N = np.arange(20.0)[:, None]
 _INV_FACTORIALS = 1.0 / np.cumprod(np.maximum(_TAYLOR_N, 1.0))[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewisePoly:
     """Polynomial pieces ``sum_r coeffs[r, j] * (t - knots[j])**r`` on
     ``[knots[j], knots[j+1]]``."""

@@ -23,7 +23,7 @@ from .matcore import (HermitianMatrix, eig_herm, fractional_power, op_norm, requ
 from .quadrature import integrate_adaptive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqrtPerturbation:
     t: np.ndarray
     x: np.ndarray
@@ -54,7 +54,7 @@ def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
     return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqrtIntegralResult:
     x: np.ndarray
     identity_defect: float  # defect of int_0^inf exp(-2Ct) C dt = I/2 at C = H^{-1/2}

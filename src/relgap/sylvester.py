@@ -51,7 +51,7 @@ def _relative_distances(sa: np.ndarray, sm: np.ndarray) -> np.ndarray:
     return np.abs(sa[:, None] - sm[None, :]) / (np.sqrt(sa)[:, None] * np.sqrt(sm)[None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakSylvesterProblem:
     """Coefficients of one weak Sylvester instance: A, M positive definite,
     F of shape (dim A, dim M), with spectra separated in the relative metric."""
@@ -151,7 +151,9 @@ def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(t))
     if t.shape != p.f.shape:
         raise ValueError(f"T must have shape {p.f.shape}, got {t.shape}")
-    return op_norm(two_sided_fn(p.dec_a, p.dec_m, coupling_kernel, t) - p.f)
+    r = two_sided_fn(p.dec_a, p.dec_m, coupling_kernel, t)
+    # in place unless a real r meets a complex F
+    return op_norm(np.subtract(r, p.f, out=r if r.dtype == np.result_type(r, p.f) else None))
 
 
 def _dichotomy_coefficient(a: float, b: float) -> float:

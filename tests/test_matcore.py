@@ -1,11 +1,13 @@
 import io
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relgap import matcore
 from relgap.harness import mathieu_model
 from relgap.matcore import (
     HermitianMatrix,
@@ -245,6 +247,14 @@ class TestNorms:
         assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-14, abs=0.0)
         assert (got == 0.0) == (kind == "zero")
 
+    def test_zero_imaginary_part_takes_the_real_route(self, rng):
+        # a complex input whose imaginary parts are all zero gives the real
+        # input's bits (the complex Gram and sum differ in the last bits of
+        # about half of such draws)
+        for _ in range(10):
+            a = rng.standard_normal((30, 20))
+            assert op_norm(a + 0j) == op_norm(a) and hs_norm(a + 0j) == hs_norm(a)
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_op_norm_of_empty_is_zero(self, shape):
         assert op_norm(np.zeros(shape)) == 0.0
@@ -382,6 +392,21 @@ def _adversarial_matrix(rng, shape, complex_field: bool) -> np.ndarray:
     return a
 
 
+def _layout_file(field: str, tmp_path):
+    """A file of mixed whitespace (CRLF, tabs, blank lines, trailing blanks)
+    and tokens ``float()`` accepts, and the array a per-token parse gives."""
+    toks = [repr(x) for x in ADVERSARIAL] + ["1E+300", "+2.5", "1_0", "-7.25e-5"]
+    body = (f"{toks[0]}\r\n" + "\t".join(toks[1:6]) + "\r\n\r\n\n"
+            + "   ".join(toks[6:9]) + " \t\r\n" + "\n\n".join(toks[9:]) + "  ")
+    shape = (3, 4) if field == "real" else (2, 3)
+    path = tmp_path / "layout.mtx"
+    path.write_bytes(f"{shape[0]} {shape[1]} {field}\r\n{body}".encode())
+    vals = [float(t) for t in toks]
+    if field == "complex":
+        vals = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
+    return path, np.array(vals).reshape(shape)
+
+
 class TestMatrixTextFormat:
     def test_real_roundtrip_bit_exact(self, tmp_path, rng):
         a = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
@@ -417,16 +442,90 @@ class TestMatrixTextFormat:
     def test_reader_layouts_match_float_loop(self, field, tmp_path):
         """Any whitespace layout and any token ``float()`` accepts load to the
         bits of a per-token ``float()`` parse."""
-        toks = [repr(x) for x in ADVERSARIAL] + ["1E+300", "+2.5", "1_0", "-7.25e-5"]
-        body = (f"{toks[0]}\r\n" + "\t".join(toks[1:6]) + "\r\n\r\n\n"
-                + "   ".join(toks[6:9]) + " \t\r\n" + "\n\n".join(toks[9:]) + "  ")
-        shape = (3, 4) if field == "real" else (2, 3)
-        path = tmp_path / "layout.mtx"
-        path.write_bytes(f"{shape[0]} {shape[1]} {field}\r\n{body}".encode())
-        vals = [float(t) for t in toks]
-        if field == "complex":
-            vals = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
-        assert _bits(load_matrix(path)) == _bits(np.array(vals).reshape(shape))
+        path, want = _layout_file(field, tmp_path)
+        assert _bits(load_matrix(path)) == _bits(want)
+
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reader_chunk_cuts_match_float_loop(self, field, chunk, tmp_path, monkeypatch):
+        # chunks of 1-7 characters cut every token, CRLF pair and run of
+        # blanks of the layout file somewhere; the bits stay those of float()
+        monkeypatch.setattr(matcore, "_CHUNK_CHARS", chunk)
+        path, want = _layout_file(field, tmp_path)
+        assert _bits(load_matrix(path)) == _bits(want)
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 16], ids=["3-char-chunks", "default-chunks"])
+    @pytest.mark.parametrize("body, message", [
+        ("1 x 3 4 5", "expected 4 numbers, found 5"),
+        ("1 x 3", "expected 4 numbers, found 3"),
+        ("1 x 3 4", "could not convert string to float: 'x'"),
+        ("1 2 3 4e 5e", "expected 4 numbers, found 5"),
+        ("1 nan 3 4", "non-finite"),
+        ("1 inf 3 y", "could not convert string to float: 'y'"),
+    ], ids=["count-before-bad-token", "count-short", "bad-token", "count-at-end",
+            "nan", "bad-token-before-inf"])
+    def test_reader_error_order(self, body, message, chunk, tmp_path, monkeypatch):
+        # the count is checked before any token's float() error, and that
+        # before the non-finite check, wherever the chunks are cut
+        monkeypatch.setattr(matcore, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"2 2 real\n{body}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("side", [10**9, 10**10], ids=["8-EB", "past-intp"])
+    def test_reader_huge_header_gets_count_error(self, side, tmp_path):
+        # no array of the promised size can be allocated (numpy raises
+        # MemoryError, or ValueError past the largest intp)
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"{side} {side} real\n1 2 3\n")
+        with pytest.raises(ValueError, match=f"expected {side * side} numbers, found 3"):
+            load_matrix(path)
+
+    def test_reader_body_beyond_memory(self, tmp_path, monkeypatch):
+        # a body that matches a header whose array cannot be allocated is
+        # counted to the end and then reported as out of memory
+        def empty(size):
+            if size:
+                raise MemoryError
+            return np.zeros(0)
+
+        monkeypatch.setattr(matcore.np, "empty", empty)
+        path = tmp_path / "big.mtx"
+        path.write_text("2 2 real\n1 2 3 4\n")
+        with pytest.raises(MemoryError, match="cannot hold the 4 numbers"):
+            load_matrix(path)
+
+    def test_reader_long_token_across_chunks(self, tmp_path, monkeypatch):
+        # a token far longer than a chunk parses whole
+        monkeypatch.setattr(matcore, "_CHUNK_CHARS", 4)
+        path = tmp_path / "long.mtx"
+        path.write_text("1 2 real\n" + "0" * 1000 + "1.5 " + "2" + "0" * 300 + "\n")
+        assert _bits(load_matrix(path)) == _bits(np.array([[1.5, 2e300]]))
+
+    def test_io_peaks_stay_near_one_matrix(self, tmp_path):
+        # a load holds the result plus one chunk's tokens, a save one row's
+        # text: far below the whole-file text and token list, 12x and 7.6x
+        a = make_rng(80).standard_normal((300, 300))
+        path = tmp_path / "a.mtx"
+        save_matrix(path, a)
+        peaks = []
+        for io_call in (lambda: load_matrix(path), lambda: save_matrix(path, a)):
+            tracemalloc.start()
+            try:
+                io_call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3 * a.nbytes and peaks[1] < 2 * a.nbytes
+
+    def test_writer_takes_noncontiguous_complex(self):
+        # a transposed complex array has no contiguous rows to view as pairs
+        a = (np.arange(6.0) + 1j * np.arange(6.0, 12.0)).reshape(2, 3).T
+        stream, ref = io.StringIO(), io.StringIO()
+        save_matrix(stream, a)
+        _reference_save(ref, a)
+        assert stream.getvalue() == ref.getvalue()
 
     def test_header(self, tmp_path):
         path = tmp_path / "a.mtx"
@@ -468,14 +567,46 @@ class TestMatrixTextFormat:
         np.testing.assert_array_equal(load_matrix(path), a)
 
 
+def _pair():
+    return HermitianMatrix(np.diag([4.0, 9.0])), HermitianMatrix(np.eye(2))
+
+
+def _ritz_estimate():
+    from relgap.ritz import ritz_bounds
+    return ritz_bounds(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), Projection(np.eye(3)[:, :1]), 2.0)
+
+
+def _sqrt_pair():
+    from relgap.sqroot import sqrt_pair
+    return sqrt_pair(*_pair())
+
+
+def _sqrt_integral():
+    from relgap.sqroot import sqrt_integral_solution
+    return sqrt_integral_solution(*_pair(), np.eye(2))
+
+
+def _trial_functions():
+    from relgap.harness import trial_functions
+    return trial_functions(mathieu_model(np.pi, 0.0, 3), 5, "linear")
+
+
+def _piecewise_poly():
+    from relgap.splines import piecewise_linear
+    return piecewise_linear([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("make", [
     lambda: HermitianMatrix(np.eye(3)),
     lambda: HermitianMatrix.from_diagonal([1.0, 2.0, 3.0]),
     lambda: SpectralDecomposition(np.arange(3.0), np.eye(3)),
     lambda: Projection(np.eye(3)[:, :2]),
     lambda: mathieu_model(np.pi, 0.0, 3),
+    _ritz_estimate, _sqrt_pair, _sqrt_integral, _trial_functions, _piecewise_poly,
+    lambda: _sylvester_problem(np.ones((2, 2))),
 ], ids=["HermitianMatrix", "HermitianMatrix-from-diagonal", "SpectralDecomposition",
-        "Projection", "MathieuModel"])
+        "Projection", "MathieuModel", "RitzEstimate", "SqrtPerturbation",
+        "SqrtIntegralResult", "TrialFunctions", "PiecewisePoly", "WeakSylvesterProblem"])
 def test_equality_and_hash_by_identity(make):
     # the generated __eq__ compared arrays (ValueError: truth value is
     # ambiguous) and __hash__ hashed them (TypeError); by identity, neither
