@@ -101,7 +101,7 @@ def _cmd_sqroot_check(args) -> int:
     h = HermitianMatrix(load_matrix(args.h))
     m = HermitianMatrix(load_matrix(args.m))
     pair = sqrt_pair(h, m)
-    integral = sqrt_integral_solution(h, m, pair.t)
+    integral = sqrt_integral_solution(pair)
     sys.stdout.write(_json_text({
         "norm_t": pair.norm_t,
         "norm_x": pair.norm_x,

@@ -6,12 +6,16 @@ other in the form-relative sense: the smallest eta with
 with ``(1-eps) m[u] <= h[u] <= (1+eps) m[u]``, and the S operator.  Every
 quantity reads ``H - M``, taken once from the exact inputs:
 eta and eps from the difference pencil ``M^{+1/2} (H - M) M^{+1/2}``, S as
-``H^{+1/2} (H - M) M^{+1/2}``; no two nearly equal products cancel.
+``H^{+1/2} (H - M) M^{+1/2}``; no two nearly equal products cancel.  S is
+formed in one place, in the eigenbases of the pair (``FormPair.s_hat``), and
+every consumer, :func:`s_operator`, the HS subspace bound and both square-root
+routes, reads that array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .matcore import (
     eig_herm,
     op_norm,
     require_positive,
-    two_sided_fn,
 )
 
 KERNEL_ANGLE_TOL = 1e-8
@@ -56,23 +59,32 @@ class FormPair:
         require_positive(self.dec_h, "H", definite=False)
         require_positive(self.dec_m, "M", definite=False)
 
-    def kernel_angle(self) -> float:
-        """Sine of the largest principal angle between ker(H) and ker(M)."""
+    def ensure_shared_kernel(self) -> None:
+        """Raise unless ker(H) and ker(M) coincide: the sine of their largest
+        principal angle (1 for kernels of different dimension) must not exceed
+        KERNEL_ANGLE_TOL."""
         kh = self.dec_h.vectors[:, ~_range_mask(self.dec_h)]
         km = self.dec_m.vectors[:, ~_range_mask(self.dec_m)]
-        if kh.shape[1] != km.shape[1]:
-            return 1.0
-        resid = km - kh @ (kh.conj().T @ km)
-        return min(1.0, op_norm(resid))
-
-    def ensure_shared_kernel(self) -> None:
-        angle = self.kernel_angle()
+        same_dim = kh.shape[1] == km.shape[1]
+        angle = min(1.0, op_norm(km - kh @ (kh.conj().T @ km))) if same_dim else 1.0
         if angle > KERNEL_ANGLE_TOL:
             raise ValueError(
                 "H and M must share their kernel for the form-closeness operator "
                 f"to exist; largest kernel principal angle {angle:.3e} exceeds "
                 f"{KERNEL_ANGLE_TOL:.0e}"
             )
+
+    @cached_property
+    def s_hat(self) -> np.ndarray:
+        """S in the eigenbases, ``S = V_H S_hat V_M*``: the read-only
+        ``S_hat = diag(lam^{+1/2}) V_H* (H - M) V_M diag(mu^{+1/2})`` (pseudo
+        powers), formed on first read once the kernels are checked to agree."""
+        self.ensure_shared_kernel()
+        lam, mu = self.dec_h.eigenvalues, self.dec_m.eigenvalues
+        s_hat = self.dec_h.vectors.conj().T @ ((self.h.mat - self.m.mat) @ self.dec_m.vectors)
+        s_hat *= _pseudo_power(lam[:, None], -0.5) * _pseudo_power(mu[None, :], -0.5)
+        s_hat.setflags(write=False)
+        return s_hat
 
 
 @dataclass(frozen=True)
@@ -85,13 +97,11 @@ class ClosenessReport:
 
 
 def s_operator(fp: FormPair) -> np.ndarray:
-    """``S = H^{1/2} M^{+1/2} - H^{+1/2} M^{1/2}`` (pseudo powers), formed as
+    """``S = H^{1/2} M^{+1/2} - H^{+1/2} M^{1/2}`` (pseudo powers) as
+    ``V_H S_hat V_M*`` from :attr:`FormPair.s_hat`, that is
     ``H^{+1/2} (H - M) M^{+1/2}``: equal under the shared pseudo-power cutoff,
     and free of the cancellation between the two products."""
-    fp.ensure_shared_kernel()
-    return two_sided_fn(fp.dec_h, fp.dec_m,
-                        lambda lam, mu: _pseudo_power(lam, -0.5) * _pseudo_power(mu, -0.5),
-                        fp.h.mat - fp.m.mat)
+    return fp.dec_h.vectors @ fp.s_hat @ fp.dec_m.vectors.conj().T
 
 
 def _pencil(fp: FormPair) -> np.ndarray:

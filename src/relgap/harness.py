@@ -109,8 +109,8 @@ def _interpolant(model: MathieuModel, n_points: int, interp: str, k: int) -> Pie
         # exact end derivatives keep the interpolant inside the operator
         # domain; its eigenbasis coefficients then decay spectrally
         nu = k + model.theta / TWO_PI
-        return cubic_spline_clamped(t, samples,
-                                    -1j * nu * samples[0], -1j * nu * samples[-1])
+        ends = -1j * nu * model.eigenfunction_samples(k, np.array([0.0, TWO_PI]))
+        return cubic_spline_clamped(t, samples, *ends)
     return piecewise_linear(t, samples)
 
 
@@ -134,10 +134,6 @@ def trial_functions(model: MathieuModel, n_points: int, interp: str) -> TrialFun
     """
     if interp not in ("cubic", "clamped", "linear"):
         raise ValueError(f"interp must be 'cubic', 'clamped' or 'linear', got {interp!r}")
-    if interp in ("cubic", "clamped") and n_points < 4:
-        raise ValueError("cubic interpolation needs at least 4 sample points")
-    if interp == "linear" and n_points < 2:
-        raise ValueError("linear interpolation needs at least 2 sample points")
     pps = tuple(_interpolant(model, n_points, interp, k) for k in TARGETS)
     derivs = tuple(derivative(pp) for pp in pps)
     return TrialFunctions(pps, derivs, l2_gram(pps + derivs))

@@ -47,18 +47,19 @@ class PiecewisePoly:
         return out
 
 
-def _check_grid(x, y, min_points=2, kind="", ends=()) -> tuple[np.ndarray, np.ndarray]:
-    """Knots and values (plus any end derivatives) of an interpolant, checked."""
+def _check_grid(x, y, min_points=2, kind="linear", ends=()) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and values (plus any end derivatives) of an interpolant, checked;
+    the builder names its ``kind`` and the fewest points it takes."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if not all(np.all(np.isfinite(v)) for v in (x, y, *ends)):
         raise ValueError("knots, values and end derivatives must be finite")
-    if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
+    if x.ndim != 1 or np.any(np.diff(x) <= 0):
         raise ValueError("knots must be a strictly increasing 1-d grid")
     if y.shape != x.shape:
         raise ValueError("x and y must have equal length")
     if x.size < min_points:
-        raise ValueError(f"{kind} cubic interpolation needs at least {min_points} points")
+        raise ValueError(f"{kind} interpolation needs at least {min_points} points")
     return x, y
 
 
@@ -95,7 +96,7 @@ def cubic_spline_not_a_knot(x, y) -> PiecewisePoly:
 
     Real and complex data are handled alike; needs at least 4 points.
     """
-    x, y = _check_grid(x, y, 4, "not-a-knot")
+    x, y = _check_grid(x, y, 4, "not-a-knot cubic")
     h = np.diff(x)
     # third-derivative continuity across the first and last interior knots
     return _cubic_spline(x, y, (h[1], -(h[0] + h[1]), h[0]),
@@ -104,7 +105,7 @@ def cubic_spline_not_a_knot(x, y) -> PiecewisePoly:
 
 def cubic_spline_clamped(x, y, d_first, d_last) -> PiecewisePoly:
     """Interpolatory cubic spline with prescribed endpoint derivatives."""
-    x, y = _check_grid(x, y, 3, "clamped", ends=(d_first, d_last))
+    x, y = _check_grid(x, y, 3, "clamped cubic", ends=(d_first, d_last))
     h = np.diff(x)
     return _cubic_spline(x, y, (h[0] / 3.0, h[0] / 6.0), (h[-1] / 6.0, h[-1] / 3.0),
                          (y[1] - y[0]) / h[0] - d_first, d_last - (y[-1] - y[-2]) / h[-1])

@@ -6,25 +6,29 @@ their square roots: ``||X|| <= ||T|| / 2`` for
 ``X = M^{1/4} H^{-1/4} - M^{-1/4} H^{1/4}``.  T is ``-S*``, formed from the
 exact difference ``H - M``; X solves the coupling Sylvester identity
 ``M^{1/4} X H^{-1/4} + M^{-1/4} X H^{1/4} = T``, which in the eigenbases of M
-and H divides T by ``(mu/lam)^{1/4} + (lam/mu)^{1/4} >= 2`` and cannot cancel.
-The independent check of X is its exponential integral solution, evaluated by
-quadrature (``integral_vs_spectral`` in ``relgap sqroot check``).
+and H divides ``-S_hat*`` by ``(mu/lam)^{1/4} + (lam/mu)^{1/4} >= 2`` and cannot
+cancel.  Both routes read S in those eigenbases from the pair
+(``FormPair.s_hat``).  The independent check of X is its exponential integral
+solution, evaluated by quadrature (``integral_vs_spectral`` in
+``relgap sqroot check``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .forms import FormPair, s_operator
-from .matcore import (HermitianMatrix, eig_herm, fractional_power, op_norm, require_positive,
-                      two_sided_fn)
+from .matcore import HermitianMatrix, eig_herm, op_norm, require_positive
 from .quadrature import integrate_adaptive
 
 
 @dataclass(frozen=True, eq=False)
 class SqrtPerturbation:
+    """T, X and their norms, with the checked pair ``fp`` they came from."""
+
+    fp: FormPair = field(repr=False)
     t: np.ndarray
     x: np.ndarray
     norm_t: float
@@ -36,22 +40,16 @@ class SqrtPerturbation:
         return self.norm_t / 2.0 - self.norm_x
 
 
-def _definite_pair(h: HermitianMatrix, m: HermitianMatrix) -> FormPair:
-    """The pair (H, M), checked to be positive definite and of one size."""
-    if h.n != m.n:
-        raise ValueError(f"dimension mismatch: {h.n} vs {m.n}")
+def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
+    """T, X and their norms for a positive definite pair of one size."""
     require_positive(eig_herm(h), "H", definite=True)
     require_positive(eig_herm(m), "M", definite=True)
-    return FormPair(h, m)
-
-
-def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
-    """T, X and their norms for a positive definite pair."""
-    fp = _definite_pair(h, m)
+    fp = FormPair(h, m)
     t = -s_operator(fp).conj().T
-    x = two_sided_fn(fp.dec_m, fp.dec_h,
-                     lambda mu, lam: 1.0 / ((mu / lam) ** 0.25 + (lam / mu) ** 0.25), t)
-    return SqrtPerturbation(t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x))
+    lam, mu = fp.dec_h.eigenvalues[None, :], fp.dec_m.eigenvalues[:, None]
+    x_hat = -fp.s_hat.conj().T / ((mu / lam) ** 0.25 + (lam / mu) ** 0.25)
+    x = fp.dec_m.vectors @ x_hat @ fp.dec_h.vectors.conj().T
+    return SqrtPerturbation(fp=fp, t=t, x=x, norm_t=op_norm(t), norm_x=op_norm(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,26 +73,22 @@ def _ray_integral(f, rate: float, weight: float) -> np.ndarray:
     return integrate_adaptive(integrand, np.log(t0), np.log(t1), tol=1e-10)[0]
 
 
-def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
-                           t_pair: np.ndarray) -> SqrtIntegralResult:
+def sqrt_integral_solution(pair: SqrtPerturbation) -> SqrtIntegralResult:
     """Quadrature evaluation of
 
         X = int_0^inf exp(-M^{-1/2} t) M^{-1/4} T H^{-1/4} exp(-H^{-1/2} t) dt
 
     in log time (``_ray_integral``), with matrix exponentials by spectral
-    calculus, for the pair's T as :func:`sqrt_pair` forms it
-    (``SqrtPerturbation.t``); the self-test of the exponential identity at
-    ``C = H^{-1/2}`` runs through the same substitution.
+    calculus, for the pair :func:`sqrt_pair` checked; ``M^{-1/4} T H^{-1/4}``
+    is ``V_M (mu^{-1/4} (-S_hat*) lam^{-1/4}) V_H*`` from ``pair.fp.s_hat``.
+    The self-test of the exponential identity at ``C = H^{-1/2}`` runs through
+    the same substitution.
     """
-    fp = _definite_pair(h, m)
-    if np.shape(t_pair) != (h.n, h.n):
-        raise ValueError(f"T of shape {np.shape(t_pair)} does not match dimension {h.n}")
-    dec_h, dec_m = fp.dec_h, fp.dec_m
-    vm, vh = dec_m.vectors, dec_h.vectors
-    c_m = 1.0 / np.sqrt(dec_m.eigenvalues)
-    c_h = 1.0 / np.sqrt(dec_h.eigenvalues)
-
-    core = fractional_power(dec_m, -0.25).mat @ t_pair @ fractional_power(dec_h, -0.25).mat
+    fp = pair.fp
+    vm, vh = fp.dec_m.vectors, fp.dec_h.vectors
+    c_m = 1.0 / np.sqrt(fp.dec_m.eigenvalues)
+    c_h = 1.0 / np.sqrt(fp.dec_h.eigenvalues)
+    core = vm @ (np.sqrt(c_m)[:, None] * -fp.s_hat.conj().T * np.sqrt(c_h)) @ vh.conj().T
 
     def integrand(t: np.ndarray) -> np.ndarray:
         em = (vm * np.exp(-t * c_m)) @ vm.conj().T
@@ -103,13 +97,13 @@ def sqrt_integral_solution(h: HermitianMatrix, m: HermitianMatrix,
 
     # ||exp(-C_M t) core exp(-C_H t)|| <= ||core||_F exp(-(min c_m + min c_h) t)
     x = _ray_integral(integrand, c_m.min() + c_h.min(), float(np.linalg.norm(core)))
-    if not (np.iscomplexobj(h.mat) or np.iscomplexobj(m.mat)):
+    if not (np.iscomplexobj(fp.h.mat) or np.iscomplexobj(fp.m.mat)):
         x = x.real
 
     def identity_integrand(t: np.ndarray) -> np.ndarray:
         return (vh * (np.exp(-2.0 * t * c_h) * c_h)) @ vh.conj().T
 
     half_id = _ray_integral(identity_integrand, 2.0 * c_h.min(), c_h.max())
-    defect = op_norm(half_id - 0.5 * np.eye(h.n))
+    defect = op_norm(half_id - 0.5 * np.eye(fp.h.n))
     return SqrtIntegralResult(x=x, identity_defect=float(defect))
 

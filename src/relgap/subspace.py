@@ -18,7 +18,6 @@ from .matcore import (
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
-    _pseudo_power,
     eig_herm,
     hs_norm,
     op_norm,
@@ -174,18 +173,13 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
     read from the cached eigenvalues: the block compressions of H and M by Q,
     P and their complements have exactly those spectra.  S is never formed: the
     couplings are the HS norms of the blocks ``S_hat[~in_H, in_M]`` and
-    ``S_hat[in_H, ~in_M]`` of ``S = V_H S_hat V_M*``, ``S_hat = diag(lam^{+1/2}) V_H*
-    (H - M) V_M diag(mu^{+1/2})`` (pseudo powers), and ``|||S||| = |||S_hat|||``.
-    A NaN ``d1`` and a pair whose kernels differ raise ValueError.
+    ``S_hat[in_H, ~in_M]`` of S in eigencoordinates, ``FormPair.s_hat``, and
+    ``|||S||| = |||S_hat|||``.  A NaN ``d1`` and a pair whose kernels differ
+    raise ValueError.
     """
     fp = FormPair(h, m)
-    dec_h, dec_m = fp.dec_h, fp.dec_m
-    lam_h, lam_m = dec_h.eigenvalues, dec_m.eigenvalues
-    in_h, in_m, qperp_p, pperp_q = _mixed_blocks(dec_h, dec_m, -np.inf, d1)
-    fp.ensure_shared_kernel()
-    # V_H* (H - M) V_M as V_H* (V_M* (H - M))*, H - M being exactly Hermitian
-    core = dec_h.to_eigenbasis(dec_m.to_eigenbasis(fp.h.mat - fp.m.mat).conj().T)
-    s_hat = np.outer(_pseudo_power(lam_h, -0.5), _pseudo_power(lam_m, -0.5)) * core
+    lam_h, lam_m = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
+    in_h, in_m, qperp_p, pperp_q = _mixed_blocks(fp.dec_h, fp.dec_m, -np.inf, d1)
     true_qperp_p = hs_norm(qperp_p)
     true_pperp_q = hs_norm(pperp_q)
     true_diff = float(np.hypot(true_qperp_p, true_pperp_q))
@@ -210,12 +204,12 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
             return 0.0
         return None if gap is None else hs_norm(coupling) / gap
 
-    b1 = _rhs(s_hat[np.ix_(~in_h, in_m)], gap_low)
-    b2 = _rhs(s_hat[np.ix_(in_h, ~in_m)], gap_high)
+    b1 = _rhs(fp.s_hat[np.ix_(~in_h, in_m)], gap_low)
+    b2 = _rhs(fp.s_hat[np.ix_(in_h, ~in_m)], gap_high)
     b_diff = None if (b1 is None or b2 is None) else float(np.hypot(b1, b2))
 
     gaps = [g for g in (gap_low, gap_high) if g is not None]
-    b_comb = hs_norm(s_hat) / min(gaps) if len(gaps) == 2 else None
+    b_comb = hs_norm(fp.s_hat) / min(gaps) if len(gaps) == 2 else None
 
     return HsSubspaceBounds(
         bound_qperp_p=b1,

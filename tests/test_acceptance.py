@@ -320,7 +320,7 @@ def test_criterion_9_square_root_chain():
         h = random_pd(rng, n, complex_field=bool(trial % 2))
         m = random_pd(rng, n, complex_field=bool(trial % 2))
         pair = sqrt_pair(h, m)
-        res = sqrt_integral_solution(h, m, pair.t)
+        res = sqrt_integral_solution(pair)
         worst = max(worst, float(np.max(np.abs(res.x - pair.x))))
         assert np.max(np.abs(res.x - pair.x)) <= 1e-8
     _report(9, f"square-root closeness halves through the chain (200 pairs); "

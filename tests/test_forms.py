@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, strategies as st
 from relgap import forms
 from relgap.forms import FormPair, _pencil, eta_exact, s_operator
 from relgap.matcore import HermitianMatrix, eig_herm, hs_norm, op_norm
-from relgap.sqroot import sqrt_pair
+from relgap.sqroot import sqrt_integral_solution, sqrt_pair
+from relgap.subspace import hs_subspace_bounds
 
 from conftest import make_rng, random_pd, random_unitary
 
@@ -47,7 +50,7 @@ class TestEtaExact:
             raise AssertionError("eta_exact formed S")
 
         monkeypatch.setattr(forms, "s_operator", forbidden)
-        monkeypatch.setattr(forms, "two_sided_fn", forbidden)
+        monkeypatch.setattr(FormPair, "s_hat", property(forbidden))
         assert eta_exact(fp) == ref
 
     def test_two_diagonal_channels(self):
@@ -191,6 +194,34 @@ def test_s_operator_structure_on_eigenpairs(rng):
             lhs = v.conj() @ s @ u
             rhs = (lam - mu) / np.sqrt(lam * mu) * (v.conj() @ u)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_s_operator_is_s_hat_in_the_eigenbases(rng, complex_field):
+    # the one array that holds S: s_operator only maps it back, bit for bit
+    h = random_pd(rng, 6, complex_field=complex_field)
+    m = random_pd(rng, 6, complex_field=complex_field)
+    fp = FormPair(h, m)
+    s = s_operator(fp)
+    assert fp.s_hat is fp.s_hat and not fp.s_hat.flags.writeable
+    assert s.tobytes() == (fp.dec_h.vectors @ fp.s_hat @ fp.dec_m.vectors.conj().T).tobytes()
+
+
+def test_s_consumers_need_no_two_sided_fn(rng, monkeypatch):
+    # S, the HS subspace bound and both square-root routes read FormPair.s_hat;
+    # the two-sided eigenbasis transform is left to the Sylvester solve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("two_sided_fn called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "relgap" and hasattr(module, "two_sided_fn"):
+            monkeypatch.setattr(module, "two_sided_fn", forbidden)
+    h, m = random_pd(rng, 5), random_pd(rng, 5)
+    s_operator(FormPair(h, m))
+    lam = eig_herm(h).eigenvalues
+    assert hs_subspace_bounds(h, m, float(np.sqrt(lam[1] * lam[2]))).true_diff >= 0.0
+    pair = sqrt_pair(h, m)
+    assert np.max(np.abs(sqrt_integral_solution(pair).x - pair.x)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,21 @@ class TestBuildTestSpace:
         assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=5", "mode -1, N=5"]
 
     def test_cubic_needs_four_points(self, model64):
-        with pytest.raises(ValueError, match="4 sample points"):
+        with pytest.raises(ValueError, match="at least 4 points"):
             trial_functions(model64, 3, "cubic")
+
+    @pytest.mark.parametrize("interp, fewest", [("linear", 2), ("clamped", 3), ("cubic", 4)])
+    def test_too_few_points_named(self, model64, interp, fewest):
+        # the spline builder names the fewest points it takes, down to N = 0
+        for n_points in range(fewest):
+            with pytest.raises(ValueError, match=f"{interp}.* needs at least {fewest} points"):
+                trial_functions(model64, n_points, interp)
+
+    def test_clamped_three_points_rank_two(self, model64):
+        # the clamped spline needs 3 points, not the not-a-knot spline's 4
+        p = _space(model64, 3, "clamped")
+        assert p.rank == 2
+        np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(2), atol=1e-12)
 
     def test_unknown_interp(self, model64):
         with pytest.raises(ValueError, match="interp"):

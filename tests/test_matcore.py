@@ -583,7 +583,7 @@ def _sqrt_pair():
 
 def _sqrt_integral():
     from relgap.sqroot import sqrt_integral_solution
-    return sqrt_integral_solution(*_pair(), np.eye(2))
+    return sqrt_integral_solution(_sqrt_pair())
 
 
 def _trial_functions():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relgap import sqroot
 from relgap.forms import FormPair, eta_exact
 from relgap.matcore import HermitianMatrix, eig_herm, fractional_power, op_norm
 from relgap.sqroot import sqrt_integral_solution, sqrt_pair
@@ -68,19 +69,19 @@ class TestSqrtPair:
 class TestIntegralSolution:
     def test_equal_operators(self, rng):
         m = random_pd(rng, 4)
-        res = sqrt_integral_solution(m, m, np.zeros((4, 4)))
+        res = sqrt_integral_solution(sqrt_pair(m, m))
         np.testing.assert_allclose(res.x, 0.0, atol=1e-10)
 
     def test_scalar(self):
         # T = M^{1/2} H^{-1/2} - M^{-1/2} H^{1/2} = 1/2 - 2, in closed form
-        res = sqrt_integral_solution(_h([[4.0]]), _h([[1.0]]), np.array([[-1.5]]))
+        res = sqrt_integral_solution(sqrt_pair(_h([[4.0]]), _h([[1.0]])))
         np.testing.assert_allclose(res.x, [[1.0 / np.sqrt(2.0) - np.sqrt(2.0)]], atol=1e-9)
 
     def test_matches_spectral_6x6(self, rng):
         h = random_pd(rng, 6, complex_field=True)
         m = random_pd(rng, 6, complex_field=True)
         pair = sqrt_pair(h, m)
-        res = sqrt_integral_solution(h, m, pair.t)
+        res = sqrt_integral_solution(pair)
         assert np.max(np.abs(res.x - pair.x)) <= 1e-8
 
     def test_exponential_identity_wide_spectrum(self):
@@ -92,7 +93,7 @@ class TestIntegralSolution:
             eigs = np.concatenate([[1e-5, 1e6], 10.0 ** rng.uniform(-5, 6, size=4)])
             h = hermitian_from_spectrum(rng, eigs, complex_field=False)
             m = random_pd(rng, 6)
-            res = sqrt_integral_solution(h, m, sqrt_pair(h, m).t)
+            res = sqrt_integral_solution(sqrt_pair(h, m))
             assert res.identity_defect <= 1e-10, offset
 
     @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
@@ -105,22 +106,36 @@ class TestIntegralSolution:
         h = _h((u * [1.0, cond]) @ u.T)
         m = _h(np.diag([1.1, 1.05 * cond]))
         pair = sqrt_pair(h, m)
-        res = sqrt_integral_solution(h, m, pair.t)
+        res = sqrt_integral_solution(pair)
         assert pair.norm_x > 0.04
         assert op_norm(res.x - pair.x) <= 1e-8
         assert res.identity_defect <= 1e-10
 
+    def test_reads_the_pairs_s_hat(self, rng, monkeypatch):
+        # the integral takes M^{-1/4} T H^{-1/4} from the S_hat sqrt_pair formed:
+        # every read returns that one array, and S is not formed again
+        def forbidden(*args, **kwargs):
+            raise AssertionError("formed S a second time")
+
+        pair = sqrt_pair(random_pd(rng, 5), random_pd(rng, 5))
+        s_hat = pair.fp.s_hat
+        cached, reads = FormPair.__dict__["s_hat"], []
+        monkeypatch.setattr(FormPair, "s_hat",
+                            property(lambda fp: reads.append(cached.__get__(fp)) or reads[-1]))
+        monkeypatch.setattr(sqroot, "s_operator", forbidden)
+        res = sqrt_integral_solution(pair)
+        assert reads and all(r is s_hat for r in reads)
+        assert np.max(np.abs(res.x - pair.x)) <= 1e-8
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="H must be positive definite"):
-            sqrt_integral_solution(_h(np.diag([1.0, -2.0])), _h(np.eye(2)), np.zeros((2, 2)))
+            sqrt_integral_solution(sqrt_pair(_h(np.diag([1.0, -2.0])), _h(np.eye(2))))
         with pytest.raises(ValueError, match="M must be positive definite"):
-            sqrt_integral_solution(_h(np.eye(2)), _h(np.diag([0.0, 2.0])), np.zeros((2, 2)))
+            sqrt_integral_solution(sqrt_pair(_h(np.eye(2)), _h(np.diag([0.0, 2.0]))))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            sqrt_integral_solution(_h(np.eye(2)), _h(np.eye(3)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"T of shape \(3, 2\) does not match dimension 2"):
-            sqrt_integral_solution(_h(np.eye(2)), _h(np.eye(2)), np.zeros((3, 2)))
+            sqrt_integral_solution(sqrt_pair(_h(np.eye(2)), _h(np.eye(3))))
 
 
 class TestFormBound:
