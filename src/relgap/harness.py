@@ -226,6 +226,9 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
             p = build_test_space(model, trial)
+        for w in caught:  # a foreign warning goes on to the caller's filters
+            if not issubclass(w.category, TruncationWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         note = "; ".join(str(w.message) for w in caught
                          if issubclass(w.category, TruncationWarning))
         est: RitzEstimate = ritz_bounds(model.h, p, next_ev, norm=norm)

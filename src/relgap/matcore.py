@@ -22,7 +22,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -350,26 +349,6 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
     return HermitianMatrix((out + out.conj().T) / 2.0)  # exactly Hermitian: kept as is
 
 
-def coupling_kernel(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``lam^{1/2} mu^{+1/2} - lam^{+1/2} mu^{1/2}`` (``+1/2``: the pseudo power
-    ``-1/2``), the :func:`two_sided_fn` kernel of the weak Sylvester operator
-    ``X -> A^{1/2} X M^{+1/2} - A^{+1/2} X M^{1/2}``."""
-    return (_pseudo_power(lam, 0.5) * _pseudo_power(mu, -0.5)
-            - _pseudo_power(lam, -0.5) * _pseudo_power(mu, 0.5))
-
-
-def two_sided_fn(dec_l: SpectralDecomposition, dec_r: SpectralDecomposition,
-                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 x: np.ndarray) -> np.ndarray:
-    """``U_l (k(lam_i, mu_j) o (U_l* X U_r)) U_r*`` for the eigenbases of two
-    decompositions; ``kernel`` gets the left eigenvalues as a column and the
-    right ones as a row, and its real weights multiply the core in place."""
-    ul, ur = dec_l.vectors, dec_r.vectors
-    core = ul.conj().T @ (x @ ur)
-    core *= kernel(dec_l.eigenvalues[:, None], dec_r.eigenvalues[None, :])
-    return ul @ core @ ur.conj().T
-
-
 def op_norm(a) -> float:
     """The 2-norm ``peak * sqrt(max eig(Y* Y))``, ``Y = A / max|a_ij|``, the Gram on
     the smaller side: by Weyl off by about ``eps n`` relative, no square overflows,
@@ -383,7 +362,11 @@ def op_norm(a) -> float:
 
 
 def hs_norm(a) -> float:
-    return float(np.linalg.norm(_tidy_field(_as_array(a), copy=False), "fro"))
+    """The Frobenius norm ``s ||A / s||_F``, s the power of two at ``max|a_ij|``:
+    the scaling is exact, so no square overflows or underflows."""
+    mat = _tidy_field(_as_array(a), copy=False)
+    s = 2.0 ** int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])  # 1 for a zero A
+    return s * float(np.linalg.norm(mat / s, "fro"))
 
 
 # ---------------------------------------------------------------------------

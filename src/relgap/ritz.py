@@ -225,6 +225,8 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     Returns None when the denominator is not positive, or when ``next_ev``
     exceeds the (k+1)-st eigenvalue of H (the rule :func:`ritz_bounds` notes,
     read from H's cached decomposition), where the formula bounds nothing.
+    ``H w`` and ``next_ev`` are scaled by the power of two at ``max|lambda(H)|``
+    first: the Gram squares H's scale, and the bound is a ratio.
     """
     w = np.atleast_2d(np.asarray(w))
     k = w.shape[1]
@@ -233,11 +235,13 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     gram_defect = np.linalg.norm(w.conj().T @ w - np.eye(k))
     if not gram_defect <= 1e-10:  # a NaN defect fails too
         raise ValueError(f"trial vectors are not orthonormal (defect {gram_defect:.3e})")
-    hw = h.apply(w)
+    lam = eig_herm(h).eigenvalues
+    scale = 2.0 ** -int(np.frexp(np.abs(lam).max())[1])
+    hw = h.apply(w) * scale
     rho = np.real(np.sum(w.conj() * hw, axis=0))
     resid = hw - w * rho
     gram = resid.conj().T @ resid
     ritz_vals = np.linalg.eigvalsh(w.conj().T @ hw)
     bound = dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
-                               next_ev, norm=norm)
-    return None if _next_ev_too_high(eig_herm(h).eigenvalues, k, next_ev) else bound
+                               next_ev * scale, norm=norm)
+    return None if _next_ev_too_high(lam, k, next_ev) else bound

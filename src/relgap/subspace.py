@@ -18,7 +18,6 @@ from .matcore import (
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
-    eig_herm,
     hs_norm,
     op_norm,
 )
@@ -106,41 +105,29 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
     """
     if not 0.0 < d1 < d2 < np.inf:
         raise ValueError(f"need 0 < d1 < d2 < inf, got d1={d1}, d2={d2}")
-    dec_h, dec_m = eig_herm(h), eig_herm(m)
-    eta = eta_exact(FormPair(h, m)).eta
-    notes: list[str] = []
+    fp = FormPair(h, m)
+    eta = eta_exact(fp).eta
     double = l1 is not None or l2 is not None
     if double and (l1 is None or l2 is None):
         raise ValueError("double-interval mode needs both l1 and l2")
+    if double and not 0.0 < l1 < l2 < d1:
+        raise ValueError(f"need 0 < l1 < l2 < d1 < d2, got {l1}, {l2}, {d1}, {d2}")
 
-    def spectrum_free(a: float, b: float) -> bool:
-        free = not any(np.any((d.eigenvalues >= a) & (d.eigenvalues <= b)) for d in (dec_h, dec_m))
-        if not free:
-            notes.append(f"[{a}, {b}] intersects a spectrum")
-        return free
-
-    resolvent_ok = spectrum_free(d1, d2)
-    if not double:
-        coef = _dichotomy_coefficient(d1, d2)
-        small_ok = eta < 1.0 / coef
-        if not small_ok:
-            notes.append(f"eta={eta:.6e} not below (d2-d1)/sqrt(d2 d1)={1.0 / coef:.6e}")
-        hypothesis_ok = resolvent_ok and small_ok
-        band = (-np.inf, d1)
-    else:
-        if not 0.0 < l1 < l2 < d1:
-            raise ValueError(f"need 0 < l1 < l2 < d1 < d2, got {l1}, {l2}, {d1}, {d2}")
-        low_ok = spectrum_free(l1, l2)
-        coef = _dichotomy_coefficient(d1, d2) + _dichotomy_coefficient(l1, l2)
-        small_ok = coef * eta < 1.0
-        if not small_ok:
-            notes.append(f"coefficient * eta = {coef * eta:.6e} not below 1")
-        hypothesis_ok = resolvent_ok and low_ok and small_ok
-        band = (l2, d1)
+    gaps = [(d1, d2), (l1, l2)] if double else [(d1, d2)]
+    notes = [f"[{a}, {b}] intersects a spectrum" for a, b in gaps
+             if any(np.any((d.eigenvalues >= a) & (d.eigenvalues <= b))
+                    for d in (fp.dec_h, fp.dec_m))]
+    coef = sum(_dichotomy_coefficient(a, b) for a, b in gaps)
+    small_ok = coef * eta < 1.0
+    hypothesis_ok = not notes and small_ok
+    if not small_ok:
+        notes.append(f"coefficient * eta = {coef * eta:.6e} not below 1")
+    band = (l2, d1) if double else (-np.inf, d1)
+    if double:
         notes.append(f"band projections E[{l2}, {d1}]")
 
     # ||P - Q|| = max(||(I-Q) W_P||, ||(I-P) W_Q||) for any two orthogonal projections
-    _, _, qperp_p, pperp_q = _mixed_blocks(dec_h, dec_m, *band)
+    _, _, qperp_p, pperp_q = _mixed_blocks(fp.dec_h, fp.dec_m, *band)
     true = max(op_norm(qperp_p), op_norm(pperp_q))
     return BoundReport(bound=coef * eta, hypothesis_ok=hypothesis_ok,
                        true_value=true, eta=eta, notes=tuple(notes))

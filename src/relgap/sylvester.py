@@ -1,10 +1,15 @@
 """The weakly formulated Sylvester equation in finite dimensions.
 
 Solves ``A^{1/2} T M^{-1/2} - A^{-1/2} T M^{1/2} = F`` for positive definite
-A and M by two independent routes (eigenbasis kernel division and a contour
-integral evaluated by adaptive quadrature) and evaluates a-priori norm bounds
-for the solution: the spectral-dichotomy bound, its two-interval variant and
-the Hilbert-Schmidt relative-gap bound.
+A and M by two independent routes (division in the eigenbases of A and M, and
+a contour integral evaluated by adaptive quadrature) and evaluates a-priori
+norm bounds for the solution: the spectral-dichotomy bound, its two-interval
+variant and the Hilbert-Schmidt relative-gap bound.  On the eigenvector pair
+of ``lam`` (A) and ``mu`` (M) the operator multiplies by the relative
+difference ``r = (lam - mu) / sqrt(lam mu)`` (:func:`_relative_difference`):
+the gap is ``min |r|``, the solve divides by r and every gap coefficient here
+and in the subspace and Ritz bounds is ``1 / r``, so none changes when both
+operators are scaled by one c > 0.
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ from .matcore import (
     HermitianMatrix,
     SpectralDecomposition,
     _tidy_field,
-    coupling_kernel,
     eig_herm,
     fractional_power,
     hs_norm,
     op_norm,
     require_positive,
-    two_sided_fn,
 )
 from .quadrature import integrate_adaptive
 
@@ -43,12 +46,13 @@ def relative_gap(spectrum_a, spectrum_m) -> float:
         raise ValueError(f"relative_gap needs finite spectra, got {both[~np.isfinite(both)]}")
     if np.any(sa <= 0) or np.any(sm <= 0):
         raise ValueError("relative_gap is defined for positive spectra only")
-    return float(_relative_distances(sa, sm).min())
+    return float(np.abs(_relative_difference(sa[:, None], sm[None, :])).min())
 
 
-def _relative_distances(sa: np.ndarray, sm: np.ndarray) -> np.ndarray:
-    # a product of square roots: sqrt(lambda mu) overflows past 1.3e154
-    return np.abs(sa[:, None] - sm[None, :]) / (np.sqrt(sa)[:, None] * np.sqrt(sm)[None, :])
+def _relative_difference(a, b):
+    """``(a - b) / sqrt(a b)`` for positive a and b, as a product of square
+    roots: ``sqrt(a b)`` would overflow past 1.3e154 and underflow below 1.5e-154."""
+    return (a - b) / (np.sqrt(a) * np.sqrt(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +78,7 @@ class WeakSylvesterProblem:
         require_positive(self.dec_a, "A", definite=True)
         require_positive(self.dec_m, "M", definite=True)
         la, lm = self.dec_a.eigenvalues, self.dec_m.eigenvalues
-        dist = _relative_distances(la, lm)
+        dist = np.abs(_relative_difference(la[:, None], lm[None, :]))
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         object.__setattr__(self, "gap", float(dist[i, j]))
         if self.gap < RESONANCE_TOL:
@@ -89,10 +93,19 @@ class WeakSylvesterProblem:
         return float(self.dec_m.eigenvalues.max()), float(self.dec_a.eigenvalues.min())
 
 
+def _two_sided(p: WeakSylvesterProblem, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``V_A (weights o (V_A* X V_M)) V_M*``; the real weights scale the core in place."""
+    va, vm = p.dec_a.vectors, p.dec_m.vectors
+    core = va.conj().T @ (x @ vm)
+    core *= weights
+    return va @ core @ vm.conj().T
+
+
 def solve_weak_spectral(p: WeakSylvesterProblem) -> np.ndarray:
-    """Unique solution via kernel division in the eigenbases of A and M:
-    ``t_ij = f_ij * sqrt(lam_i mu_j) / (lam_i - mu_j)``."""
-    return two_sided_fn(p.dec_a, p.dec_m, lambda lam, mu: _dichotomy_coefficient(mu, lam), p.f)
+    """Unique solution by division in the eigenbases of A and M:
+    ``t_ij = f_ij / r(lam_i, mu_j)`` with r the :func:`_relative_difference`."""
+    lam, mu = p.dec_a.eigenvalues[:, None], p.dec_m.eigenvalues[None, :]
+    return _two_sided(p, 1.0 / _relative_difference(lam, mu), p.f)
 
 
 def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
@@ -151,14 +164,15 @@ def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(t))
     if t.shape != p.f.shape:
         raise ValueError(f"T must have shape {p.f.shape}, got {t.shape}")
-    r = two_sided_fn(p.dec_a, p.dec_m, coupling_kernel, t)
+    root_a, root_m = np.sqrt(p.dec_a.eigenvalues)[:, None], np.sqrt(p.dec_m.eigenvalues)
+    r = _two_sided(p, root_a / root_m - root_m / root_a, t)  # the defining spelling
     # in place unless a real r meets a complex F
     return op_norm(np.subtract(r, p.f, out=r if r.dtype == np.result_type(r, p.f) else None))
 
 
 def _dichotomy_coefficient(a: float, b: float) -> float:
-    """The gap coefficient ``sqrt(a b) / (b - a)``, positive for ``0 < a < b``."""
-    return np.sqrt(b * a) / (b - a)
+    """The gap coefficient ``sqrt(a b) / (b - a) = 1 / r(b, a)``, positive for ``0 < a < b``."""
+    return 1.0 / _relative_difference(b, a)
 
 
 @dataclass(frozen=True)

@@ -254,8 +254,7 @@ def test_subspace_bound_nan_pencil_exit_code(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("args, message", [
     (["--d1", "nan", "--hs"], "out of order or NaN"),
     (["--d1", "3", "--d2", "inf"], "0 < d1 < d2 < inf"),
-    (["--d1", "5", "--d2", "1e308"], "not JSON compliant"),  # sqrt(d1 d2) overflows
-], ids=["hs-nan-d1", "infinite-d2", "infinite-bound"])
+], ids=["hs-nan-d1", "infinite-d2"])
 def test_subspace_bound_non_finite_exit_code(tmp_path, capsys, args, message):
     # each printed NaN or Infinity (or, with --hs, a rank-0 projection) and exited 0
     rng = make_rng(5)
@@ -267,6 +266,22 @@ def test_subspace_bound_non_finite_exit_code(tmp_path, capsys, args, message):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("relgap: error: ") and message in err[0]
+
+
+def test_subspace_bound_huge_d2_is_finite(tmp_path, capsys):
+    # the coefficient sqrt(d1 d2) / (d2 - d1) once overflowed in sqrt(d1 d2)
+    # and printed Infinity; as 1 / r(d2, d1) it is finite and correct
+    rng = make_rng(5)
+    hp, mp = tmp_path / "h.mtx", tmp_path / "m.mtx"
+    save_matrix(hp, hermitian_from_spectrum(rng, [0.5, 1.0, 3.0, 4.0]).mat)
+    save_matrix(mp, hermitian_from_spectrum(rng, [0.6, 1.1, 3.2, 4.1]).mat)
+    assert main(["subspace", "bound", "--h", str(hp), "--m", str(mp),
+                 "--d1", "5", "--d2", "1e308"]) == 0
+    rep = _report(capsys.readouterr().out)
+    # sqrt(5 * 1e308) / (1e308 - 5) * eta; 3.688e-154 at the default seed
+    assert rep["bound"] == pytest.approx(np.sqrt(5.0) * 1e-154 * rep["eta"], rel=1e-13)
+    assert rep["hypothesis_ok"] is True and rep["notes"] == []
+    assert rep["true_value"] == 0.0  # d1 lies above both spectra: P = Q = I
 
 
 def test_ritz_estimate_nan_cross_check_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relgap import forms
+from relgap import forms, sylvester
 from relgap.forms import FormPair, _pencil, eta_exact, s_operator
 from relgap.matcore import HermitianMatrix, eig_herm, hs_norm, op_norm
 from relgap.sqroot import sqrt_integral_solution, sqrt_pair
@@ -209,19 +207,19 @@ def test_s_operator_is_s_hat_in_the_eigenbases(rng, complex_field):
 
 def test_s_consumers_need_no_two_sided_fn(rng, monkeypatch):
     # S, the HS subspace bound and both square-root routes read FormPair.s_hat;
-    # the two-sided eigenbasis transform is left to the Sylvester solve
+    # the two-sided eigenbasis transform is the Sylvester module's own
     def forbidden(*args, **kwargs):
-        raise AssertionError("two_sided_fn called")
+        raise AssertionError("_two_sided called")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "relgap" and hasattr(module, "two_sided_fn"):
-            monkeypatch.setattr(module, "two_sided_fn", forbidden)
+    monkeypatch.setattr(sylvester, "_two_sided", forbidden)
     h, m = random_pd(rng, 5), random_pd(rng, 5)
     s_operator(FormPair(h, m))
     lam = eig_herm(h).eigenvalues
     assert hs_subspace_bounds(h, m, float(np.sqrt(lam[1] * lam[2]))).true_diff >= 0.0
     pair = sqrt_pair(h, m)
     assert np.max(np.abs(sqrt_integral_solution(pair).x - pair.x)) <= 1e-8
+    with pytest.raises(AssertionError, match="_two_sided called"):  # the patch bites
+        sylvester.solve_weak_spectral(sylvester.WeakSylvesterProblem(h, m, np.eye(5)))
 
 
 # ---------------------------------------------------------------------------

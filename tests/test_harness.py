@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,24 @@ def test_cubic_row_builds_its_interpolants_once(model64, monkeypatch):
     assert [r.dk_bound is not None for r in rows] == [True] * len(ns)
     assert len(builds) == len(harness.TARGETS) * len(ns)
     assert calls == {"build_test_space": len(ns), "residual_competitor": len(ns)}
+
+
+def test_foreign_warning_reaches_the_caller(model64, monkeypatch):
+    # only TruncationWarnings become row notes; any other warning raised while
+    # the test space is built was recorded and dropped
+    clean = run_benchmark(model64, [5, 6], "cubic")
+    modal = harness.modal_coefficients
+
+    def warning_modal(*args):
+        warnings.warn("injected from modal_coefficients", RuntimeWarning)
+        return modal(*args)
+
+    monkeypatch.setattr(harness, "modal_coefficients", warning_modal)
+    with pytest.warns(RuntimeWarning, match="injected from modal_coefficients") as record:
+        rows = run_benchmark(model64, [5, 6], "cubic")
+    assert rows == clean
+    assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 2
+    assert all(w.filename == __file__ for w in record if issubclass(w.category, RuntimeWarning))
 
 
 def test_repeated_run_reuses_model_operator(monkeypatch):
