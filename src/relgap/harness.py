@@ -11,11 +11,11 @@ eigenbasis is a row scaling, gather or scatter, so a table row costs O(nk)
 in the dimension n.  The trial space is
 built by equidistant interpolation of the eigenfunctions of modes 0 and -1,
 the two lowest for every theta, on ``linspace(0, 2 pi, N)`` (cubic or
-linear), expanded in the eigenbasis at one FFT per interpolant.  Each run
-compares the true subspace error against the relative a-posteriori bound and
-the residual competitor bound, row by row.  A row builds its interpolants
-and their Gram matrix once and hands them to both the trial space and the
-competitor.
+linear), as one stack of both interpolants, expanded in the eigenbasis at one
+FFT.  Each run compares the true subspace error against the relative
+a-posteriori bound and the residual competitor bound, row by row.  A row
+builds its stack, its derivative and their Gram matrix once and hands them to
+both the trial space and the competitor.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .matcore import HermitianMatrix, Projection, eig_herm, fractional_power
 from .ritz import RitzEstimate, dk_bound_from_gram, ritz_bounds
 from .splines import (
     PiecewisePoly,
-    combine,
     cubic_spline_clamped,
     cubic_spline_not_a_knot,
     derivative,
@@ -100,33 +99,34 @@ def mathieu_model(theta: float, alpha: float, trunc: int) -> MathieuModel:
     return MathieuModel(theta=theta, alpha=alpha, trunc=trunc, ks=ks, omegas=omegas)
 
 
-def _interpolant(model: MathieuModel, n_points: int, interp: str, k: int) -> PiecewisePoly:
+def _interpolants(model: MathieuModel, n_points: int, interp: str) -> PiecewisePoly:
     t = np.linspace(0.0, TWO_PI, n_points)
-    samples = model.eigenfunction_samples(k, t)
+    modes = np.array(TARGETS)[:, None]
+    samples = model.eigenfunction_samples(modes, t)
     if interp == "cubic":
         return cubic_spline_not_a_knot(t, samples)
     if interp == "clamped":
-        # exact end derivatives keep the interpolant inside the operator
-        # domain; its eigenbasis coefficients then decay spectrally
-        nu = k + model.theta / TWO_PI
-        ends = -1j * nu * model.eigenfunction_samples(k, np.array([0.0, TWO_PI]))
-        return cubic_spline_clamped(t, samples, *ends)
+        # exact end derivatives keep the interpolants inside the operator
+        # domain; their eigenbasis coefficients then decay spectrally
+        nu = modes + model.theta / TWO_PI
+        ends = -1j * nu * model.eigenfunction_samples(modes, np.array([0.0, TWO_PI]))
+        return cubic_spline_clamped(t, samples, ends[:, 0], ends[:, 1])
     return piecewise_linear(t, samples)
 
 
 @dataclass(frozen=True, eq=False)
 class TrialFunctions:
-    """One table row's interpolants, their derivatives, and the L2 Gram matrix
-    of the interpolants followed by the derivatives."""
+    """One table row's interpolants as one stack, one function per mode of TARGETS,
+    its derivative, and the L2 Gram matrix of the interpolants followed by the derivatives."""
 
-    pps: tuple[PiecewisePoly, ...]
-    derivs: tuple[PiecewisePoly, ...]
+    stack: PiecewisePoly
+    derivs: PiecewisePoly
     gram: np.ndarray
 
 
 def trial_functions(model: MathieuModel, n_points: int, interp: str) -> TrialFunctions:
     """Equidistant interpolants of the eigenfunctions of the modes in TARGETS,
-    with their derivatives and one Gram matrix of both.
+    built as one stack, with their derivatives and one Gram matrix of both.
 
     Samples sit at ``t_j = 2 pi j / (N - 1)`` including both endpoints, so the
     sampled data inherit the quasi-periodic boundary condition of the
@@ -134,9 +134,9 @@ def trial_functions(model: MathieuModel, n_points: int, interp: str) -> TrialFun
     """
     if interp not in ("cubic", "clamped", "linear"):
         raise ValueError(f"interp must be 'cubic', 'clamped' or 'linear', got {interp!r}")
-    pps = tuple(_interpolant(model, n_points, interp, k) for k in TARGETS)
-    derivs = tuple(derivative(pp) for pp in pps)
-    return TrialFunctions(pps, derivs, l2_gram(pps + derivs))
+    stack = _interpolants(model, n_points, interp)
+    derivs = derivative(stack)
+    return TrialFunctions(stack, derivs, l2_gram([stack, derivs]))
 
 
 def build_test_space(model: MathieuModel, trial: TrialFunctions) -> Projection:
@@ -147,17 +147,17 @@ def build_test_space(model: MathieuModel, trial: TrialFunctions) -> Projection:
     than 1e-6 of an interpolant's L2 mass or 1e-3 of its form energy, both read
     from the row's Gram matrix.
     """
-    n_points = trial.pps[0].knots.size
+    n_points = trial.stack.knots.size
     masses, h1_masses = np.split(np.diag(trial.gram).real, 2)
-    coeffs = modal_coefficients(trial.pps, model.ks, model.theta / TWO_PI) / np.sqrt(TWO_PI)
-    for k, coeff, mass, h1_mass in zip(TARGETS, coeffs, masses, h1_masses):
-        power = np.abs(coeff) ** 2
-        energy = h1_mass - model.alpha * mass
-        for loss, tol, what in (
-                ((mass - float(np.sum(power))) / mass, TRUNCATION_LOSS_TOL,
-                 "L2 mass; increase the truncation order"),
-                ((energy - float(np.sum(model.omegas * power))) / energy, ENERGY_LOSS_TOL,
-                 "form energy; the estimator needs a larger truncation order to be meaningful")):
+    energies = h1_masses - model.alpha * masses
+    coeffs = modal_coefficients(trial.stack, model.ks, model.theta / TWO_PI) / np.sqrt(TWO_PI)
+    power = np.abs(coeffs) ** 2
+    losses = np.stack([(masses - power.sum(axis=1)) / masses,
+                       (energies - (model.omegas * power).sum(axis=1)) / energies], axis=1)
+    for k, row in zip(TARGETS, losses):
+        for loss, tol, what in zip(row, (TRUNCATION_LOSS_TOL, ENERGY_LOSS_TOL), (
+                "L2 mass; increase the truncation order",
+                "form energy; the estimator needs a larger truncation order to be meaningful")):
             if loss > tol:
                 warnings.warn(f"mode {k}, N={n_points}: eigenbasis truncation drops "
                               f"{loss:.3e} of the interpolant's {what}",
@@ -175,10 +175,10 @@ def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: flo
     piecewise-polynomial integrals in function space, so the competitor is
     free of eigenbasis-truncation effects.
     """
-    if min(pp.degree for pp in trial.pps) < 3:
+    if trial.stack.degree < 3:
         raise ValueError("interpolants of degree < 3 are outside the operator domain; "
                          "the residual competitor does not apply")
-    k = len(trial.pps)
+    k = len(trial.gram) // 2
     g = trial.gram[:k, :k]
     scales = 1.0 / np.sqrt(np.diag(g).real)
     # Gram matrices of the normalized interpolants phi_i = s_i pp_i
@@ -189,10 +189,10 @@ def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: flo
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
     # each residual is formed as a function before its Gram is taken: it is
     # small, and expanding <r_i, r_j> through the forms would cancel
-    residuals = [combine(derivative(dp), -s, pp, -s * (model.alpha + rho))
-                 for pp, dp, s, rho in zip(trial.pps, trial.derivs, scales,
-                                           np.diag(a_form).real)]
-    gram = l2_gram(residuals)
+    neg = -scales[:, None]
+    residuals = neg * (model.alpha + np.diag(a_form).real)[:, None] * trial.stack.coeffs
+    residuals[: trial.stack.degree - 1] += neg * derivative(trial.derivs).coeffs
+    gram = l2_gram(PiecewisePoly(knots=trial.stack.knots, coeffs=residuals))
     return dk_bound_from_gram(gram, float(ritz_vals[0]), float(ritz_vals[-1]),
                               next_ev, norm=norm)
 

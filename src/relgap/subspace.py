@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, eta_exact
+from .forms import FormPair, _range_mask, eta_exact
 from .matcore import (
     HermitianMatrix,
     Projection,
@@ -158,8 +158,11 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
     The mixed products are controlled through the S operator and the relative
     gaps between the parts of sigma(H) and sigma(M) on either side of ``d1``,
     read from the cached eigenvalues: the block compressions of H and M by Q,
-    P and their complements have exactly those spectra.  S is never formed: the
-    couplings are the HS norms of the blocks ``S_hat[~in_H, in_M]`` and
+    P and their complements have exactly those spectra.  S_hat vanishes on the
+    shared kernel, so when the kernels of H and M lie on one side of ``d1`` its
+    indices drop out of the gaps and couplings: only the ranges are compressed.
+    A cut that splits the kernel, as ``d1 = 0`` may when its eigenvalues round
+    to either sign, gives no bound.  S is never formed: the couplings are the HS norms of the blocks ``S_hat[~in_H, in_M]`` and
     ``S_hat[in_H, ~in_M]`` of S in eigencoordinates, ``FormPair.s_hat``, and
     ``|||S||| = |||S_hat|||``.  A NaN ``d1`` and a pair whose kernels differ
     raise ValueError.
@@ -177,26 +180,31 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
         if lam_x.size == 0 or lam_y.size == 0:
             notes.append(f"{label}: a compression is trivial, gap not defined")
             return None
-        try:
-            return relative_gap(lam_x, lam_y)
-        except ValueError:
-            notes.append(f"{label}: compression spectrum not positive")
-            return None
+        return relative_gap(lam_x, lam_y)
 
-    gap_low = _gap_or_none(lam_h[~in_h], lam_m[in_m], "gap(sigma(A), sigma(M))")
-    gap_high = _gap_or_none(lam_m[~in_m], lam_h[in_h], "gap(sigma(W), sigma(Hc))")
+    live_h, live_m = _range_mask(fp.dec_h), _range_mask(fp.dec_m)
+    kernel_sides = np.concatenate([in_h[~live_h], in_m[~live_m]])
+    if kernel_sides.any() and not kernel_sides.all():
+        # the kernel eigenvalues round to either sign: no cut separates them
+        notes.append(f"d1 = {d1} splits the shared kernel")
+        gap_low = gap_high = b1 = b2 = b_diff = b_comb = None
+    else:
+        lo_h, hi_h, lo_m, hi_m = in_h & live_h, ~in_h & live_h, in_m & live_m, ~in_m & live_m
+        gap_low = _gap_or_none(lam_h[hi_h], lam_m[lo_m], "gap(sigma(A), sigma(M))")
+        gap_high = _gap_or_none(lam_m[hi_m], lam_h[lo_h], "gap(sigma(W), sigma(Hc))")
 
-    def _rhs(coupling: np.ndarray, gap: float | None) -> float | None:
-        if coupling.size == 0:  # Q = I or P = 0 (Q = 0 or P = I): the mixed product is 0
-            return 0.0
-        return None if gap is None else hs_norm(coupling) / gap
+        def _rhs(coupling: np.ndarray, gap: float | None) -> float | None:
+            # an empty coupling: off the shared kernel, Q = I or P = 0 (Q = 0 or
+            # P = I), and the mixed product is 0
+            if coupling.size == 0:
+                return 0.0
+            return None if gap is None else hs_norm(coupling) / gap
 
-    b1 = _rhs(fp.s_hat[np.ix_(~in_h, in_m)], gap_low)
-    b2 = _rhs(fp.s_hat[np.ix_(in_h, ~in_m)], gap_high)
-    b_diff = None if (b1 is None or b2 is None) else float(np.hypot(b1, b2))
-
-    gaps = [g for g in (gap_low, gap_high) if g is not None]
-    b_comb = hs_norm(fp.s_hat) / min(gaps) if len(gaps) == 2 else None
+        b1 = _rhs(fp.s_hat[np.ix_(hi_h, lo_m)], gap_low)
+        b2 = _rhs(fp.s_hat[np.ix_(lo_h, hi_m)], gap_high)
+        b_diff = None if (b1 is None or b2 is None) else float(np.hypot(b1, b2))
+        gaps = [g for g in (gap_low, gap_high) if g is not None]
+        b_comb = hs_norm(fp.s_hat) / min(gaps) if len(gaps) == 2 else None
 
     return HsSubspaceBounds(
         bound_qperp_p=b1,

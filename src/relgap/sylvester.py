@@ -98,7 +98,9 @@ def _two_sided(p: WeakSylvesterProblem, weights: np.ndarray, x: np.ndarray) -> n
     va, vm = p.dec_a.vectors, p.dec_m.vectors
     core = va.conj().T @ (x @ vm)
     core *= weights
-    return va @ core @ vm.conj().T
+    left = va @ core
+    del core  # one n x n array fewer at the second product
+    return left @ vm.conj().T
 
 
 def solve_weak_spectral(p: WeakSylvesterProblem) -> np.ndarray:
@@ -131,9 +133,14 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
         raise ValueError(
             f"shift d={d} violates the dichotomy interval ({m_norm:.6e}, {big_d:.6e})"
         )
-    a_half = fractional_power(p.dec_a, 0.5).mat
-    m_half = fractional_power(p.dec_m, 0.5).mat
-    amat, mmat, f = p.a.mat, p.m.mat, p.f
+    # T is unchanged when A and M are scaled by one c > 0: solved at the power
+    # of four c = root^2 that brings min sigma(A) into [1/2, 2), the resolvents
+    # neither over- nor underflow, and every scaling is exact
+    root = 2.0 ** -(int(np.frexp(big_d)[1]) // 2)
+    d = d * root * root
+    a_half = fractional_power(p.dec_a, 0.5).mat * root
+    m_half = fractional_power(p.dec_m, 0.5).mat * root
+    amat, mmat, f = p.a.mat * root * root, p.m.mat * root * root, p.f
     f_c = f.astype(np.complex128)  # a real F would be cast into a (15, n, n) copy
     eye_a = np.eye(p.a.n)
     eye_m = np.eye(p.m.n)

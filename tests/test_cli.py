@@ -82,6 +82,29 @@ def test_sylvester_solve_quadrature_matches(matrix_files, tmp_path, capsys):
     np.testing.assert_allclose(load_matrix(out_s), load_matrix(out_q), atol=1e-8)
 
 
+def test_sylvester_quadrature_scaled_problem(tmp_path, capsys):
+    # T of the weak equation is unchanged when A and M are scaled by one c;
+    # at c = 2^540 the unscaled resolvents would underflow
+    rng = make_rng(3001)
+    a = hermitian_from_spectrum(rng, [4.0, 5.0, 6.0], complex_field=False).mat
+    m = hermitian_from_spectrum(rng, [0.5, 1.0, 2.0], complex_field=False).mat
+    f = rng.standard_normal((3, 3))
+    written = {}
+    for k in (0, 540):
+        paths = {}
+        for name, mat in (("a", 2.0 ** k * a), ("m", 2.0 ** k * m), ("f", f)):
+            paths[name] = str(tmp_path / f"{name}{k}.mtx")
+            save_matrix(paths[name], mat)
+        out = tmp_path / f"t{k}.mtx"
+        assert main(["sylvester", "solve", "--a", paths["a"], "--m", paths["m"], "--f", paths["f"],
+                     "--method", "quadrature", "--out", str(out)]) == 0
+        capsys.readouterr()
+        written[k] = load_matrix(out)
+    # LAPACK's eigensolver rescales a matrix this large by a factor that is not
+    # a power of two, so the decompositions, and T, agree to rounding only
+    assert np.abs(written[540] - written[0]).max() <= 1e-13 * np.abs(written[0]).max()
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
 def test_sylvester_quadrature_bad_tol_exit_code(matrix_files, capsys, tol):
     # --tol inf used to accept a single panel and print its T

@@ -13,7 +13,12 @@ from relgap.matcore import HermitianMatrix, Projection, eig_herm
 from relgap.ritz import dk_residual_bound, ritz_bounds
 from relgap.sqroot import sqrt_pair
 from relgap.subspace import hs_subspace_bounds, subspace_bounds
-from relgap.sylvester import WeakSylvesterProblem, solve_weak_spectral, sylvester_bounds
+from relgap.sylvester import (
+    WeakSylvesterProblem,
+    solve_weak_quadrature,
+    solve_weak_spectral,
+    sylvester_bounds,
+)
 
 from conftest import hermitian_from_spectrum, make_rng
 
@@ -60,6 +65,7 @@ def _reports(c: float) -> dict:
                  hs.hypothesis_ok, hs.notes)
     prob = WeakSylvesterProblem(a, m_syl, f)
     out["solve"] = (solve_weak_spectral(prob), None, ())
+    out["quadrature"] = (solve_weak_quadrature(prob), None, ())
     b = sylvester_bounds(prob, d_minus=c * 0.25, d_plus=c * 3.0)
     out["sylvester"] = ([b.gap, b.dichotomy_bound, b.two_interval_bound, b.hs_bound],
                         None, b.notes)
@@ -99,6 +105,15 @@ def test_reports_are_scale_invariant(reference, k):
             assert notes[-1] == f"band projections E[{c * L2}, {c * D1}]"
             notes, ref_notes = notes[:-1], ref_notes[:-1]
         assert notes == ref_notes, name
+
+
+@pytest.mark.parametrize("k", [-100, 100])
+def test_quadrature_solve_scales_bit_for_bit(reference, k):
+    # while LAPACK's eigensolver does not rescale the matrix itself, the
+    # decompositions scale exactly, and so does every step of the quadrature
+    _, _, a, m_syl, f, _, _ = _inputs()
+    prob = WeakSylvesterProblem(_scaled(a, 2.0 ** k), _scaled(m_syl, 2.0 ** k), f)
+    assert np.array_equal(solve_weak_quadrature(prob), reference["quadrature"][0])
 
 
 def test_reference_reports_exercise_every_path(reference):

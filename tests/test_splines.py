@@ -6,7 +6,6 @@ import pytest
 from relgap import harness, splines
 from relgap.splines import (
     PiecewisePoly,
-    combine,
     cubic_spline_clamped,
     cubic_spline_not_a_knot,
     derivative,
@@ -220,6 +219,78 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _functions(stack: PiecewisePoly) -> list[PiecewisePoly]:
+    """The functions of a stack, one ``PiecewisePoly`` each."""
+    return [PiecewisePoly(knots=stack.knots, coeffs=stack.coeffs[:, i])
+            for i in range(stack.coeffs.shape[1])]
+
+
+def _stack_samples(field, x, rng, count=3):
+    """``count`` smooth functions sampled on ``x`` and their end derivatives."""
+    nu = rng.uniform(-3.0, 3.0, count)
+    if field == "complex":
+        f, df = (lambda t: np.exp(-1j * nu * t)), (lambda t: -1j * nu * np.exp(-1j * nu * t))
+    else:
+        f, df = (lambda t: np.cos(nu * t)), (lambda t: -nu * np.sin(nu * t))
+    return f(x[:, None]).T, df(x[0]), df(x[-1])
+
+
+class TestStack:
+    """A stack built from ``(count, N)`` samples is, function by function, what
+    each function's own build gives; evaluation, derivatives, Gram matrices and
+    modal expansions of a stack agree with those of its functions."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("interp", ["linear", "not-a-knot", "clamped"])
+    @pytest.mark.parametrize("npts", [4, 5, 9, 33, 64, 100, 140])
+    def test_stack_build_matches_per_function(self, rng, interp, field, npts):
+        x = np.linspace(0.0, 2 * np.pi, npts)
+        y, d_first, d_last = _stack_samples(field, x, rng)
+        stack = _interpolant(interp, x, y, d_first, d_last)
+        assert stack.coeffs.shape == (stack.degree + 1, y.shape[0], npts - 1)
+        for i, got in enumerate(_functions(stack)):
+            want = _interpolant(interp, x, y[i], d_first[i], d_last[i])
+            if npts <= 64 and (field == "complex" or interp == "linear"):
+                assert _same_bits(got.coeffs, want.coeffs)
+                continue
+            # LAPACK's solve with several right-hand sides may differ from one
+            # right-hand side in the last bits (real data, or grids past 64
+            # points): both are backward stable, so the solution (the knot
+            # second derivatives) and the values agree to a few ulps of their
+            # size (at most 11 over 300 seeds)
+            assert got.coeffs.dtype == want.coeffs.dtype
+            t = np.linspace(0.0, 2 * np.pi, 1001)
+            for a, b in ((got.coeffs[-2], want.coeffs[-2]), (got(t), want(t))):
+                assert np.abs(a - b).max() <= 32 * np.finfo(float).eps * np.abs(b).max()
+
+    @pytest.mark.parametrize("interp", ["linear", "not-a-knot", "clamped"])
+    def test_stack_operations_match_per_function(self, rng, interp):
+        x = np.linspace(0.0, 2 * np.pi, 12)
+        y, d_first, d_last = _stack_samples("complex", x, rng)
+        stack = _interpolant(interp, x, y, d_first, d_last)
+        funcs = _functions(stack)
+        t = np.linspace(-0.5, 7.0, 41)
+        values = stack(t)
+        assert values.shape == (len(funcs),) + t.shape
+        dstack = derivative(stack)
+        for i, pp in enumerate(funcs):
+            assert _same_bits(values[i], pp(t))
+            assert _same_bits(dstack.coeffs[:, i], derivative(pp).coeffs)
+        # a stack enters a Gram matrix or a modal expansion as its functions do
+        dfuncs = _functions(dstack)
+        assert _same_bits(l2_gram([stack, dstack]), l2_gram(funcs + dfuncs))
+        assert _same_bits(l2_gram(stack), l2_gram(funcs))
+        for ks, shift in ((MODAL_KS, 0.5), (TABLE_KS, TABLE_SHIFT)):
+            assert _same_bits(modal_coefficients(stack, ks, shift),
+                              modal_coefficients(funcs, ks, shift))
+
+    def test_mismatched_samples_rejected(self):
+        x = np.linspace(0.0, 1.0, 5)
+        for y in (np.ones((2, 4)), np.ones((2, 2, 5))):
+            with pytest.raises(ValueError, match="equal length"):
+                piecewise_linear(x, y)
+
+
 # the model of the paper's tables (scripts/run_tables.py)
 TABLE_THETA, TABLE_ALPHA = np.pi - 1e-4, 0.2499
 # the modes k = -320..320 of the linear table's model and its shift theta/2pi
@@ -276,9 +347,11 @@ class TestModalBatch:
         model = harness.mathieu_model(TABLE_THETA, TABLE_ALPHA, trunc)
         checked = []
 
-        def checked_modal(pps, ks, shift):
-            got = modal_coefficients(pps, ks, shift)
-            checked.extend(_close_to_per_piece(row, pp, ks, shift) for row, pp in zip(got, pps))
+        def checked_modal(stack, ks, shift):
+            got = modal_coefficients(stack, ks, shift)
+            assert got.shape == (len(harness.TARGETS), ks.size)
+            checked.extend(_close_to_per_piece(row, pp, ks, shift)
+                           for row, pp in zip(got, _functions(stack)))
             return got
 
         monkeypatch.setattr(harness, "modal_coefficients", checked_modal)
@@ -339,14 +412,6 @@ class TestMassAndInner:
         want = np.array([[pairwise_l2_inner(pa, pb) for pb in pps] for pa in pps])
         np.testing.assert_allclose(gram, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
-    def test_combine(self, rng):
-        x = np.linspace(0, 1, 5)
-        pa = cubic_spline_not_a_knot(x, rng.standard_normal(5))
-        pb = piecewise_linear(x, rng.standard_normal(5))
-        out = combine(pa, 2.0, pb, -3.0)
-        t = np.linspace(0, 1, 37)
-        np.testing.assert_allclose(out(t), 2.0 * pa(t) - 3.0 * pb(t), atol=1e-13)
-
     def test_mismatched_grids_rejected(self, rng):
         pa = piecewise_linear([0.0, 1.0], [1.0, 2.0])
         pb = piecewise_linear([0.0, 2.0], [1.0, 2.0])
@@ -354,8 +419,6 @@ class TestMassAndInner:
             l2_gram([pa, pb])
         with pytest.raises(ValueError, match="knot grid"):
             l2_gram([pa, pa, pb])
-        with pytest.raises(ValueError, match="knot grid"):
-            combine(pa, 1.0, pb, 1.0)
 
     def test_nearly_equal_grids_rejected(self):
         # a grid that differs by 1e-9 is a different grid: nothing would be
@@ -368,6 +431,6 @@ class TestMassAndInner:
         with pytest.raises(ValueError, match="share one knot grid"):
             l2_gram([pa, pb])
         with pytest.raises(ValueError, match="share one knot grid"):
-            combine(pa, 1.0, pb, 1.0)
+            l2_gram([cubic_spline_not_a_knot(x, np.stack([np.sin(x), np.cos(x)])), pb])
         with pytest.raises(ValueError, match="share one knot grid"):
             modal_coefficients([pa, pb], [0, 1], 0.0)

@@ -348,17 +348,69 @@ class TestHsSubspaceBounds:
         with pytest.raises(ValueError, match="NaN"):
             hs_subspace_bounds(h, h, np.nan)
 
-    def test_compression_spectrum_not_positive(self):
-        # the shared kernel e1 lies below the cut, in range(Q) and range(P),
-        # so the compressions of M by P and of H by Q are singular
+    def test_shared_kernel_below_the_cut(self):
+        # the shared kernel e1 lies below the cut, in range(Q) and range(P);
+        # S_hat vanishes on it, so it drops out of the gaps and the bounds hold
         h = HermitianMatrix(np.diag([0.0, 1.0, 4.0]))
         m = HermitianMatrix(np.diag([0.0, 1.1, 3.9]))
         rep = hs_subspace_bounds(h, m, 2.0)
-        assert rep.bound_qperp_p is None and rep.bound_pperp_q is None
-        assert rep.bound_diff is None and rep.bound_combined is None
-        assert not rep.hypothesis_ok
-        assert any("gap(sigma(A), sigma(M)): compression spectrum not positive" in n
-                   for n in rep.notes)
+        assert rep.hypothesis_ok and rep.notes == ()
+        assert rep.gap_low == relative_gap([4.0], [1.1])
+        assert rep.gap_high == relative_gap([3.9], [1.0])
+        assert rep.bound_diff == rep.true_diff == 0.0 and rep.bound_combined > 0.0
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_shared_kernel_pair(self, rotated):
+        # op mode holds on this pair; the HS bound once read the kernel as a
+        # compression eigenvalue 0 and returned None
+        h, m = np.diag([0.0, 1.0, 1.2, 5.0, 6.0]), np.diag([0.0, 1.05, 1.25, 5.2, 6.1])
+        if rotated:
+            u = random_unitary(make_rng(19), 5, complex_field=True)
+            h, m = (u @ x @ u.conj().T for x in (h, m))
+            h, m = ((x + x.conj().T) / 2.0 for x in (h, m))
+        h, m = HermitianMatrix(h), HermitianMatrix(m)
+        assert subspace_bounds(h, m, 2.0, 4.0).hypothesis_ok
+        rep = hs_subspace_bounds(h, m, 3.0)
+        assert rep.hypothesis_ok and rep.notes == ()
+        assert rep.true_diff <= rep.bound_diff + 1e-12
+        assert rep.gap_low == pytest.approx(relative_gap([5.0, 6.0], [1.05, 1.25]), rel=1e-12)
+        assert rep.gap_high == pytest.approx(relative_gap([5.2, 6.1], [1.0, 1.2]), rel=1e-12)
+
+    @pytest.mark.parametrize("d1", [0.0, 1e-20])
+    def test_cut_at_the_shared_kernel(self, d1):
+        # rotated, the kernel eigenvalues of H and M round to about +-1e-16; when
+        # their signs differ the cut splits the kernel and no bound is given
+        # (true_diff is 1), otherwise both sides hold the whole kernel
+        split = 0
+        for seed in range(12):
+            h, m = np.diag([0.0, 1.0, 1.2, 5.0, 6.0]), np.diag([0.0, 1.05, 1.25, 5.2, 6.1])
+            u = random_unitary(make_rng(seed), 5, complex_field=True)
+            h, m = (u @ x @ u.conj().T for x in (h, m))
+            h, m = (HermitianMatrix((x + x.conj().T) / 2.0) for x in (h, m))
+            rep = hs_subspace_bounds(h, m, d1)
+            if rep.hypothesis_ok:
+                assert rep.true_diff <= rep.bound_diff + 1e-12
+            else:
+                split += 1
+                assert rep.notes == (f"d1 = {d1} splits the shared kernel",)
+                assert rep.bound_diff is None and rep.bound_combined is None
+        assert 0 < split < 12
+
+    def test_shared_kernel_congruent_pairs(self):
+        # H = M^{1/2} (I + E) M^{1/2} shares the kernel of M and differs from it on
+        # the range, so the true difference is nonzero and the bound must hold
+        eigs = np.array([0.0, 0.5, 0.8, 4.0, 5.0])
+        for trial in range(10):
+            rng = make_rng(700 + trial)
+            u = random_unitary(rng, 5, complex_field=bool(trial % 2))
+            m_half = (u * np.sqrt(eigs)) @ u.conj().T
+            e = rng.standard_normal((5, 5))
+            e = 0.05 * (e + e.T) / op_norm(e + e.T)
+            h, m = (m_half @ x @ m_half for x in (np.eye(5) + e, np.eye(5)))
+            h, m = (HermitianMatrix((x + x.conj().T) / 2.0) for x in (h, m))
+            rep = hs_subspace_bounds(h, m, 2.0)
+            assert rep.hypothesis_ok and rep.notes == ()
+            assert 0.0 < rep.true_diff <= rep.bound_diff + 1e-12
 
     def test_huge_spectra_keep_their_gaps(self):
         # eigenvalue products past the float range once read as a zero gap
