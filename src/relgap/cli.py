@@ -78,6 +78,8 @@ def _cmd_sylvester_solve(args) -> int:
 def _cmd_subspace_bound(args) -> int:
     if args.d2 is None and not args.hs:
         args.usage_error("--d2 is required unless --hs is given")
+    if args.hs and (args.l1 is not None or args.l2 is not None):
+        args.usage_error("--l1/--l2 name band projections, which --hs does not bound")
     h = HermitianMatrix(load_matrix(args.h))
     m = HermitianMatrix(load_matrix(args.m))
     report = (hs_subspace_bounds(h, m, args.d1) if args.hs
@@ -158,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--m", required=True)
     bound.add_argument("--d1", type=float, required=True)
     bound.add_argument("--d2", type=float, default=None, help="not read with --hs")
-    bound.add_argument("--l1", type=float, default=None)
-    bound.add_argument("--l2", type=float, default=None)
+    bound.add_argument("--l1", type=float, default=None, help="not allowed with --hs")
+    bound.add_argument("--l2", type=float, default=None, help="not allowed with --hs")
     bound.add_argument("--hs", action="store_true",
                        help="Hilbert-Schmidt bounds for the projections below d1")
     bound.set_defaults(func=_cmd_subspace_bound, usage_error=bound.error)

@@ -9,7 +9,9 @@ eta and eps from the difference pencil ``M^{+1/2} (H - M) M^{+1/2}``, S as
 ``H^{+1/2} (H - M) M^{+1/2}``; no two nearly equal products cancel.  S is
 formed in one place, in the eigenbases of the pair (``FormPair.s_hat``), and
 every consumer, :func:`s_operator`, the HS subspace bound and both square-root
-routes, reads that array.
+routes, reads that array.  Which eigenvalues count as zero, for the kernels,
+the pseudo powers and the PSD check alike, is matcore's one rank rule
+(``_range_mask``).
 """
 
 from __future__ import annotations
@@ -22,20 +24,14 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     SpectralDecomposition,
-    ZERO_TOL,
     _pseudo_power,
+    _range_mask,
     eig_herm,
     op_norm,
     require_positive,
 )
 
 KERNEL_ANGLE_TOL = 1e-8
-
-
-def _range_mask(dec: SpectralDecomposition) -> np.ndarray:
-    """Eigenvalues above the pseudo-inverse rank cutoff; the rest span the kernel."""
-    lam = np.abs(dec.eigenvalues)
-    return lam > ZERO_TOL * np.max(lam)
 
 
 @dataclass(frozen=True)
@@ -63,8 +59,8 @@ class FormPair:
         """Raise unless ker(H) and ker(M) coincide: the sine of their largest
         principal angle (1 for kernels of different dimension) must not exceed
         KERNEL_ANGLE_TOL."""
-        kh = self.dec_h.vectors[:, ~_range_mask(self.dec_h)]
-        km = self.dec_m.vectors[:, ~_range_mask(self.dec_m)]
+        kh = self.dec_h.vectors[:, ~_range_mask(self.dec_h.eigenvalues)]
+        km = self.dec_m.vectors[:, ~_range_mask(self.dec_m.eigenvalues)]
         same_dim = kh.shape[1] == km.shape[1]
         angle = min(1.0, op_norm(km - kh @ (kh.conj().T @ km))) if same_dim else 1.0
         if angle > KERNEL_ANGLE_TOL:
@@ -109,7 +105,7 @@ def _pencil(fp: FormPair) -> np.ndarray:
     M has rank 0); ``|||S|||^2 = sum x^2 / (1 + x)``.  ``H - M`` is taken once from the
     exact inputs, so a small x keeps its relative accuracy."""
     fp.ensure_shared_kernel()
-    keep = _range_mask(fp.dec_m)
+    keep = _range_mask(fp.dec_m.eigenvalues)
     r = fp.dec_m.vectors[:, keep] * fp.dec_m.eigenvalues[keep] ** -0.5  # M^{+1/2} on range(M)
     x = np.linalg.eigvalsh(r.conj().T @ (fp.h.mat - fp.m.mat) @ r)
     if not np.all(x > -1.0):  # a NaN fails too

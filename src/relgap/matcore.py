@@ -10,7 +10,8 @@ and :meth:`SpectralDecomposition.from_eigenbasis` then act by row scaling,
 gather and scatter instead of n x n products.  A matrix built from its
 diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
 memory until a dense array is read.  Real inputs stay real, complex inputs
-stay complex.
+stay complex.  One relative rank rule, :func:`_range_mask`, decides which
+eigenvalues and singular values count as zero, package-wide.
 
 The matrix text reader :func:`load_matrix` parses the body in fixed 64 KiB
 text chunks into one preallocated array, so a load holds about one copy of
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 HERMITICITY_RTOL = 1e-13
-ZERO_TOL = 1e-12  # relative rank cutoff for pseudo-inverse decisions
+ZERO_TOL = 1e-12  # the relative rank cutoff; only _range_mask reads it
 
 
 class ConvergenceError(RuntimeError):
@@ -51,6 +52,15 @@ def _tidy_field(mat: np.ndarray, copy: bool = True) -> np.ndarray:
         mat = mat.astype(np.complex128, copy=copy)
         return mat if np.any(mat.imag) else mat.real.copy()
     return mat.astype(np.float64, copy=copy)
+
+
+def _range_mask(values: np.ndarray) -> np.ndarray:
+    """The rank rule: entries with ``|x| > ZERO_TOL * max|x|``; the rest count as
+    zero.  It sets the kernel, the pseudo powers, the PSD/PD checks and the rank
+    of :meth:`Projection.from_span`.  It has no absolute floor: scaling the
+    values by a power of two keeps the mask while the cutoff stays normal."""
+    mag = np.abs(values)
+    return mag > ZERO_TOL * np.max(mag, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,13 +286,10 @@ class Projection:
 
     @classmethod
     def from_span(cls, cols: np.ndarray) -> "Projection":
-        """Orthonormal basis of the column span, rank decided at ``ZERO_TOL``."""
-        cols = _tidy_field(np.atleast_2d(cols))
-        if cols.shape[1] == 0:
-            return cls(cols)
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        keep = s > ZERO_TOL * max(s[0], 1e-300) if s.size else np.zeros(0, bool)
-        return cls(u[:, keep])
+        """Orthonormal basis of the column span: the left singular vectors whose
+        singular values pass :func:`_range_mask`."""
+        u, s, _ = np.linalg.svd(_tidy_field(np.atleast_2d(cols)), full_matrices=False)
+        return cls(u[:, _range_mask(s)])
 
     @property
     def n(self) -> int:
@@ -308,23 +315,28 @@ def eig_herm(a) -> SpectralDecomposition:
 
 
 def require_positive(dec: SpectralDecomposition, name: str, definite: bool) -> None:
-    """Reject a spectrum that is not positive semidefinite (``definite``
-    false: min eigenvalue below ``-1e-12 * max``) or not positive definite
-    (``definite`` true: min eigenvalue at or below ``1e-12 * max``); a NaN fails."""
+    """Reject a spectrum that is not positive semidefinite (``definite`` false:
+    a negative eigenvalue passes :func:`_range_mask`) or not positive definite
+    (``definite`` true: the smallest eigenvalue is not positive or fails the
+    mask); a NaN fails."""
     lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
-    cutoff = ZERO_TOL * max(hi, 1e-300)
-    if not ((lo > cutoff) if definite else (lo >= -cutoff)):
+    if _range_mask(dec.eigenvalues)[0]:
+        ok = lo > 0
+    else:  # lo counts as zero; lo <= hi is false only on a NaN
+        ok = not definite and lo <= hi
+    if not ok:
         kind = "definite" if definite else "semidefinite"
         raise ValueError(f"{name} must be positive {kind}: "
                          f"min eigenvalue {lo:.6e} vs max {hi:.6e}")
 
 
 def _pseudo_power(lam: np.ndarray, p: float) -> np.ndarray:
-    """Entrywise ``lam ** p`` under the pseudo-inverse convention: values with
-    ``|lam| <= ZERO_TOL * max|lam|`` map to ``0 ** p`` (``0 ** 0 = 1``), and a
-    negative or non-integer power maps every nonpositive value to zero."""
-    thresh = ZERO_TOL * (np.max(np.abs(lam)) if lam.size else 0.0)
-    live = np.abs(lam) > thresh if p >= 0 and p == round(p) else lam > thresh
+    """Entrywise ``lam ** p`` under the pseudo-inverse convention: values that
+    fail :func:`_range_mask` map to ``0 ** p`` (``0 ** 0 = 1``), and a negative
+    or non-integer power maps every nonpositive value to zero."""
+    live = _range_mask(lam)
+    if not (p >= 0 and p == round(p)):
+        live &= lam > 0
     return np.where(live, np.where(live, lam, 1.0) ** p, float(p == 0))
 
 

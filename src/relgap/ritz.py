@@ -74,29 +74,6 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     return eta_eig, eta_lu, lam11
 
 
-def _cross_checked_etas(h: HermitianMatrix,
-                        p: Projection) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """The eigenbasis route's etas, their largest disagreement with the LU
-    route, the tolerance that disagreement was checked against, and the Ritz
-    values.
-
-    The LU route's forward error grows with the conditioning of H; the
-    consistency threshold scales accordingly.  A NaN disagreement fails the
-    check.
-    """
-    eta_eig, eta_lu, ritz_vals = eta_routes(h, p)
-    lam = eig_herm(h).eigenvalues
-    cond = lam[-1] / lam[0]
-    tol = max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * cond)
-    gap = float(np.max(np.abs(eta_eig - eta_lu))) if eta_eig.size else 0.0
-    if not gap <= tol:
-        raise RuntimeError(
-            "internal consistency failure: the eigenbasis and LU routes "
-            f"disagree by {gap:.3e} (> {tol:.3e}); this indicates an implementation bug"
-        )
-    return eta_eig, gap, float(tol), ritz_vals
-
-
 @dataclass(frozen=True, eq=False)
 class RitzEstimate:
     """Defect spectrum, Ritz values, the relative subspace-error bounds, and
@@ -143,7 +120,17 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
         raise ValueError("trial space must have rank >= 1")
     if not np.isfinite(next_ev):
         raise ValueError(f"next_ev must be finite, got {next_ev}")
-    etas, eta_gap, eta_tol, ritz_vals = _cross_checked_etas(h, p)
+    etas, eta_lu, ritz_vals = eta_routes(h, p)
+    dec_h = eig_herm(h)
+    lam = dec_h.eigenvalues
+    # the LU route's forward error grows with the conditioning of H; a NaN gap fails
+    eta_tol = float(max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * (lam[-1] / lam[0])))
+    eta_gap = float(np.max(np.abs(etas - eta_lu)))
+    if not eta_gap <= eta_tol:
+        raise RuntimeError(
+            "internal consistency failure: the eigenbasis and LU routes "
+            f"disagree by {eta_gap:.3e} (> {eta_tol:.3e}); this indicates an implementation bug"
+        )
     k = p.rank
     ritz_min, ritz_max = float(ritz_vals[0]), float(ritz_vals[-1])
     eta_k = float(etas[-1])
@@ -165,8 +152,6 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
             notes.append(f"eta_k/(1-eta_k)={small:.6e} not below "
                          f"(next_ev-D_P)/(next_ev+D_P)={room:.6e}")
 
-    dec_h = eig_herm(h)
-    lam = dec_h.eigenvalues
     if _next_ev_too_high(lam, k, next_ev):
         notes.append(f"next_ev={next_ev:.6e} exceeds the (k+1)-st eigenvalue {lam[k]:.6e} of H")
         hyp = False
@@ -220,7 +205,8 @@ def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,
 def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
                       norm: str = "hs") -> float | None:
     """Residual (Davis-Kahan style) competitor bound from the Rayleigh
-    residuals ``r_i = H w_i - (w_i, H w_i) w_i`` of the trial vectors.
+    residuals ``r_i = H w_i - (w_i, H w_i) w_i`` of the trial vectors, the
+    columns of ``w``, which must pass :class:`Projection`'s orthonormality check.
 
     Returns None when the denominator is not positive, or when ``next_ev``
     exceeds the (k+1)-st eigenvalue of H (the rule :func:`ritz_bounds` notes,
@@ -228,13 +214,10 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     ``H w`` and ``next_ev`` are scaled by the power of two at ``max|lambda(H)|``
     first: the Gram squares H's scale, and the bound is a ratio.
     """
-    w = np.atleast_2d(np.asarray(w))
+    w = Projection(np.atleast_2d(w)).basis
     k = w.shape[1]
     if k == 0:
         raise ValueError("need at least one trial vector")
-    gram_defect = np.linalg.norm(w.conj().T @ w - np.eye(k))
-    if not gram_defect <= 1e-10:  # a NaN defect fails too
-        raise ValueError(f"trial vectors are not orthonormal (defect {gram_defect:.3e})")
     lam = eig_herm(h).eigenvalues
     scale = 2.0 ** -int(np.frexp(np.abs(lam).max())[1])
     hw = h.apply(w) * scale

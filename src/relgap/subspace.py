@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormPair, _range_mask, eta_exact
+from .forms import FormPair, eta_exact
 from .matcore import (
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
+    _range_mask,
     hs_norm,
     op_norm,
 )
@@ -182,7 +183,7 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
             return None
         return relative_gap(lam_x, lam_y)
 
-    live_h, live_m = _range_mask(fp.dec_h), _range_mask(fp.dec_m)
+    live_h, live_m = _range_mask(lam_h), _range_mask(lam_m)
     kernel_sides = np.concatenate([in_h[~live_h], in_m[~live_m]])
     if kernel_sides.any() and not kernel_sides.all():
         # the kernel eigenvalues round to either sign: no cut separates them

@@ -192,6 +192,19 @@ def test_subspace_bound_without_d2_is_usage_error(pair_files, capsys):
     assert len(errors) == 1 and "--d2" in errors[0]
 
 
+@pytest.mark.parametrize("bands", [["--l1", "0.6", "--l2", "0.8"], ["--l1", "0.6"], ["--l2", "0.8"]],
+                         ids=["l1-l2", "l1", "l2"])
+def test_subspace_bound_hs_with_bands_is_usage_error(pair_files, capsys, bands):
+    # the HS bound covers E(d1) only; it answered that bound for band projections
+    with pytest.raises(SystemExit) as exc:
+        main(pair_files + ["--d2", "2.5", "--hs"] + bands)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--l1/--l2" in errors[0] and "--hs" in errors[0]
+
+
 @pytest.mark.parametrize("d2", [[], ["--d2", "2.5"]], ids=["d2-omitted", "d2-given"])
 def test_subspace_bound_hs_d2_optional(pair_files, capsys, d2):
     assert main(pair_files + ["--hs"] + d2) == 0

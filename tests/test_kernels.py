@@ -7,6 +7,7 @@ evaluations of S, T, X, the Sylvester solution and its residual agree with
 the dense fractional-power formulas kept below as references.
 """
 
+import ast
 import pathlib
 import re
 
@@ -391,6 +392,18 @@ def test_only_matcore_reads_diagonal_and_perm():
                if path.name != "matcore.py"
                and re.search(r"\._diagonal\b|\.perm\b", path.read_text())]
     assert readers == []
+
+
+def test_one_rank_rule_in_matcore():
+    # the rank cutoff lives in matcore._range_mask alone, with no absolute floor
+    package = pathlib.Path(matcore.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "ZERO_TOL" in text] == ["matcore.py"]
+    assert [name for name, text in sources.items() if "1e-300" in text] == []
+    readers = {fn.name for fn in ast.walk(ast.parse(sources["matcore.py"]))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "ZERO_TOL"}
+    assert readers == {"_range_mask"}
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

@@ -174,8 +174,8 @@ class TestSpectralCalculus:
             fractional_power(dec, 0.5)
 
     def test_negative_power_needs_semidefinite_spectrum(self):
-        # the require_positive rule: reject min < -1e-12 * max, so a relative
-        # rounding-level negative eigenvalue passes and maps to zero
+        # the rank rule: a negative eigenvalue within 1e-12 max|lambda| of zero
+        # counts as zero, so it passes and maps to zero; one beyond it fails
         for d in ([-3.0, -1.0], [-5.0, 1.0], [-2e-12, 1.0]):
             with pytest.raises(ValueError, match="positive semidefinite"):
                 fractional_power(eig_herm(np.diag(d)), 0.5)

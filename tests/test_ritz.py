@@ -406,7 +406,7 @@ class TestDkResidualBound:
         h = random_pd(rng, 4)
         w = eig_herm(h).vectors[:, :2].copy()
         w[1, 0] = np.nan
-        with pytest.raises(ValueError, match="not orthonormal"):
+        with pytest.raises(ValueError, match="non-finite entries"):
             dk_residual_bound(h, w, 10.0)
 
     def test_row_mismatch_on_diagonal_h_rejected(self):

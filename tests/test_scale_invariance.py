@@ -9,15 +9,17 @@ so no such intermediate may even be formed.
 import numpy as np
 import pytest
 
+from relgap.forms import FormPair, eta_exact
 from relgap.matcore import HermitianMatrix, Projection, eig_herm
-from relgap.ritz import dk_residual_bound, ritz_bounds
-from relgap.sqroot import sqrt_pair
+from relgap.ritz import dk_residual_bound, eta_routes, ritz_bounds
+from relgap.sqroot import sqrt_integral_solution, sqrt_pair
 from relgap.subspace import hs_subspace_bounds, subspace_bounds
 from relgap.sylvester import (
     WeakSylvesterProblem,
     solve_weak_quadrature,
     solve_weak_spectral,
     sylvester_bounds,
+    weak_residual,
 )
 
 from conftest import hermitian_from_spectrum, make_rng
@@ -63,8 +65,12 @@ def _reports(c: float) -> dict:
     out["hs"] = ([hs.bound_qperp_p, hs.bound_pperp_q, hs.bound_diff, hs.bound_combined,
                   hs.true_qperp_p, hs.true_pperp_q, hs.true_diff, hs.gap_low, hs.gap_high],
                  hs.hypothesis_ok, hs.notes)
+    closeness = eta_exact(FormPair(h, m))
+    out["eta_exact"] = ([closeness.eta, closeness.epsilon, closeness.eta_from_eps], None, ())
     prob = WeakSylvesterProblem(a, m_syl, f)
-    out["solve"] = (solve_weak_spectral(prob), None, ())
+    t = solve_weak_spectral(prob)
+    # the residual is rounding of T's size: it is compared at that scale
+    out["solve"] = (np.append(t, weak_residual(prob, t)), None, ())
     out["quadrature"] = (solve_weak_quadrature(prob), None, ())
     b = sylvester_bounds(prob, d_minus=c * 0.25, d_plus=c * 3.0)
     out["sylvester"] = ([b.gap, b.dichotomy_bound, b.two_interval_bound, b.hs_bound],
@@ -73,10 +79,14 @@ def _reports(c: float) -> dict:
     est = ritz_bounds(h_ritz, trial, next_ev)
     out["ritz"] = ([*est.etas, est.bound_op, est.bound_hs, est.true_op, est.true_hs],
                    est.hypothesis_ok, est.notes)
+    out["eta_routes"] = (np.concatenate(eta_routes(h_ritz, trial)[:2]), None, ())
     out["dk"] = ([dk_residual_bound(h_ritz, trial.basis, next_ev, norm) for norm in ("op", "hs")],
                  None, ())
     pair = sqrt_pair(h, m)
-    out["sqrt"] = ([pair.norm_t, pair.norm_x], None, ())
+    integral = sqrt_integral_solution(pair)
+    # as in `relgap sqroot check`: the quadrature X carries rounding of T's size
+    out["sqrt"] = ([pair.norm_t, pair.norm_x, *integral.x.ravel(), integral.identity_defect],
+                   None, ())
     return out
 
 
@@ -126,3 +136,21 @@ def test_reference_reports_exercise_every_path(reference):
     assert reference["single-failing"][2][0].startswith("coefficient * eta = ")
     assert reference["sylvester"][2] == ("sigma(A) lies on one side only",)
     assert all(v is not None for v in reference["sylvester"][0] + reference["dk"][0])
+
+
+@pytest.mark.parametrize("k", [0, -1010])
+def test_rank_rule_has_no_absolute_floor(k):
+    # one relative cutoff, with no absolute floor, decides every rank: at 2^-1010
+    # the PSD check, the kernel masks and from_span give the k = 0 answers
+    c = 2.0 ** k
+    m = HermitianMatrix(np.diag([0.0, 1.1, 3.9]) * c)
+    with pytest.raises(ValueError, match="^H must be positive semidefinite: min eigenvalue"):
+        hs_subspace_bounds(HermitianMatrix(np.diag([-2.0 ** -30, 1.0, 4.0]) * c), m, 2.0 * c)
+    hs = hs_subspace_bounds(HermitianMatrix(np.diag([0.0, 1.0, 4.0]) * c), m, 2.0 * c)
+    ref = hs_subspace_bounds(HermitianMatrix(np.diag([0.0, 1.0, 4.0])),
+                             HermitianMatrix(np.diag([0.0, 1.1, 3.9])), 2.0)
+    assert hs.hypothesis_ok and hs.notes == () and hs.bound_diff is not None
+    np.testing.assert_allclose([hs.bound_diff, hs.gap_low, hs.gap_high],
+                               [ref.bound_diff, ref.gap_low, ref.gap_high], rtol=RTOL)
+    cols = np.array([[1.0, 1.0], [0.0, 2.0 ** -30], [0.0, 0.0]]) * c
+    assert Projection.from_span(cols).rank == 2
