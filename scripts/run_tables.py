@@ -19,6 +19,11 @@ from relgap.harness import mathieu_model, rows_to_csv, rows_to_markdown, run_ben
 
 THETA = np.pi - 1e-4
 ALPHA = 0.2499
+# (file stem, what the printout calls it, truncation order K, N values, interpolant);
+# linear interpolants at N ~ 100 alias their interpolation error onto the
+# modes k = +-(N-1), +-2(N-1), ...; the truncation must contain them
+TABLES = (("cubic_hs", "cubic comparison", 64, range(5, 11), "cubic"),
+          ("linear_hs", "linear run", 320, [100, 120, 140], "linear"))
 
 
 def main() -> None:
@@ -28,23 +33,13 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    t0 = time.monotonic()
-    model = mathieu_model(THETA, ALPHA, 64)
-    cubic_rows = run_benchmark(model, range(5, 11), "cubic", norm="hs", with_dk=True)
-    (outdir / "cubic_hs.csv").write_text(rows_to_csv(cubic_rows))
-    (outdir / "cubic_hs.md").write_text(rows_to_markdown(cubic_rows))
-    print(f"cubic comparison written ({time.monotonic() - t0:.1f}s)")
-    print(rows_to_markdown(cubic_rows))
-
-    # linear interpolants at N ~ 100 alias their interpolation error onto the
-    # modes k = +-(N-1), +-2(N-1), ...; the truncation must contain them
-    t0 = time.monotonic()
-    model_fine = mathieu_model(THETA, ALPHA, 320)
-    linear_rows = run_benchmark(model_fine, [100, 120, 140], "linear", norm="hs")
-    (outdir / "linear_hs.csv").write_text(rows_to_csv(linear_rows))
-    (outdir / "linear_hs.md").write_text(rows_to_markdown(linear_rows))
-    print(f"linear run written ({time.monotonic() - t0:.1f}s)")
-    print(rows_to_markdown(linear_rows))
+    for stem, label, trunc, ns, interp in TABLES:
+        t0 = time.monotonic()
+        rows = run_benchmark(mathieu_model(THETA, ALPHA, trunc), ns, interp, norm="hs")
+        (outdir / f"{stem}.csv").write_text(rows_to_csv(rows))
+        (outdir / f"{stem}.md").write_text(rows_to_markdown(rows))
+        print(f"{label} written ({time.monotonic() - t0:.1f}s)")
+        print(rows_to_markdown(rows))
 
 
 if __name__ == "__main__":

@@ -58,7 +58,6 @@ from .sqroot import (  # noqa: F401
 from .harness import (  # noqa: F401
     BenchmarkRow,
     MathieuModel,
-    TruncationWarning,
     build_test_space,
     mathieu_model,
     rows_to_csv,

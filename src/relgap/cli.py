@@ -53,6 +53,10 @@ def _json_text(payload) -> str:
 
 
 def _cmd_sylvester_solve(args) -> int:
+    # --d and --tol are absent from args unless given
+    options = {key: vars(args)[key] for key in ("d", "tol") if key in vars(args)}
+    if options and args.method != "quadrature":
+        args.usage_error("--d/--tol set the quadrature, which needs --method quadrature")
     prob = WeakSylvesterProblem(
         a=HermitianMatrix(load_matrix(args.a)),
         m=HermitianMatrix(load_matrix(args.m)),
@@ -61,7 +65,7 @@ def _cmd_sylvester_solve(args) -> int:
     if args.method == "spectral":
         t = solve_weak_spectral(prob)
     else:
-        t = solve_weak_quadrature(prob, d=args.d, tol=args.tol)
+        t = solve_weak_quadrature(prob, **options)
     report = {
         "method": args.method,
         "residual": weak_residual(prob, t),
@@ -148,10 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--m", required=True)
     solve.add_argument("--f", required=True)
     solve.add_argument("--method", choices=("spectral", "quadrature"), default="spectral")
-    solve.add_argument("--d", type=float, default=None)
-    solve.add_argument("--tol", type=float, default=1e-10)
+    solve.add_argument("--d", type=float, default=argparse.SUPPRESS, help="quadrature only")
+    solve.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="quadrature only")
     solve.add_argument("--out", default=None, help="write T here instead of stdout")
-    solve.set_defaults(func=_cmd_sylvester_solve)
+    solve.set_defaults(func=_cmd_sylvester_solve, usage_error=solve.error)
 
     ssp = sub.add_parser("subspace", help="spectral projection bounds").add_subparsers(
         dest="action", required=True)

@@ -15,14 +15,14 @@ linear), as one stack of both interpolants, expanded in the eigenbasis at one
 FFT.  Each run compares the true subspace error against the relative
 a-posteriori bound and the residual competitor bound, row by row.  A row
 builds its stack, its derivative and their Gram matrix once and hands them to
-both the trial space and the competitor.
+both the trial space and the competitor.  Truncation losses come back as the row's
+note, not as warnings, so threads may run tables on one shared model.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,10 +44,6 @@ TWO_PI = 2.0 * np.pi
 TARGETS = (0, -1)  # the two lowest modes, so next_ev is the third eigenvalue
 TRUNCATION_LOSS_TOL = 1e-6
 ENERGY_LOSS_TOL = 1e-3
-
-
-class TruncationWarning(UserWarning):
-    """The truncated eigenbasis misses a non-negligible part of an interpolant."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +135,12 @@ def trial_functions(model: MathieuModel, n_points: int, interp: str) -> TrialFun
     return TrialFunctions(stack, derivs, l2_gram([stack, derivs]))
 
 
-def build_test_space(model: MathieuModel, trial: TrialFunctions) -> Projection:
+def build_test_space(model: MathieuModel,
+                     trial: TrialFunctions) -> tuple[Projection, tuple[str, ...]]:
     """Trial space spanned by a row's interpolants (see :func:`trial_functions`),
-    expanded in the truncated eigenbasis.
-
-    Emits a :class:`TruncationWarning` when the eigenbasis expansion drops more
-    than 1e-6 of an interpolant's L2 mass or 1e-3 of its form energy, both read
-    from the row's Gram matrix.
+    expanded in the truncated eigenbasis, with its truncation notes as data: one
+    for each interpolant whose expansion drops more than 1e-6 of its L2 mass, one for
+    each that drops more than 1e-3 of its form energy, both read from the row's Gram matrix.
     """
     n_points = trial.stack.knots.size
     masses, h1_masses = np.split(np.diag(trial.gram).real, 2)
@@ -154,15 +149,14 @@ def build_test_space(model: MathieuModel, trial: TrialFunctions) -> Projection:
     power = np.abs(coeffs) ** 2
     losses = np.stack([(masses - power.sum(axis=1)) / masses,
                        (energies - (model.omegas * power).sum(axis=1)) / energies], axis=1)
-    for k, row in zip(TARGETS, losses):
-        for loss, tol, what in zip(row, (TRUNCATION_LOSS_TOL, ENERGY_LOSS_TOL), (
-                "L2 mass; increase the truncation order",
-                "form energy; the estimator needs a larger truncation order to be meaningful")):
-            if loss > tol:
-                warnings.warn(f"mode {k}, N={n_points}: eigenbasis truncation drops "
-                              f"{loss:.3e} of the interpolant's {what}",
-                              TruncationWarning, stacklevel=2)
-    return Projection.from_span(coeffs.T)
+    whats = ("L2 mass; increase the truncation order",
+             "form energy; the estimator needs a larger truncation order to be meaningful")
+    notes = tuple(f"mode {k}, N={n_points}: eigenbasis truncation drops "
+                  f"{loss:.3e} of the interpolant's {what}"
+                  for k, row in zip(TARGETS, losses)
+                  for loss, tol, what in zip(row, (TRUNCATION_LOSS_TOL, ENERGY_LOSS_TOL), whats)
+                  if loss > tol)
+    return Projection.from_span(coeffs.T), notes
 
 
 def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: float,
@@ -223,14 +217,7 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
     rows = []
     for n_points in ns:
         trial = trial_functions(model, n_points, interp)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationWarning)
-            p = build_test_space(model, trial)
-        for w in caught:  # a foreign warning goes on to the caller's filters
-            if not issubclass(w.category, TruncationWarning):
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        note = "; ".join(str(w.message) for w in caught
-                         if issubclass(w.category, TruncationWarning))
+        p, notes = build_test_space(model, trial)
         est: RitzEstimate = ritz_bounds(model.h, p, next_ev, norm=norm)
         dk = None
         if with_dk and interp != "linear":
@@ -243,7 +230,7 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
             ritz_bound=est.bound,
             dk_bound=dk,
             hypothesis_ok=est.hypothesis_ok,
-            note=note,
+            note="; ".join(notes),
         ))
     return rows
 

@@ -54,6 +54,12 @@ def _tidy_field(mat: np.ndarray, copy: bool = True) -> np.ndarray:
     return mat.astype(np.float64, copy=copy)
 
 
+def _pow2_scale(mat: np.ndarray) -> float:
+    """The power of two s at ``max|a_ij|`` (1 for a zero A; at most 2^1023, a float):
+    scaling by s is exact, and ``A / s`` has no square to over- or underflow."""
+    return 2.0 ** min(int(np.frexp(np.max(np.abs(mat), initial=0.0))[1]), 1023)
+
+
 def _range_mask(values: np.ndarray) -> np.ndarray:
     """The rank rule: entries with ``|x| > ZERO_TOL * max|x|``; the rest count as
     zero.  It sets the kernel, the pseudo powers, the PSD/PD checks and the rank
@@ -168,20 +174,23 @@ class HermitianMatrix:
     def decomposition(self) -> "SpectralDecomposition":
         """The eigendecomposition, computed on first access and shared by every
         later consumer.  An exactly diagonal matrix decomposes by sorting its
-        diagonal, with no LAPACK call.  A LAPACK convergence failure is
-        reported as a :class:`ConvergenceError` naming the off-diagonal residual."""
+        diagonal, with no LAPACK call; any other eigen-solves ``A / s`` (:func:`_pow2_scale`)
+        and scales the eigenvalues back, so ``2^k A`` gives ``(2^k lam, V)`` bit for bit.
+        A LAPACK convergence failure is reported as a :class:`ConvergenceError` naming
+        the off-diagonal residual."""
         d = self._diagonal
         if d is not None:
             order = np.argsort(d, kind="stable")
             return SpectralDecomposition._permutation(d[order], order)
         try:
-            lam, v = np.linalg.eigh(self.mat)
+            s = _pow2_scale(self.mat)
+            lam, v = np.linalg.eigh(self.mat / s)
         except np.linalg.LinAlgError as exc:
             offdiag = np.linalg.norm(self.mat - np.diag(np.diag(self.mat)), "fro")
             raise ConvergenceError(
                 f"Hermitian eigensolver did not converge (off-diagonal residual {offdiag:.3e})"
             ) from exc
-        return SpectralDecomposition(lam, v)
+        return SpectralDecomposition(lam * s, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,10 +383,9 @@ def op_norm(a) -> float:
 
 
 def hs_norm(a) -> float:
-    """The Frobenius norm ``s ||A / s||_F``, s the power of two at ``max|a_ij|``:
-    the scaling is exact, so no square overflows or underflows."""
+    """The Frobenius norm ``s ||A / s||_F``, s from :func:`_pow2_scale`."""
     mat = _tidy_field(_as_array(a), copy=False)
-    s = 2.0 ** int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])  # 1 for a zero A
+    s = _pow2_scale(mat)
     return s * float(np.linalg.norm(mat / s, "fro"))
 
 

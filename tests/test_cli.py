@@ -100,9 +100,9 @@ def test_sylvester_quadrature_scaled_problem(tmp_path, capsys):
                      "--method", "quadrature", "--out", str(out)]) == 0
         capsys.readouterr()
         written[k] = load_matrix(out)
-    # LAPACK's eigensolver rescales a matrix this large by a factor that is not
-    # a power of two, so the decompositions, and T, agree to rounding only
-    assert np.abs(written[540] - written[0]).max() <= 1e-13 * np.abs(written[0]).max()
+    # the decompositions eigen-solve A / s, s a power of two, so they scale
+    # exactly also where LAPACK would rescale A itself, and so does T
+    np.testing.assert_array_equal(written[540], written[0])
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
@@ -117,6 +117,22 @@ def test_sylvester_quadrature_bad_tol_exit_code(matrix_files, capsys, tol):
     assert captured.err.startswith("relgap: error: tol must be positive and finite")
     # the message names the caller's value, not a scaled copy of it
     assert captured.err.rstrip().endswith(f"got {float(tol)!r}")
+
+
+@pytest.mark.parametrize("option", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "1e-10"],
+                                    ["--d", "100"], ["--d", "1.8"]],
+                         ids=["tol-negative", "tol-nan", "tol-valid", "d-outside", "d-valid"])
+@pytest.mark.parametrize("method", [[], ["--method", "spectral"]], ids=["default", "spectral"])
+def test_sylvester_quadrature_options_need_quadrature(matrix_files, capsys, option, method):
+    # the spectral solve reads neither --d nor --tol; it accepted any value and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sylvester", "solve", "--a", matrix_files["a"], "--m", matrix_files["m"],
+              "--f", matrix_files["f"]] + method + option)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--d/--tol" in errors[0] and "--method quadrature" in errors[0]
 
 
 def test_sylvester_quadrature_huge_tol_accepted(matrix_files, tmp_path, capsys):

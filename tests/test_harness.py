@@ -1,5 +1,6 @@
 import importlib
 import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -9,7 +10,6 @@ import pytest
 
 from relgap import harness, splines
 from relgap.harness import (
-    TruncationWarning,
     build_test_space,
     mathieu_model,
     residual_competitor,
@@ -41,7 +41,9 @@ def model64():
 
 
 def _space(model, n_points, interp):
-    return build_test_space(model, trial_functions(model, n_points, interp))
+    """The trial space and the prefix of each truncation note, up to its colon."""
+    p, notes = build_test_space(model, trial_functions(model, n_points, interp))
+    return p, [note.split(":")[0] for note in notes]
 
 
 class TestMathieuModel:
@@ -112,26 +114,22 @@ class TestBuildTestSpace:
         e0 = np.zeros(model64.omegas.size)
         e0[model64.trunc] = 1.0  # coordinate of mode k = 0
         # only the coarsest interpolants lose form energy to the truncation
-        with pytest.warns(TruncationWarning) as caught:
-            spaces = [_space(model64, 8, "cubic")]
-        assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=8", "mode -1, N=8"]
-        spaces += [_space(model64, n, "cubic") for n in (16, 32)]
+        spaces, prefixes = zip(*(_space(model64, n, "cubic") for n in (8, 16, 32)))
+        assert prefixes == (["mode 0, N=8", "mode -1, N=8"], [], [])
         errs = [np.linalg.norm(p.projector @ e0 - e0) for p in spaces]
         assert errs[0] > errs[1] > errs[2]
 
     def test_linear_small_n_is_valid_projection(self, model64):
-        with pytest.warns(TruncationWarning) as caught:
-            p = _space(model64, 4, "linear")
-        assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=4", "mode -1, N=4"]
-        assert all("form energy" in str(w.message) for w in caught)
+        p, notes = build_test_space(model64, trial_functions(model64, 4, "linear"))
+        assert [note.split(":")[0] for note in notes] == ["mode 0, N=4", "mode -1, N=4"]
+        assert all("form energy" in note for note in notes)
         assert p.rank == 2
         np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(2), atol=1e-12)
 
     def test_reference_space_rank_two(self, model64):
-        with pytest.warns(TruncationWarning) as caught:
-            p = _space(model64, 5, "cubic")
+        p, prefixes = _space(model64, 5, "cubic")
         assert p.rank == 2
-        assert [str(w.message).split(":")[0] for w in caught] == ["mode 0, N=5", "mode -1, N=5"]
+        assert prefixes == ["mode 0, N=5", "mode -1, N=5"]
 
     def test_cubic_needs_four_points(self, model64):
         with pytest.raises(ValueError, match="at least 4 points"):
@@ -146,7 +144,7 @@ class TestBuildTestSpace:
 
     def test_clamped_three_points_rank_two(self, model64):
         # the clamped spline needs 3 points, not the not-a-knot spline's 4
-        p = _space(model64, 3, "clamped")
+        p, _ = _space(model64, 3, "clamped")
         assert p.rank == 2
         np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(2), atol=1e-12)
 
@@ -156,10 +154,10 @@ class TestBuildTestSpace:
 
     def test_energy_truncation_warned(self):
         # a linear interpolant with N - 1 > K aliases all its interpolation
-        # error outside the eigenbasis; the form-energy warning must fire
+        # error outside the eigenbasis; the form-energy note must be made
         model = mathieu_model(THETA, ALPHA, 8)
-        with pytest.warns(TruncationWarning, match="form energy"):
-            _space(model, 40, "linear")
+        _, notes = build_test_space(model, trial_functions(model, 40, "linear"))
+        assert any("form energy" in note for note in notes)
 
 
 class TestRunBenchmark:
@@ -337,8 +335,8 @@ def test_table_rows_reach_every_traced_layer(monkeypatch):
 
 
 def test_foreign_warning_reaches_the_caller(model64, monkeypatch):
-    # only TruncationWarnings become row notes; any other warning raised while
-    # the test space is built was recorded and dropped
+    # truncation notes are row data, never warnings: a warning raised while the
+    # test space is built passes the runner untouched, once per row, from its origin
     clean = run_benchmark(model64, [5, 6], "cubic")
     modal = harness.modal_coefficients
 
@@ -352,6 +350,35 @@ def test_foreign_warning_reaches_the_caller(model64, monkeypatch):
     assert rows == clean
     assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 2
     assert all(w.filename == __file__ for w in record if issubclass(w.category, RuntimeWarning))
+
+
+def test_threads_share_a_model_and_keep_warning_state():
+    # two threads running the cubic table on one model each get the serial
+    # run's notes, row by row, and leave the process's warning state as it was
+    model = mathieu_model(THETA, ALPHA, 64)
+    serial = [r.note for r in run_benchmark(model, range(5, 11), "cubic")]
+    filters, show = list(warnings.filters), warnings._showwarnmsg_impl
+    wrong = []
+
+    def tables():
+        for _ in range(40):
+            notes = [r.note for r in run_benchmark(model, range(5, 11), "cubic")]
+            wrong.append(notes != serial)
+
+    workers = [threading.Thread(target=tables) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside each row too
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == [False] * 80
+    assert warnings.filters == filters
+    assert warnings._showwarnmsg_impl is show
 
 
 def test_repeated_run_reuses_model_operator(monkeypatch):

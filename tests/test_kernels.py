@@ -406,6 +406,16 @@ def test_one_rank_rule_in_matcore():
     assert readers == {"_range_mask"}
 
 
+def test_package_leaves_warning_state_alone():
+    # catching, filtering or re-issuing warnings swaps process-wide state, which
+    # threads share: a result carries its diagnostics as data instead
+    package = pathlib.Path(matcore.__file__).parent
+    touched = [(path.name, word) for path in sorted(package.glob("*.py"))
+               for word in ("catch_warnings", "simplefilter", "filterwarnings", "warn_explicit")
+               if word in path.read_text()]
+    assert touched == []
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_helpers_are_products_on_dense(complex_field):
     rng = make_rng(66)

@@ -224,6 +224,13 @@ class TestNorms:
         assert op_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0)
         assert hs_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
 
+    def test_power_of_two_scale_past_2_to_1023(self):
+        # 2^1024 is not a float: the scale stops at 2^1023, where A / s is still exact
+        big = 2.0 ** 1021
+        assert hs_norm(np.diag([3.0, 4.0]) * big) == 5.0 * big
+        dec = HermitianMatrix(np.array([[4.0, 1.0], [1.0, 4.0]]) * big).decomposition
+        np.testing.assert_array_equal(dec.eigenvalues, [3.0 * big, 5.0 * big])
+
     def test_op_below_hs_random(self, rng):
         for _ in range(20):
             a = rng.standard_normal((5, 7))
