@@ -10,8 +10,8 @@ and :meth:`SpectralDecomposition.from_eigenbasis` then act by row scaling,
 gather and scatter instead of n x n products.  A matrix built from its
 diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
 memory until a dense array is read.  Real inputs stay real, complex inputs
-stay complex.  One relative rank rule, :func:`_range_mask`, decides which
-eigenvalues and singular values count as zero, package-wide.
+stay complex.  Package-wide, :func:`_range_mask` decides which values count as
+zero, and :func:`_pow2_scale` at which power of two a kernel scales its input.
 
 The matrix text reader :func:`load_matrix` parses the body in fixed 64 KiB
 text chunks into one preallocated array, so a load holds about one copy of
@@ -54,10 +54,11 @@ def _tidy_field(mat: np.ndarray, copy: bool = True) -> np.ndarray:
     return mat.astype(np.float64, copy=copy)
 
 
-def _pow2_scale(mat: np.ndarray) -> float:
-    """The power of two s at ``max|a_ij|`` (1 for a zero A; at most 2^1023, a float):
-    scaling by s is exact, and ``A / s`` has no square to over- or underflow."""
-    return 2.0 ** min(int(np.frexp(np.max(np.abs(mat), initial=0.0))[1]), 1023)
+def _pow2_scale(mat) -> float:
+    """The power of two s at the largest real or imaginary part of an entry (1 for a
+    zero A, at most 2^1023): ``A / s`` is exact, with no square or difference to overflow."""
+    parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+    return 2.0 ** min(int(np.frexp(max(np.max(np.abs(x), initial=0.0) for x in parts))[1]), 1023)
 
 
 def _range_mask(values: np.ndarray) -> np.ndarray:
@@ -93,17 +94,13 @@ class HermitianMatrix:
             raise ValueError("dimension must be >= 1")
         adjoint = mat.conj().T
         if not np.array_equal(mat, adjoint):
-            # norms of A / max|a_ij| (over real and imaginary parts): no square
-            # overflows, and a difference past DBL_MAX is an inf that fails
-            parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
-            peak = max(float(np.max(np.abs(part))) for part in parts)
-            scale = float(np.linalg.norm(mat / peak, "fro"))
-            with np.errstate(over="ignore"):
-                defect = float(np.linalg.norm((mat - adjoint) / peak, "fro"))
+            s = _pow2_scale(mat)  # no square or difference of A / s overflows
+            scale = float(np.linalg.norm(mat / s, "fro"))
+            defect = float(np.linalg.norm(mat / s - adjoint / s, "fro"))
             if not defect <= HERMITICITY_RTOL * scale:
                 raise ValueError(
-                    f"matrix is not Hermitian: asymmetry {peak * defect:.3e} exceeds "
-                    f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * peak * scale:.3e}"
+                    f"matrix is not Hermitian: asymmetry {s * defect:.3e} exceeds "
+                    f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * s * scale:.3e}"
                 )
             mat = _tidy_field((mat + adjoint) / 2.0)
         mat.setflags(write=False)
@@ -220,7 +217,7 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues have non-finite entries (nan or inf)")
         if lam.ndim != 1 or v.shape != (lam.size, lam.size):
             raise ValueError("eigenvalues/vectors shapes are inconsistent")
-        if np.any(np.diff(lam) < 0):
+        if np.any(lam[1:] < lam[:-1]):  # neighbours compared: no difference overflows
             raise ValueError("eigenvalues must be nondecreasing")
         gram = v.conj().T @ v
         gram.flat[:: lam.size + 1] -= 1.0  # V* V - I with no n x n identity
@@ -234,7 +231,7 @@ class SpectralDecomposition:
         index array past the dense checks: ``perm`` is checked in O(n) and V is
         not formed."""
         n = perm.size
-        if (eigenvalues.shape != (n,) or np.any(np.diff(eigenvalues) < 0)
+        if (eigenvalues.shape != (n,) or np.any(eigenvalues[1:] < eigenvalues[:-1])
                 or not np.array_equal(np.bincount(perm, minlength=n), np.ones(n))):
             raise ValueError("need nondecreasing eigenvalues and a permutation of range(n)")
         dec = object.__new__(cls)
@@ -371,15 +368,13 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
 
 
 def op_norm(a) -> float:
-    """The 2-norm ``peak * sqrt(max eig(Y* Y))``, ``Y = A / max|a_ij|``, the Gram on
-    the smaller side: by Weyl off by about ``eps n`` relative, no square overflows,
-    and one that underflows is below eps of the norm."""
+    """The 2-norm ``s sqrt(max eig(Y* Y))``, ``Y = A / s`` (:func:`_pow2_scale`), the Gram
+    on the smaller side: by Weyl off by about ``eps n`` relative, exact under power-of-two
+    scaling, no square overflows, and one that underflows is below eps of the norm."""
     mat = _tidy_field(_as_array(a), copy=False)
-    peak = float(np.max(np.abs(mat), initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    y = mat / peak if mat.shape[0] >= mat.shape[1] else mat.conj().T / peak
-    return peak * float(np.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1]))
+    s = _pow2_scale(mat)
+    y = mat / s if mat.shape[0] >= mat.shape[1] else mat.conj().T / s
+    return s * float(np.sqrt(np.max(np.linalg.eigvalsh(y.conj().T @ y), initial=0.0)))
 
 
 def hs_norm(a) -> float:

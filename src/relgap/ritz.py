@@ -16,6 +16,7 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     Projection,
+    _pow2_scale,
     eig_herm,
     hs_norm,
     op_norm,
@@ -60,7 +61,9 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     h11 = (h11 + h11.conj().T) / 2.0
     # no check of its own: H is definite, so by Cauchy interlacing lam11 >= lam_min(H)
     # > 0; a NaN lam11 makes both routes' etas NaN, which fails the cross-check
-    lam11, v11 = np.linalg.eigh(h11)
+    s11 = _pow2_scale(h11)  # solved at H11 / s11 and scaled back, like a decomposition
+    lam11, v11 = np.linalg.eigh(h11 / s11)
+    lam11 *= s11
     g = v11 / np.sqrt(lam11)
     r = hw - w @ h11
     rw = np.hstack([r, w])
@@ -211,15 +214,15 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     Returns None when the denominator is not positive, or when ``next_ev``
     exceeds the (k+1)-st eigenvalue of H (the rule :func:`ritz_bounds` notes,
     read from H's cached decomposition), where the formula bounds nothing.
-    ``H w`` and ``next_ev`` are scaled by the power of two at ``max|lambda(H)|``
-    first: the Gram squares H's scale, and the bound is a ratio.
+    ``H w`` and ``next_ev`` are divided by :func:`~relgap.matcore._pow2_scale`
+    of H's eigenvalues first: the Gram squares H's scale, and the bound is a ratio.
     """
     w = Projection(np.atleast_2d(w)).basis
     k = w.shape[1]
     if k == 0:
         raise ValueError("need at least one trial vector")
     lam = eig_herm(h).eigenvalues
-    scale = 2.0 ** -int(np.frexp(np.abs(lam).max())[1])
+    scale = 1.0 / _pow2_scale(lam)
     hw = h.apply(w) * scale
     rho = np.real(np.sum(w.conj() * hw, axis=0))
     resid = hw - w * rho

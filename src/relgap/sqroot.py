@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import FormPair, s_operator
-from .matcore import HermitianMatrix, eig_herm, op_norm, require_positive
+from .matcore import HermitianMatrix, _pow2_scale, eig_herm, op_norm, require_positive
 from .quadrature import integrate_adaptive
 
 
@@ -60,17 +60,18 @@ class SqrtIntegralResult:
 
 def _ray_integral(f, rate: float, weight: float) -> np.ndarray:
     """``int_0^inf f(t) dt`` for an f bounded entrywise by ``weight * exp(-rate t)``,
-    in log time ``t = e^u``: every decay rate r is the same bump at ``u = -log r``,
-    however fast.  Each cut tail drops at most 1e-13; the rest has tolerance 1e-10."""
-    cut = 1e-13
+    in log time ``t = e^u / _pow2_scale(rate)``: every rate is one bump, however fast,
+    at nodes u that no power-of-two scaling moves.  Each cut tail drops at most 1e-13;
+    the rest has tolerance 1e-10."""
+    cut, p = 1e-13, _pow2_scale(rate)
     t0 = cut / max(weight, cut * rate)
     t1 = np.log(max(weight / (cut * rate), np.e)) / rate
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        t = np.exp(u)[:, None, None]
+        t = (np.exp(u) / p)[:, None, None]
         return f(t) * t
 
-    return integrate_adaptive(integrand, np.log(t0), np.log(t1), tol=1e-10)[0]
+    return integrate_adaptive(integrand, np.log(t0 * p), np.log(t1 * p), tol=1e-10)[0]
 
 
 def sqrt_integral_solution(pair: SqrtPerturbation) -> SqrtIntegralResult:

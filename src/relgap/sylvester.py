@@ -22,6 +22,7 @@ from .matcore import (
     ConvergenceError,
     HermitianMatrix,
     SpectralDecomposition,
+    _pow2_scale,
     _tidy_field,
     eig_herm,
     fractional_power,
@@ -133,10 +134,10 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
         raise ValueError(
             f"shift d={d} violates the dichotomy interval ({m_norm:.6e}, {big_d:.6e})"
         )
-    # T is unchanged when A and M are scaled by one c > 0: solved at the power
-    # of four c = root^2 that brings min sigma(A) into [1/2, 2), the resolvents
-    # neither over- nor underflow, and every scaling is exact
-    root = 2.0 ** -(int(np.frexp(big_d)[1]) // 2)
+    # T is unchanged when A and M are scaled by one c > 0: solved at c = root^2, which
+    # brings min sigma(A) into [1/4, 1) (sqrt rounds correctly), the resolvents neither
+    # over- nor underflow, and every scaling is exact
+    root = 1.0 / _pow2_scale(np.sqrt(big_d))
     d = d * root * root
     a_half = fractional_power(p.dec_a, 0.5).mat * root
     m_half = fractional_power(p.dec_m, 0.5).mat * root

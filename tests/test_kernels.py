@@ -406,6 +406,19 @@ def test_one_rank_rule_in_matcore():
     assert readers == {"_range_mask"}
 
 
+def test_one_scaling_rule_in_matcore():
+    # the power of two a kernel scales by is picked in matcore._pow2_scale alone,
+    # and no kernel needs to silence an overflow
+    package = pathlib.Path(matcore.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "frexp" in text] == ["matcore.py"]
+    assert [name for name, text in sources.items() if "errstate" in text] == []
+    readers = {fn.name for fn in ast.walk(ast.parse(sources["matcore.py"]))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "frexp"}
+    assert readers == {"_pow2_scale"}
+
+
 def test_package_leaves_warning_state_alone():
     # catching, filtering or re-issuing warnings swaps process-wide state, which
     # threads share: a result carries its diagnostics as data instead

@@ -113,6 +113,16 @@ class TestEig:
         overlap = np.abs(np.sum(expected.conj() * dec.vectors, axis=0))
         np.testing.assert_allclose(overlap, [1.0, 1.0], atol=1e-14)
 
+    @pytest.mark.parametrize("h", [
+        HermitianMatrix(np.array([[0.0, 2.0 ** 1023], [2.0 ** 1023, 0.0]])),
+        HermitianMatrix.from_diagonal([-2.0 ** 1023, 2.0 ** 1023])], ids=["dense", "diagonal"])
+    def test_spectrum_wider_than_dbl_max(self, h):
+        # lam[1] - lam[0] = 2^1024 is not a float: the ordering checks compare
+        # neighbours, so no difference overflows
+        lam = h.decomposition.eigenvalues
+        assert lam[0] < 0 < lam[1] and np.all(np.abs(lam) <= 2.0 ** 1023)
+        np.testing.assert_allclose(np.abs(lam), 2.0 ** 1023, rtol=1e-15)
+
     def test_reconstruction_random(self):
         for trial in range(100):
             rng = make_rng(trial)

@@ -1,5 +1,7 @@
 """Every bound and T is relative: scaling (H, M) or (A, M) by one c > 0, with
-F fixed and next_ev scaled along, changes no reported number beyond rounding.
+F fixed and next_ev scaled along, changes no reported number.  At c = 2^k, k a
+multiple of four (X reads fourth roots of the spectra), every report is
+bit-identical: every kernel scales its input by matcore._pow2_scale.
 
 c runs over powers of two far outside [1e-154, 1e154], where a product of two
 spectral values, or a square of one, over- or underflows; warnings are errors,
@@ -9,8 +11,9 @@ so no such intermediate may even be formed.
 import numpy as np
 import pytest
 
+from relgap.cli import main
 from relgap.forms import FormPair, eta_exact
-from relgap.matcore import HermitianMatrix, Projection, eig_herm
+from relgap.matcore import HermitianMatrix, Projection, eig_herm, save_matrix
 from relgap.ritz import dk_residual_bound, eta_routes, ritz_bounds
 from relgap.sqroot import sqrt_integral_solution, sqrt_pair
 from relgap.subspace import hs_subspace_bounds, subspace_bounds
@@ -95,8 +98,10 @@ def reference():
     return _reports(1.0)
 
 
-@pytest.mark.parametrize("k", [-560, -520, 500, 540])
+@pytest.mark.parametrize("k", [-560, -520, -100, 100, 500, 540])
 def test_reports_are_scale_invariant(reference, k):
+    # every kernel scales its input by matcore._pow2_scale: the reports move
+    # by no bit, past LAPACK's own rescaling range too
     scaled = _reports(2.0 ** k)
     assert scaled.keys() == reference.keys()
     for name, (ref_values, ref_ok, ref_notes) in reference.items():
@@ -104,11 +109,7 @@ def test_reports_are_scale_invariant(reference, k):
         ref_values = np.asarray(ref_values, dtype=complex)
         values = np.asarray(values, dtype=complex)
         assert np.all(np.isfinite(ref_values)), name
-        # relative to the report's largest number: the decompositions scale
-        # exactly, but a kernel that reads the scaled matrix itself (an SVD,
-        # an LU solve, the eigenvalues of a product) can round differently
-        err = np.max(np.abs(values - ref_values))
-        assert err <= RTOL * np.max(np.abs(ref_values)), (name, values, ref_values)
+        assert np.array_equal(values, ref_values), (name, values - ref_values)
         assert ok == ref_ok, name
         if name == "double":  # the band note names the scaled cut points
             c = 2.0 ** k
@@ -117,14 +118,17 @@ def test_reports_are_scale_invariant(reference, k):
         assert notes == ref_notes, name
 
 
-@pytest.mark.parametrize("k", [-560, -520, -100, 100, 500, 540])
-def test_quadrature_solve_scales_bit_for_bit(reference, k):
-    # a decomposition eigen-solves A / s, s a power of two, and scales back: it
-    # scales exactly, past LAPACK's own rescaling range too, and so does every
-    # step of the quadrature
-    _, _, a, m_syl, f, _, _ = _inputs()
-    prob = WeakSylvesterProblem(_scaled(a, 2.0 ** k), _scaled(m_syl, 2.0 ** k), f)
-    assert np.array_equal(solve_weak_quadrature(prob), reference["quadrature"][0])
+def test_sqroot_check_prints_the_same_json(tmp_path, capsys):
+    # the pair travels as text: 17 digits round-trip, and 2^k x is exact
+    h, m = _inputs()[:2]
+    printed = []
+    for k in (0, 540, -560):
+        paths = [str(tmp_path / f"{name}{k}.mtx") for name in "hm"]
+        for path, x in zip(paths, (h, m)):
+            save_matrix(path, 2.0 ** k * x.mat)
+        assert main(["sqroot", "check", "--h", paths[0], "--m", paths[1]]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1] == printed[0] and printed[2] == printed[0]
 
 
 def test_reference_reports_exercise_every_path(reference):
