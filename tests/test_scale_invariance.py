@@ -118,6 +118,16 @@ def test_reports_are_scale_invariant(reference, k):
         assert notes == ref_notes, name
 
 
+@pytest.mark.parametrize("k", [-560, -520, -100, 100, 500, 540])
+def test_quadrature_solve_scales_bit_for_bit(reference, k):
+    # the Sylvester solve on its own, outside the report loop: a decomposition
+    # eigen-solves A / s, s a power of two, and scales back, so every step of
+    # the quadrature scales exactly
+    _, _, a, m_syl, f, _, _ = _inputs()
+    prob = WeakSylvesterProblem(_scaled(a, 2.0 ** k), _scaled(m_syl, 2.0 ** k), f)
+    assert np.array_equal(solve_weak_quadrature(prob), reference["quadrature"][0])
+
+
 def test_sqroot_check_prints_the_same_json(tmp_path, capsys):
     # the pair travels as text: 17 digits round-trip, and 2^k x is exact
     h, m = _inputs()[:2]
