@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import HermitianMatrix, Projection, eig_herm, fractional_power
+from .matcore import HermitianMatrix, Projection, _hermitian_part, eig_herm, fractional_power
 from .ritz import RitzEstimate, dk_bound_from_gram, ritz_bounds
 from .splines import (
     PiecewisePoly,
@@ -176,8 +176,7 @@ def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: flo
     g = trial.gram[:k, :k]
     scales = 1.0 / np.sqrt(np.diag(g).real)
     # Gram matrices of the normalized interpolants phi_i = s_i pp_i
-    b_gram = scales[:, None] * g * scales
-    b_gram = (b_gram + b_gram.conj().T) / 2.0  # exactly Hermitian: kept as is
+    b_gram = _hermitian_part(scales[:, None] * g * scales)  # exactly Hermitian: kept as is
     a_form = scales[:, None] * trial.gram[k:, k:] * scales - model.alpha * b_gram
     b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)

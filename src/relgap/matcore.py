@@ -11,7 +11,8 @@ gather and scatter instead of n x n products.  A matrix built from its
 diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
 memory until a dense array is read.  Real inputs stay real, complex inputs
 stay complex.  Package-wide, :func:`_range_mask` decides which values count as
-zero, and :func:`_pow2_scale` at which power of two a kernel scales its input.
+zero, :func:`_pow2_scale` at which power of two a kernel scales its input, and
+:func:`_hermitian_part` how a kernel symmetrizes the matrices it builds.
 
 The matrix text reader :func:`load_matrix` parses the body in fixed 64 KiB
 text chunks into one preallocated array, so a load holds about one copy of
@@ -32,12 +33,6 @@ ZERO_TOL = 1e-12  # the relative rank cutoff; only _range_mask reads it
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel (eigensolver, quadrature) failed to converge."""
-
-
-def _as_array(a) -> np.ndarray:
-    if isinstance(a, HermitianMatrix):
-        return a.mat
-    return np.asarray(a)
 
 
 def _tidy_field(mat: np.ndarray, copy: bool = True) -> np.ndarray:
@@ -61,6 +56,12 @@ def _pow2_scale(mat) -> float:
     return 2.0 ** min(int(np.frexp(max(np.max(np.abs(x), initial=0.0) for x in parts))[1]), 1023)
 
 
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``(X + X*) / 2`` of a matrix or a stack as ``X / 2 + X* / 2``, exactly Hermitian: no finite
+    X overflows, and the bits are the sum's unless a halved entry falls below 2^-1021."""
+    return x / 2.0 + x.mT.conj() / 2.0
+
+
 def _range_mask(values: np.ndarray) -> np.ndarray:
     """The rank rule: entries with ``|x| > ZERO_TOL * max|x|``; the rest count as
     zero.  It sets the kernel, the pseudo powers, the PSD/PD checks and the rank
@@ -77,7 +78,7 @@ class HermitianMatrix:
 
     The constructor keeps an exactly Hermitian input bit for bit (in a
     read-only copy), rejects other inputs whose asymmetry exceeds
-    ``1e-13 * ||A||_F`` and stores ``(A + A*) / 2`` of the rest.
+    ``1e-13 * ||A||_F`` and stores :func:`_hermitian_part` of the rest.
     :meth:`from_diagonal` builds a diagonal matrix from its diagonal and holds
     O(n) memory: its dense :attr:`mat` is built on first read, and ``n``,
     :meth:`apply`, :meth:`solve` and :attr:`decomposition` never build it.
@@ -102,7 +103,7 @@ class HermitianMatrix:
                     f"matrix is not Hermitian: asymmetry {s * defect:.3e} exceeds "
                     f"{HERMITICITY_RTOL:.0e} * ||A||_F = {HERMITICITY_RTOL * s * scale:.3e}"
                 )
-            mat = _tidy_field((mat + adjoint) / 2.0)
+            mat = _tidy_field(_hermitian_part(mat), copy=False)
         mat.setflags(write=False)
         object.__setattr__(self, "_n", mat.shape[0])
         object.__setattr__(self, "mat", mat)  # fills the cached property
@@ -137,7 +138,7 @@ class HermitianMatrix:
         return mat
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.mat, dtype=dtype)
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
     @cached_property
     def _diagonal(self) -> np.ndarray | None:
@@ -364,14 +365,16 @@ def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:
         bad = lam[~np.isfinite(mapped)]
         raise ValueError(f"spectral function is not finite on eigenvalue(s) {bad}")
     out = (dec.vectors * mapped) @ dec.vectors.conj().T
-    return HermitianMatrix((out + out.conj().T) / 2.0)  # exactly Hermitian: kept as is
+    return HermitianMatrix(_hermitian_part(out))  # exactly Hermitian: kept as is
 
 
 def op_norm(a) -> float:
-    """The 2-norm ``s sqrt(max eig(Y* Y))``, ``Y = A / s`` (:func:`_pow2_scale`), the Gram
-    on the smaller side: by Weyl off by about ``eps n`` relative, exact under power-of-two
+    """The 2-norm of a 2-d A, ``s sqrt(max eig(Y* Y))``, ``Y = A / s`` (:func:`_pow2_scale`),
+    the Gram on the smaller side: by Weyl off by about ``eps n`` relative, exact under power-of-two
     scaling, no square overflows, and one that underflows is below eps of the norm."""
-    mat = _tidy_field(_as_array(a), copy=False)
+    mat = _tidy_field(np.asarray(a), copy=False)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
     s = _pow2_scale(mat)
     y = mat / s if mat.shape[0] >= mat.shape[1] else mat.conj().T / s
     return s * float(np.sqrt(np.max(np.linalg.eigvalsh(y.conj().T @ y), initial=0.0)))
@@ -379,7 +382,7 @@ def op_norm(a) -> float:
 
 def hs_norm(a) -> float:
     """The Frobenius norm ``s ||A / s||_F``, s from :func:`_pow2_scale`."""
-    mat = _tidy_field(_as_array(a), copy=False)
+    mat = _tidy_field(np.asarray(a), copy=False)
     s = _pow2_scale(mat)
     return s * float(np.linalg.norm(mat / s, "fro"))
 
@@ -396,9 +399,11 @@ _CHUNK_CHARS = 1 << 16  # characters of body text load_matrix splits at a time
 
 
 def save_matrix(dest, a) -> None:
-    """Write ``a`` in the matrix text format to a path or an open text stream,
-    one ``"%.17g"`` row at a time."""
-    mat = _tidy_field(np.atleast_2d(_as_array(a)), copy=False)
+    """Write the 2-d ``a`` in the matrix text format to a path or an open text
+    stream, one ``"%.17g"`` row at a time."""
+    mat = _tidy_field(np.asarray(a), copy=False)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
     n, m = mat.shape
     field = "complex" if np.iscomplexobj(mat) else "real"
     row = " ".join(["%.17g"] * (2 * m if field == "complex" else m)) + "\n"

@@ -16,6 +16,7 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     Projection,
+    _hermitian_part,
     _pow2_scale,
     eig_herm,
     hs_norm,
@@ -57,8 +58,7 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
         return empty, empty, empty
     w, wt = p.basis, p.basis.conj().T
     hw = h.apply(w)
-    h11 = wt @ hw
-    h11 = (h11 + h11.conj().T) / 2.0
+    h11 = _hermitian_part(wt @ hw)
     # no check of its own: H is definite, so by Cauchy interlacing lam11 >= lam_min(H)
     # > 0; a NaN lam11 makes both routes' etas NaN, which fails the cross-check
     s11 = _pow2_scale(h11)  # solved at H11 / s11 and scaled back, like a decomposition
@@ -72,7 +72,7 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     h_inv_rw = np.stack([eig_inv, h.solve(rw)])
     z, y = h_inv_rw[..., :p.rank], h_inv_rw[..., p.rank:]
     cross = r.conj().T @ (z - y @ np.linalg.solve(wt @ y, wt @ z))
-    nu = np.linalg.eigvalsh(g.conj().T @ (cross + cross.mT.conj()) @ g / 2.0)
+    nu = np.linalg.eigvalsh(g.conj().T @ _hermitian_part(cross) @ g)
     eta_eig, eta_lu = np.sqrt(np.maximum(nu, 0.0))
     return eta_eig, eta_lu, lam11
 

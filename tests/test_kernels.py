@@ -419,6 +419,27 @@ def test_one_scaling_rule_in_matcore():
     assert readers == {"_pow2_scale"}
 
 
+def test_one_hermitian_part_rule_in_matcore():
+    # every (X + X*) / 2 is matcore._hermitian_part, which halves before it adds,
+    # and no helper wraps np.asarray: a HermitianMatrix converts itself
+    package = pathlib.Path(matcore.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    rule = next(fn for fn in ast.walk(trees["matcore.py"])
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_hermitian_part")
+    sources["matcore.py"] = sources["matcore.py"].replace(
+        ast.get_source_segment(sources["matcore.py"], rule), "")
+    spellings = [(name, word) for name, text in sources.items()
+                 for word in ("+ adjoint", "conj().T) / 2", "mT.conj())", "_as_array")
+                 if word in text]
+    assert spellings == []
+    callers = {fn.name for tree in trees.values() for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Name) and node.id == "_hermitian_part"}
+    assert callers == {"__post_init__", "fractional_power", "eta_routes", "residual_competitor"}
+
+
 def test_package_leaves_warning_state_alone():
     # catching, filtering or re-issuing warnings swaps process-wide state, which
     # threads share: a result carries its diagnostics as data instead

@@ -52,11 +52,28 @@ class TestHermitianMatrix:
         np.testing.assert_array_equal(h.mat, before)
 
     def test_symmetrizes(self):
+        # huge is one ulp from symmetric, which passes the asymmetry check, and
+        # huge + huge* overflows: the stored matrix halves before it adds, so it
+        # is finite and 2^-600 huge stores exactly 2^-600 of it
         real = np.array([[1.0, 2.0 + 1e-15], [2.0, 3.0]])
-        for a in (real, real + 1j * np.array([[1e-16, 0.5 + 1e-16], [-0.5, 0.0]])):
-            h = HermitianMatrix(a)
-            np.testing.assert_array_equal(h.mat, h.mat.conj().T)
-            assert h.mat.tobytes() == _tidy_field((a + a.conj().T) / 2.0).tobytes()
+        huge = np.array([[1.0, 1.7e308], [np.nextafter(1.7e308, 0.0), 1.0]])
+        cases = (real, real + 1j * np.array([[1e-16, 0.5 + 1e-16], [-0.5, 0.0]]),
+                 huge * 2.0 ** -600, huge)
+        stored = [HermitianMatrix(a).mat for a in cases]
+        for mat in stored:
+            assert np.all(np.isfinite(mat))
+            np.testing.assert_array_equal(mat, mat.conj().T)
+        for a, mat in zip(cases[:3], stored):
+            assert mat.tobytes() == _tidy_field((a + a.conj().T) / 2.0).tobytes()
+        assert stored[3].tobytes() == (stored[2] * 2.0 ** 600).tobytes()
+
+    def test_array_protocol_honours_copy(self):
+        for h in (HermitianMatrix(np.eye(2)), HermitianMatrix.from_diagonal([1.0, 2.0])):
+            assert np.asarray(h) is h.mat and np.asarray(h, copy=False) is h.mat
+            copied = np.array(h)
+            assert copied.flags.writeable and not np.shares_memory(copied, h.mat)
+            np.testing.assert_array_equal(copied, h.mat)
+            assert np.asarray(h, dtype=np.complex128).dtype == np.complex128
 
     def test_rejects_asymmetric(self):
         a = np.array([[1.0, 2.0], [0.5, 3.0]])
@@ -275,6 +292,16 @@ class TestNorms:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_op_norm_of_empty_is_zero(self, shape):
         assert op_norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0-d", "1-d", "3-d"])
+    @pytest.mark.parametrize("call", [op_norm, lambda a: save_matrix(io.StringIO(), a)],
+                             ids=["op_norm", "save_matrix"])
+    def test_rejects_non_matrix(self, call, shape):
+        # a scalar, a vector or a stack has no one operator norm or row layout:
+        # each is refused by name rather than given a number or a one-row file
+        message = f"expected a 2-d matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(np.ones(shape))
 
 
 class TestSpectralProjector:
