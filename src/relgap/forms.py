@@ -31,21 +31,24 @@ from .matcore import (
     require_positive,
 )
 
-KERNEL_ANGLE_TOL = 1e-8
+KERNEL_ANGLE_TOL = 1e-8  # largest sine of a principal angle between ker(H) and ker(M)
 
 
 @dataclass(frozen=True)
 class FormPair:
-    """Two positive semidefinite matrices of the same dimension.
+    """Two positive semidefinite matrices of one dimension whose kernels agree to
+    KERNEL_ANGLE_TOL, checked once, here (kernels of different dimensions are 1 apart).
 
-    ``dec_h`` and ``dec_m`` are the matrices' own cached eigendecompositions,
-    shared with every other consumer of the same objects.
+    ``dec_h``, ``dec_m`` are the matrices' own cached eigendecompositions, shared with every
+    other consumer, and ``range_h``, ``range_m`` their :func:`_range_mask`, read-only.
     """
 
     h: HermitianMatrix
     m: HermitianMatrix
     dec_h: SpectralDecomposition = field(init=False, repr=False)
     dec_m: SpectralDecomposition = field(init=False, repr=False)
+    range_h: np.ndarray = field(init=False, repr=False, compare=False)
+    range_m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.n != self.m.n:
@@ -54,15 +57,14 @@ class FormPair:
         object.__setattr__(self, "dec_m", eig_herm(self.m))
         require_positive(self.dec_h, "H", definite=False)
         require_positive(self.dec_m, "M", definite=False)
-
-    def ensure_shared_kernel(self) -> None:
-        """Raise unless ker(H) and ker(M) coincide: the sine of their largest
-        principal angle (1 for kernels of different dimension) must not exceed
-        KERNEL_ANGLE_TOL."""
-        kh = self.dec_h.vectors[:, ~_range_mask(self.dec_h.eigenvalues)]
-        km = self.dec_m.vectors[:, ~_range_mask(self.dec_m.eigenvalues)]
-        same_dim = kh.shape[1] == km.shape[1]
-        angle = min(1.0, op_norm(km - kh @ (kh.conj().T @ km))) if same_dim else 1.0
+        for name, dec in (("range_h", self.dec_h), ("range_m", self.dec_m)):
+            object.__setattr__(self, name, _range_mask(dec.eigenvalues))
+            getattr(self, name).setflags(write=False)
+        kernel_dim = np.count_nonzero(~self.range_h)
+        angle = float(kernel_dim != np.count_nonzero(~self.range_m))
+        if kernel_dim and not angle:  # two nonempty kernels of one dimension
+            kh, km = self.dec_h.vectors[:, ~self.range_h], self.dec_m.vectors[:, ~self.range_m]
+            angle = min(1.0, op_norm(km - kh @ (kh.conj().T @ km)))
         if angle > KERNEL_ANGLE_TOL:
             raise ValueError(
                 "H and M must share their kernel for the form-closeness operator "
@@ -74,8 +76,7 @@ class FormPair:
     def s_hat(self) -> np.ndarray:
         """S in the eigenbases, ``S = V_H S_hat V_M*``: the read-only
         ``S_hat = diag(lam^{+1/2}) V_H* (H - M) V_M diag(mu^{+1/2})`` (pseudo
-        powers), formed on first read once the kernels are checked to agree."""
-        self.ensure_shared_kernel()
+        powers), formed on first read; the constructor checked the kernels agree."""
         lam, mu = self.dec_h.eigenvalues, self.dec_m.eigenvalues
         s_hat = self.dec_h.vectors.conj().T @ ((self.h.mat - self.m.mat) @ self.dec_m.vectors)
         s_hat *= _pseudo_power(lam[:, None], -0.5) * _pseudo_power(mu[None, :], -0.5)
@@ -101,12 +102,10 @@ def s_operator(fp: FormPair) -> np.ndarray:
 
 
 def _pencil(fp: FormPair) -> np.ndarray:
-    """Ascending eigenvalues x of ``M^{+1/2} (H - M) M^{+1/2}`` on range(M) (none if
+    """Ascending eigenvalues x of ``R* (H - M) R``, ``R = M^{+1/2}`` on range(M) (none if
     M has rank 0); ``|||S|||^2 = sum x^2 / (1 + x)``.  ``H - M`` is taken once from the
     exact inputs, so a small x keeps its relative accuracy."""
-    fp.ensure_shared_kernel()
-    keep = _range_mask(fp.dec_m.eigenvalues)
-    r = fp.dec_m.vectors[:, keep] * fp.dec_m.eigenvalues[keep] ** -0.5  # M^{+1/2} on range(M)
+    r = fp.dec_m.vectors[:, fp.range_m] * fp.dec_m.eigenvalues[fp.range_m] ** -0.5
     x = np.linalg.eigvalsh(r.conj().T @ (fp.h.mat - fp.m.mat) @ r)
     if not np.all(x > -1.0):  # a NaN fails too
         raise ValueError(f"the pencil (H, M) has eigenvalue 1 + {np.min(x):.6e} <= 0 on range(M)")

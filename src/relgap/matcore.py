@@ -11,8 +11,9 @@ gather and scatter instead of n x n products.  A matrix built from its
 diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
 memory until a dense array is read.  Real inputs stay real, complex inputs
 stay complex.  Package-wide, :func:`_range_mask` decides which values count as
-zero, :func:`_pow2_scale` at which power of two a kernel scales its input, and
-:func:`_hermitian_part` how a kernel symmetrizes the matrices it builds.
+zero, :func:`_pow2_scale` at which power of two a kernel scales its input,
+:func:`_hermitian_part` how a kernel symmetrizes the matrices it builds, and
+:func:`_matrix` that an input read as a matrix is 2-d.
 
 The matrix text reader :func:`load_matrix` parses the body in fixed 64 KiB
 text chunks into one preallocated array, so a load holds about one copy of
@@ -60,6 +61,14 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     """``(X + X*) / 2`` of a matrix or a stack as ``X / 2 + X* / 2``, exactly Hermitian: no finite
     X overflows, and the bits are the sum's unless a halved entry falls below 2^-1021."""
     return x / 2.0 + x.mT.conj() / 2.0
+
+
+def _matrix(a, copy: bool = False) -> np.ndarray:
+    """:func:`_tidy_field` of a 2-d ``a``; any other shape raises the one 2-d rule's ValueError."""
+    mat = _tidy_field(a, copy=copy)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
+    return mat
 
 
 def _range_mask(values: np.ndarray) -> np.ndarray:
@@ -275,27 +284,24 @@ class Projection:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = _tidy_field(self.basis)
-        if basis.ndim != 2:
-            raise ValueError("basis must be a 2-d array of column vectors")
+        basis = _matrix(self.basis, copy=True)
         n, k = basis.shape
         if k > n:
             raise ValueError(f"cannot have {k} orthonormal columns in dimension {n}")
-        if k > 0:
-            defect = np.linalg.norm(basis.conj().T @ basis - np.eye(k), "fro")
-            if defect > 1e-10:
-                raise ValueError(
-                    f"columns are not orthonormal (defect {defect:.3e}); "
-                    "use Projection.from_span to orthonormalize"
-                )
+        defect = np.linalg.norm(basis.conj().T @ basis - np.eye(k), "fro")
+        if defect > 1e-10:
+            raise ValueError(
+                f"columns are not orthonormal (defect {defect:.3e}); "
+                "use Projection.from_span to orthonormalize"
+            )
         object.__setattr__(self, "basis", basis)
         self.basis.setflags(write=False)
 
     @classmethod
     def from_span(cls, cols: np.ndarray) -> "Projection":
-        """Orthonormal basis of the column span: the left singular vectors whose
-        singular values pass :func:`_range_mask`."""
-        u, s, _ = np.linalg.svd(_tidy_field(np.atleast_2d(cols)), full_matrices=False)
+        """Orthonormal basis of the column span of a 2-d ``cols``: the left singular
+        vectors whose singular values pass :func:`_range_mask`."""
+        u, s, _ = np.linalg.svd(_matrix(cols), full_matrices=False)
         return cls(u[:, _range_mask(s)])
 
     @property
@@ -372,9 +378,7 @@ def op_norm(a) -> float:
     """The 2-norm of a 2-d A, ``s sqrt(max eig(Y* Y))``, ``Y = A / s`` (:func:`_pow2_scale`),
     the Gram on the smaller side: by Weyl off by about ``eps n`` relative, exact under power-of-two
     scaling, no square overflows, and one that underflows is below eps of the norm."""
-    mat = _tidy_field(np.asarray(a), copy=False)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
+    mat = _matrix(a)
     s = _pow2_scale(mat)
     y = mat / s if mat.shape[0] >= mat.shape[1] else mat.conj().T / s
     return s * float(np.sqrt(np.max(np.linalg.eigvalsh(y.conj().T @ y), initial=0.0)))
@@ -401,9 +405,7 @@ _CHUNK_CHARS = 1 << 16  # characters of body text load_matrix splits at a time
 def save_matrix(dest, a) -> None:
     """Write the 2-d ``a`` in the matrix text format to a path or an open text
     stream, one ``"%.17g"`` row at a time."""
-    mat = _tidy_field(np.asarray(a), copy=False)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
+    mat = _matrix(a)
     n, m = mat.shape
     field = "complex" if np.iscomplexobj(mat) else "real"
     row = " ".join(["%.17g"] * (2 * m if field == "complex" else m)) + "\n"

@@ -209,7 +209,7 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
                       norm: str = "hs") -> float | None:
     """Residual (Davis-Kahan style) competitor bound from the Rayleigh
     residuals ``r_i = H w_i - (w_i, H w_i) w_i`` of the trial vectors, the
-    columns of ``w``, which must pass :class:`Projection`'s orthonormality check.
+    columns of the 2-d ``w``, which must pass :class:`Projection`'s orthonormality check.
 
     Returns None when the denominator is not positive, or when ``next_ev``
     exceeds the (k+1)-st eigenvalue of H (the rule :func:`ritz_bounds` notes,
@@ -217,7 +217,7 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     ``H w`` and ``next_ev`` are divided by :func:`~relgap.matcore._pow2_scale`
     of H's eigenvalues first: the Gram squares H's scale, and the bound is a ratio.
     """
-    w = Projection(np.atleast_2d(w)).basis
+    w = Projection(w).basis
     k = w.shape[1]
     if k == 0:
         raise ValueError("need at least one trial vector")

@@ -18,7 +18,6 @@ from .matcore import (
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
-    _range_mask,
     hs_norm,
     op_norm,
 )
@@ -70,9 +69,7 @@ def _mixed_blocks(dec_h: SpectralDecomposition, dec_m: SpectralDecomposition,
                   a: float, b: float):
     """The masks ``in_H``, ``in_M`` of ``Q = E_H[a, b]``, ``P = E_M[a, b]`` and the
     blocks ``V_H[:, ~in_H]* V_M[:, in_M]``, ``V_M[:, ~in_M]* V_H[:, in_H]``, which are
-    ``(I - Q) W_P`` and ``(I - P) W_Q`` in eigencoordinates; a NaN bound raises ValueError."""
-    if not a <= b:
-        raise ValueError(f"interval bounds out of order or NaN: [{a}, {b}]")
+    ``(I - Q) W_P`` and ``(I - P) W_Q`` in eigencoordinates; the callers check ``a <= b``."""
     in_h, in_m = ((d.eigenvalues >= a) & (d.eigenvalues <= b) for d in (dec_h, dec_m))
     return (in_h, in_m, dec_h.to_eigenbasis(dec_m.vectors[:, in_m])[~in_h],
             dec_m.to_eigenbasis(dec_h.vectors[:, in_h])[~in_m])
@@ -106,13 +103,13 @@ def subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float, d2: float
     """
     if not 0.0 < d1 < d2 < np.inf:
         raise ValueError(f"need 0 < d1 < d2 < inf, got d1={d1}, d2={d2}")
-    fp = FormPair(h, m)
-    eta = eta_exact(fp).eta
     double = l1 is not None or l2 is not None
     if double and (l1 is None or l2 is None):
         raise ValueError("double-interval mode needs both l1 and l2")
     if double and not 0.0 < l1 < l2 < d1:
         raise ValueError(f"need 0 < l1 < l2 < d1 < d2, got {l1}, {l2}, {d1}, {d2}")
+    fp = FormPair(h, m)
+    eta = eta_exact(fp).eta
 
     gaps = [(d1, d2), (l1, l2)] if double else [(d1, d2)]
     notes = [f"[{a}, {b}] intersects a spectrum" for a, b in gaps
@@ -160,14 +157,15 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
     gaps between the parts of sigma(H) and sigma(M) on either side of ``d1``,
     read from the cached eigenvalues: the block compressions of H and M by Q,
     P and their complements have exactly those spectra.  S_hat vanishes on the
-    shared kernel, so when the kernels of H and M lie on one side of ``d1`` its
-    indices drop out of the gaps and couplings: only the ranges are compressed.
-    A cut that splits the kernel, as ``d1 = 0`` may when its eigenvalues round
-    to either sign, gives no bound.  S is never formed: the couplings are the HS norms of the blocks ``S_hat[~in_H, in_M]`` and
-    ``S_hat[in_H, ~in_M]`` of S in eigencoordinates, ``FormPair.s_hat``, and
-    ``|||S||| = |||S_hat|||``.  A NaN ``d1`` and a pair whose kernels differ
-    raise ValueError.
+    shared kernel, so the gaps and couplings read only the ranges, the pair's masks
+    ``range_h`` and ``range_m``.  A cut that splits the shared kernel, as ``d1 = 0``
+    may when its eigenvalues round to either sign, gives no bound.  S is never
+    formed: the couplings are the HS norms of the blocks ``S_hat[~in_H, in_M]`` and
+    ``S_hat[in_H, ~in_M]`` of ``FormPair.s_hat``, and ``|||S||| = |||S_hat|||``.
+    A NaN ``d1`` (checked first) and a pair whose kernels differ raise ValueError.
     """
+    if np.isnan(d1):
+        raise ValueError(f"interval bounds out of order or NaN: [-inf, {d1}]")
     fp = FormPair(h, m)
     lam_h, lam_m = fp.dec_h.eigenvalues, fp.dec_m.eigenvalues
     in_h, in_m, qperp_p, pperp_q = _mixed_blocks(fp.dec_h, fp.dec_m, -np.inf, d1)
@@ -183,7 +181,7 @@ def hs_subspace_bounds(h: HermitianMatrix, m: HermitianMatrix, d1: float) -> HsS
             return None
         return relative_gap(lam_x, lam_y)
 
-    live_h, live_m = _range_mask(lam_h), _range_mask(lam_m)
+    live_h, live_m = fp.range_h, fp.range_m
     kernel_sides = np.concatenate([in_h[~live_h], in_m[~live_m]])
     if kernel_sides.any() and not kernel_sides.all():
         # the kernel eigenvalues round to either sign: no cut separates them

@@ -15,6 +15,30 @@ def _pair(h, m):
     return FormPair(HermitianMatrix(h), HermitianMatrix(m))
 
 
+class TestFormPair:
+    def test_differing_kernels_raise_on_construction(self):
+        # the kernel check once waited for the first read of S_hat or the pencil
+        h0, m0 = (HermitianMatrix(np.diag(d)) for d in ([0.0, 1.0, 5.0], [1.0, 0.0, 5.0]))
+        with pytest.raises(ValueError, match="share their kernel.*angle 1.000e"):
+            FormPair(h0, m0)
+
+    def test_definite_pair_makes_one_nonempty_eigvalsh(self, rng, monkeypatch):
+        # neither matrix has a kernel, so no angle is taken: the difference pencil
+        # is eta's only eigvalsh, and no empty array reaches LAPACK
+        h, m = random_pd(rng, 5), random_pd(rng, 5)
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+        eta_exact(FormPair(h, m))
+        assert shapes == [(5, 5)]
+
+    def test_equal_and_hashable(self):
+        # the range masks are arrays, kept out of == and hash
+        fp = _pair(np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 1.5, 2.0]))
+        assert fp == fp == FormPair(fp.h, fp.m) and hash(fp) == hash(FormPair(fp.h, fp.m))
+        assert fp.range_h.tolist() == fp.range_m.tolist() == [False, True, True]
+        assert not (fp.range_h.flags.writeable or fp.range_m.flags.writeable)
+
+
 def _comparable_pair(rng, n, max_eps=0.8, complex_field=False):
     """H = M^1/2 (I + E) M^1/2 with ||E|| <= max_eps, so eps < 1 by design."""
     m = random_pd(rng, n, complex_field=complex_field)

@@ -406,6 +406,19 @@ def test_one_rank_rule_in_matcore():
     assert readers == {"_range_mask"}
 
 
+def test_one_kernel_decision_per_pair():
+    # FormPair.__post_init__ decides a pair's kernel, once: the bounds read its
+    # masks, and no lazy kernel check is left to run again per consumer
+    package = pathlib.Path(matcore.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert "_range_mask" not in sources["subspace.py"]
+    assert [name for name, text in sources.items() if "ensure_shared_kernel" in text] == []
+    deciders = {fn.name for fn in ast.walk(ast.parse(sources["forms.py"]))
+                if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "_range_mask"}
+    assert deciders == {"__post_init__"}
+
+
 def test_one_scaling_rule_in_matcore():
     # the power of two a kernel scales by is picked in matcore._pow2_scale alone,
     # and no kernel needs to silence an overflow

@@ -294,11 +294,13 @@ class TestNorms:
         assert op_norm(np.zeros(shape)) == 0.0
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0-d", "1-d", "3-d"])
-    @pytest.mark.parametrize("call", [op_norm, lambda a: save_matrix(io.StringIO(), a)],
-                             ids=["op_norm", "save_matrix"])
+    @pytest.mark.parametrize("call", [op_norm, lambda a: save_matrix(io.StringIO(), a),
+                                      Projection.from_span, Projection],
+                             ids=["op_norm", "save_matrix", "from_span", "Projection"])
     def test_rejects_non_matrix(self, call, shape):
-        # a scalar, a vector or a stack has no one operator norm or row layout:
-        # each is refused by name rather than given a number or a one-row file
+        # a scalar, a vector or a stack has no one operator norm, row layout or
+        # column span: each is refused by name rather than given a number, a
+        # one-row file or (from_span of a vector) a rank-1 projection in dimension 1
         message = f"expected a 2-d matrix, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(np.ones(shape))

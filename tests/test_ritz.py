@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -408,6 +409,14 @@ class TestDkResidualBound:
         w[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite entries"):
             dk_residual_bound(h, w, 10.0)
+
+    @pytest.mark.parametrize("w", [np.array([0.6, 0.8]), np.eye(2)[:, :1, None]],
+                             ids=["1-d", "3-d"])
+    def test_rejects_non_matrix(self, w):
+        # a vector was read as one row, "2 orthonormal columns in dimension 1"
+        h = HermitianMatrix(np.diag([2.0, 4.0]))
+        with pytest.raises(ValueError, match=re.escape(f"expected a 2-d matrix, got shape {w.shape}")):
+            dk_residual_bound(h, w, 3.0)
 
     def test_row_mismatch_on_diagonal_h_rejected(self):
         # the diagonal row scaling broadcast a 1 x 1 H over five rows: bound 0.0

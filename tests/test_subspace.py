@@ -326,6 +326,24 @@ def test_reports_form_no_s_and_no_projection(rng, monkeypatch):
             report(h0, m0, 2.0)
 
 
+def test_scalar_arguments_checked_before_any_decomposition(monkeypatch):
+    # a lone l1, out-of-order l1/l2 and a NaN cut are refused before H or M is
+    # decomposed, with the messages they had when the refusal came later
+    def forbidden(self):
+        raise AssertionError("decomposed before the scalar arguments were checked")
+
+    h = HermitianMatrix(np.diag([0.2, 1.0, 5.0]))
+    monkeypatch.setattr(HermitianMatrix, "decomposition", property(forbidden))
+    for l1, l2 in ((0.5, None), (None, 0.5)):
+        with pytest.raises(ValueError, match="double-interval mode needs both l1 and l2"):
+            subspace_bounds(h, h, 2.0, 4.0, l1=l1, l2=l2)
+    for l1, l2 in ((0.8, 0.5), (0.5, 3.0), (np.nan, 0.5)):
+        with pytest.raises(ValueError, match=r"need 0 < l1 < l2 < d1 < d2"):
+            subspace_bounds(h, h, 2.0, 4.0, l1=l1, l2=l2)
+    with pytest.raises(ValueError, match=r"interval bounds out of order or NaN: \[-inf, nan\]"):
+        hs_subspace_bounds(h, h, np.nan)
+
+
 class TestHsSubspaceBounds:
     def test_identical_commuting(self, rng):
         h = random_pd(rng, 5)
@@ -395,6 +413,14 @@ class TestHsSubspaceBounds:
                 assert rep.notes == (f"d1 = {d1} splits the shared kernel",)
                 assert rep.bound_diff is None and rep.bound_combined is None
         assert 0 < split < 12
+
+    def test_differing_kernels_at_the_cut_raise(self):
+        # ker(H) = e1 and ker(M) = e2 are orthogonal; their eigenvalues round to
+        # either side of d1 = 0, which once read as a cut through a shared kernel
+        h = HermitianMatrix(np.diag([-1e-17, 1.0, 5.0]))
+        m = HermitianMatrix(np.diag([1.0, 1e-17, 5.0]))
+        with pytest.raises(ValueError, match="share their kernel"):
+            hs_subspace_bounds(h, m, 0.0)
 
     def test_shared_kernel_congruent_pairs(self):
         # H = M^{1/2} (I + E) M^{1/2} shares the kernel of M and differs from it on
