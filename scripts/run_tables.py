@@ -19,11 +19,15 @@ from relgap.harness import mathieu_model, rows_to_csv, rows_to_markdown, run_ben
 
 THETA = np.pi - 1e-4
 ALPHA = 0.2499
-# (file stem, what the printout calls it, truncation order K, N values, interpolant);
-# linear interpolants at N ~ 100 alias their interpolation error onto the
-# modes k = +-(N-1), +-2(N-1), ...; the truncation must contain them
-TABLES = (("cubic_hs", "cubic comparison", 64, range(5, 11), "cubic"),
-          ("linear_hs", "linear run", 320, [100, 120, 140], "linear"))
+# (file stem, what the printout calls it, the call that returns its rows); a row
+# dataclass's fields are its columns, so a new table is one more entry here.
+# Linear interpolants at N ~ 100 alias their interpolation error onto the
+# modes k = +-(N-1), +-2(N-1), ...; the truncation order K must contain them
+TABLES = (("cubic_hs", "cubic comparison",
+           lambda: run_benchmark(mathieu_model(THETA, ALPHA, 64), range(5, 11), "cubic", norm="hs")),
+          ("linear_hs", "linear run",
+           lambda: run_benchmark(mathieu_model(THETA, ALPHA, 320), [100, 120, 140], "linear",
+                                 norm="hs")))
 
 
 def main() -> None:
@@ -33,9 +37,9 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for stem, label, trunc, ns, interp in TABLES:
+    for stem, label, table_rows in TABLES:
         t0 = time.monotonic()
-        rows = run_benchmark(mathieu_model(THETA, ALPHA, trunc), ns, interp, norm="hs")
+        rows = table_rows()
         (outdir / f"{stem}.csv").write_text(rows_to_csv(rows))
         (outdir / f"{stem}.md").write_text(rows_to_markdown(rows))
         print(f"{label} written ({time.monotonic() - t0:.1f}s)")

@@ -105,7 +105,7 @@ def _pencil(fp: FormPair) -> np.ndarray:
     """Ascending eigenvalues x of ``R* (H - M) R``, ``R = M^{+1/2}`` on range(M) (none if
     M has rank 0); ``|||S|||^2 = sum x^2 / (1 + x)``.  ``H - M`` is taken once from the
     exact inputs, so a small x keeps its relative accuracy."""
-    r = fp.dec_m.vectors[:, fp.range_m] * fp.dec_m.eigenvalues[fp.range_m] ** -0.5
+    r = fp.dec_m.vectors[:, fp.range_m] * (1.0 / np.sqrt(fp.dec_m.eigenvalues[fp.range_m]))
     x = np.linalg.eigvalsh(r.conj().T @ (fp.h.mat - fp.m.mat) @ r)
     if not np.all(x > -1.0):  # a NaN fails too
         raise ValueError(f"the pencil (H, M) has eigenvalue 1 + {np.min(x):.6e} <= 0 on range(M)")

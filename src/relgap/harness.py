@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -192,16 +192,16 @@ def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: flo
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """One line of an estimator-vs-truth-vs-competitor comparison."""
+    """One line of an estimator-vs-truth-vs-competitor table; its fields are the columns."""
 
-    n_points: int
+    n_points: int = field(metadata={"header": "N"})
     interp: str
     norm: str
-    true_err: float
-    ritz_bound: float | None
-    dk_bound: float | None
-    hypothesis_ok: bool
-    note: str = ""
+    true_err: float = field(metadata={"label": "true error", "markdown": ".4e"})
+    ritz_bound: float | None = field(metadata={"label": "relative bound"})
+    dk_bound: float | None = field(metadata={"label": "residual bound"})
+    hypothesis_ok: bool = field(metadata={"label": "hypothesis ok"})
+    note: str = field(default="", metadata={"label": "note"})
 
 
 def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
@@ -218,45 +218,44 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
         trial = trial_functions(model, n_points, interp)
         p, notes = build_test_space(model, trial)
         est: RitzEstimate = ritz_bounds(model.h, p, next_ev, norm=norm)
-        dk = None
-        if with_dk and interp != "linear":
-            dk = residual_competitor(model, trial, next_ev, norm=norm)
-        rows.append(BenchmarkRow(
-            n_points=n_points,
-            interp=interp,
-            norm=norm,
-            true_err=est.true_value,
-            ritz_bound=est.bound,
-            dk_bound=dk,
-            hypothesis_ok=est.hypothesis_ok,
-            note="; ".join(notes),
-        ))
+        dk = (residual_competitor(model, trial, next_ev, norm=norm)
+              if with_dk and interp != "linear" else None)
+        rows.append(BenchmarkRow(n_points, interp, norm, est.true_value, est.bound, dk,
+                                 est.hypothesis_ok, "; ".join(notes)))
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.6e}"
+def _cell(value, fmt: str = ".6e") -> str:
+    """The one cell rule: None is n/a, a bool true/false, a float ``fmt``, the rest str."""
+    if value is None or isinstance(value, bool):
+        return "n/a" if value is None else str(value).lower()
+    return format(value, fmt) if isinstance(value, float) else str(value)
+
+
+def _columns(rows) -> tuple:
+    if not rows:
+        raise ValueError("empty table: a table needs at least one row")
+    return fields(rows[0])
 
 
 def rows_to_csv(rows) -> str:
-    """One line per row; the note column is quoted when it holds commas."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "interp", "norm", "true_err", "ritz_bound", "dk_bound",
-                     "hypothesis_ok", "note"])
-    for r in rows:
-        writer.writerow([r.n_points, r.interp, r.norm, f"{r.true_err:.6e}", _fmt(r.ritz_bound),
-                         _fmt(r.dk_bound), str(r.hypothesis_ok).lower(), r.note])
+    """One column per field of the dataclass rows, headed by its ``header`` or name."""
+    columns, buf = _columns(rows), io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [[c.metadata.get("header", c.name) for c in columns],
+         *([_cell(getattr(r, c.name)) for c in columns] for r in rows)])
     return buf.getvalue()
 
 
 def rows_to_markdown(rows) -> str:
-    """One column per N, quantities as rows, mirroring the usual table layout."""
-    header = "| quantity | " + " | ".join(f"N={r.n_points}" for r in rows) + " |"
-    sep = "|---" * (len(rows) + 1) + "|"
-    line_true = "| true error | " + " | ".join(f"{r.true_err:.4e}" for r in rows) + " |"
-    line_bound = "| relative bound | " + " | ".join(_fmt(r.ritz_bound) for r in rows) + " |"
-    line_dk = "| residual bound | " + " | ".join(_fmt(r.dk_bound) for r in rows) + " |"
-    line_ok = "| hypothesis ok | " + " | ".join(str(r.hypothesis_ok).lower() for r in rows) + " |"
-    line_note = "| note | " + " | ".join(r.note for r in rows) + " |"
-    return "\n".join([header, sep, line_true, line_bound, line_dk, line_ok, line_note]) + "\n"
+    """The transposed table: one column per row, keyed by its first field, and one
+    line per field with a ``label``, in its ``markdown`` format if it has one."""
+    key, *_ = columns = _columns(rows)
+    head = key.metadata.get("header", key.name)
+    lines = [["quantity", *(f"{head}={_cell(getattr(r, key.name))}" for r in rows)]]
+    lines += [[c.metadata["label"],
+               *(_cell(getattr(r, c.name), c.metadata.get("markdown", ".6e")) for r in rows)]
+              for c in columns if "label" in c.metadata]
+    text = ["| " + " | ".join(cells) + " |" for cells in lines]
+    text.insert(1, "|---" * (len(rows) + 1) + "|")
+    return "\n".join(text) + "\n"

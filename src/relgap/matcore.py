@@ -344,13 +344,14 @@ def require_positive(dec: SpectralDecomposition, name: str, definite: bool) -> N
 
 
 def _pseudo_power(lam: np.ndarray, p: float) -> np.ndarray:
-    """Entrywise ``lam ** p`` under the pseudo-inverse convention: values that
-    fail :func:`_range_mask` map to ``0 ** p`` (``0 ** 0 = 1``), and a negative
-    or non-integer power maps every nonpositive value to zero."""
+    """Entrywise ``lam ** p`` under the pseudo-inverse convention: values that fail
+    :func:`_range_mask` map to ``0 ** p`` (``0 ** 0 = 1``), a negative or non-integer power
+    maps nonpositive values to zero, and ``p = -0.5`` is ``1 / sqrt``, exact under 4^k scaling."""
     live = _range_mask(lam)
     if not (p >= 0 and p == round(p)):
         live &= lam > 0
-    return np.where(live, np.where(live, lam, 1.0) ** p, float(p == 0))
+    base = np.where(live, lam, 1.0)
+    return np.where(live, 1.0 / np.sqrt(base) if p == -0.5 else base ** p, float(p == 0))
 
 
 def fractional_power(dec: SpectralDecomposition, p: float) -> HermitianMatrix:

@@ -17,6 +17,7 @@ from .matcore import (
     HermitianMatrix,
     Projection,
     _hermitian_part,
+    _matrix,
     _pow2_scale,
     eig_herm,
     hs_norm,
@@ -188,11 +189,11 @@ def dk_bound_from_gram(gram: np.ndarray, ritz_min: float, ritz_max: float,
     """
     if norm not in ("op", "hs"):
         raise ValueError(f"norm must be 'op' or 'hs', got {norm!r}")
-    gram = np.atleast_2d(np.asarray(gram))
     for name, value in (("gram", gram), ("ritz_min", ritz_min), ("ritz_max", ritz_max),
                         ("next_ev", next_ev)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value}")
+    gram = _matrix(gram)
     s = np.linalg.eigvalsh(gram)[::-1]
     if norm == "hs":
         denom = next_ev - ritz_max

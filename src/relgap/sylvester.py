@@ -22,8 +22,8 @@ from .matcore import (
     ConvergenceError,
     HermitianMatrix,
     SpectralDecomposition,
+    _matrix,
     _pow2_scale,
-    _tidy_field,
     eig_herm,
     fractional_power,
     hs_norm,
@@ -69,7 +69,7 @@ class WeakSylvesterProblem:
     gap: float = field(init=False)  # relative gap between the spectra of A and M
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _tidy_field(np.atleast_2d(self.f)))
+        object.__setattr__(self, "f", _matrix(self.f, copy=True))
         if self.f.shape != (self.a.n, self.m.n):
             raise ValueError(
                 f"F must have shape ({self.a.n}, {self.m.n}), got {self.f.shape}"
@@ -169,7 +169,7 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
 
 def weak_residual(p: WeakSylvesterProblem, t: np.ndarray) -> float:
     """Operator-norm defect of a candidate solution in the weak equation."""
-    t = np.atleast_2d(np.asarray(t))
+    t = _matrix(t)
     if t.shape != p.f.shape:
         raise ValueError(f"T must have shape {p.f.shape}, got {t.shape}")
     root_a, root_m = np.sqrt(p.dec_a.eigenvalues)[:, None], np.sqrt(p.dec_m.eigenvalues)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import sys
 import threading
@@ -436,6 +437,30 @@ class TestEmission:
         md = rows_to_markdown(rows)
         assert md.splitlines()[0] == "| quantity | N=5 | N=6 |"
         assert "| true error |" in md and "| residual bound |" in md
+
+
+@dataclasses.dataclass(frozen=True)
+class ToyRow:
+    # a new table is a row dataclass: its fields are the columns, and the
+    # metadata says only what differs from the defaults
+    k: int = dataclasses.field(metadata={"header": "K"})
+    eta: float | None = dataclasses.field(metadata={"label": "eta", "markdown": ".2f"})
+    ok: bool = True
+
+
+class TestRowTypeIsTheSpec:
+    def test_toy_table_needs_no_writer(self):
+        rows = [ToyRow(1, 0.3, False), ToyRow(2, None)]
+        assert rows_to_csv(rows) == "K,eta,ok\n1,3.000000e-01,false\n2,n/a,true\n"
+        assert rows_to_markdown(rows) == ("| quantity | K=1 | K=2 |\n"
+                                          "|---|---|---|\n"
+                                          "| eta | 0.30 | n/a |\n")
+
+    @pytest.mark.parametrize("writer", [rows_to_csv, rows_to_markdown])
+    def test_empty_table_rejected(self, writer):
+        # an empty table has no row type, so no columns: named, not an IndexError
+        with pytest.raises(ValueError, match="empty table"):
+            writer([])
 
 
 def test_truncation_note_survives_csv_and_markdown(model64):

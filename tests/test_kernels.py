@@ -453,6 +453,19 @@ def test_one_hermitian_part_rule_in_matcore():
     assert callers == {"__post_init__", "fractional_power", "eta_routes", "residual_competitor"}
 
 
+def test_inverse_square_root_is_one_over_sqrt():
+    # lam ** -0.5 is not correctly rounded, so (4^k lam) ** -0.5 can miss
+    # 2^-k lam ** -0.5 by an ulp and a report moves with the scale; every inverse
+    # square root is 1 / sqrt, two correctly rounded steps
+    package = pathlib.Path(matcore.__file__).parent
+    spellings = [(path.name, match.group()) for path in sorted(package.glob("*.py"))
+                 for match in re.finditer(r"\*\*\s*\(?\s*-\s*0?\.5\b", path.read_text())]
+    assert spellings == []
+    lam = np.array([0.0, 1.0, 3.0, 1.0097712175461662])  # ** misses by an ulp on the last
+    np.testing.assert_array_equal(matcore._pseudo_power(4.0 ** 40 * lam, -0.5),
+                                  2.0 ** -40 * matcore._pseudo_power(lam, -0.5))
+
+
 def test_package_leaves_warning_state_alone():
     # catching, filtering or re-issuing warnings swaps process-wide state, which
     # threads share: a result carries its diagnostics as data instead

@@ -21,6 +21,8 @@ from relgap.matcore import (
     op_norm,
     save_matrix,
 )
+from relgap.ritz import dk_bound_from_gram
+from relgap.sylvester import WeakSylvesterProblem, weak_residual
 
 from conftest import hermitian_from_spectrum, make_rng, random_hermitian, spectral_projector
 
@@ -34,6 +36,8 @@ def _exact_hermitian_cases():
 
 
 EXACT_HERMITIAN_CASES = _exact_hermitian_cases()
+ONE_BY_ONE = HermitianMatrix([[1.0]])
+TWO_BY_TWO = HermitianMatrix(np.diag([2.0, 3.0]))
 
 
 class TestHermitianMatrix:
@@ -294,13 +298,19 @@ class TestNorms:
         assert op_norm(np.zeros(shape)) == 0.0
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0-d", "1-d", "3-d"])
-    @pytest.mark.parametrize("call", [op_norm, lambda a: save_matrix(io.StringIO(), a),
-                                      Projection.from_span, Projection],
-                             ids=["op_norm", "save_matrix", "from_span", "Projection"])
+    @pytest.mark.parametrize("call", [
+        op_norm, lambda a: save_matrix(io.StringIO(), a), Projection.from_span, Projection,
+        lambda a: WeakSylvesterProblem(ONE_BY_ONE, TWO_BY_TWO, a),
+        lambda a: weak_residual(WeakSylvesterProblem(ONE_BY_ONE, TWO_BY_TWO, np.ones((1, 2))), a),
+        lambda a: dk_bound_from_gram(a, 1.0, 1.0, 2.0),
+    ], ids=["op_norm", "save_matrix", "from_span", "Projection", "sylvester_f",
+            "weak_residual", "dk_bound_from_gram"])
     def test_rejects_non_matrix(self, call, shape):
         # a scalar, a vector or a stack has no one operator norm, row layout or
         # column span: each is refused by name rather than given a number, a
-        # one-row file or (from_span of a vector) a rank-1 projection in dimension 1
+        # one-row file or (from_span of a vector) a rank-1 projection in dimension 1.
+        # The rule holds past matcore too: Sylvester's F and T and the DK Gram
+        # matrix are matrices, not a row to be guessed or a stack to be reduced
         message = f"expected a 2-d matrix, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(np.ones(shape))
