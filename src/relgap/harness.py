@@ -249,13 +249,16 @@ def rows_to_csv(rows) -> str:
 
 def rows_to_markdown(rows) -> str:
     """The transposed table: one column per row, keyed by its first field, and one
-    line per field with a ``label``, in its ``markdown`` format if it has one."""
+    line per field with a ``label``, in its ``markdown`` format if it has one.
+    A cell escapes ``|`` as ``\\|`` and a newline as ``<br>``, which would split it
+    or end its line; CSV quotes both instead."""
     key, *_ = columns = _columns(rows)
     head = key.metadata.get("header", key.name)
     lines = [["quantity", *(f"{head}={_cell(getattr(r, key.name))}" for r in rows)]]
     lines += [[c.metadata["label"],
                *(_cell(getattr(r, c.name), c.metadata.get("markdown", ".6e")) for r in rows)]
               for c in columns if "label" in c.metadata]
-    text = ["| " + " | ".join(cells) + " |" for cells in lines]
+    text = ["| " + " | ".join(c.replace("|", r"\|").replace("\n", "<br>") for c in cells) + " |"
+            for cells in lines]
     text.insert(1, "|---" * (len(rows) + 1) + "|")
     return "\n".join(text) + "\n"

@@ -79,9 +79,9 @@ def sqrt_integral_solution(pair: SqrtPerturbation) -> SqrtIntegralResult:
 
         X = int_0^inf exp(-M^{-1/2} t) M^{-1/4} T H^{-1/4} exp(-H^{-1/2} t) dt
 
-    in log time (``_ray_integral``), with matrix exponentials by spectral
-    calculus, for the pair :func:`sqrt_pair` checked; ``M^{-1/4} T H^{-1/4}``
-    is ``V_M (mu^{-1/4} (-S_hat*) lam^{-1/4}) V_H*`` from ``pair.fp.s_hat``.
+    in log time (``_ray_integral``) for the pair :func:`sqrt_pair` checked.  With
+    ``c = 1/sqrt`` of each spectrum and the core ``K = c_M^{1/2} (-S_hat*) c_H^{1/2}``
+    of ``pair.fp.s_hat``, a node is ``(V_M e^{-t c_M}) K (V_H e^{-t c_H})*``: two products.
     The self-test of the exponential identity at ``C = H^{-1/2}`` runs through
     the same substitution.
     """
@@ -89,14 +89,12 @@ def sqrt_integral_solution(pair: SqrtPerturbation) -> SqrtIntegralResult:
     vm, vh = fp.dec_m.vectors, fp.dec_h.vectors
     c_m = 1.0 / np.sqrt(fp.dec_m.eigenvalues)
     c_h = 1.0 / np.sqrt(fp.dec_h.eigenvalues)
-    core = vm @ (np.sqrt(c_m)[:, None] * -fp.s_hat.conj().T * np.sqrt(c_h)) @ vh.conj().T
+    core = np.sqrt(c_m)[:, None] * -fp.s_hat.conj().T * np.sqrt(c_h)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        em = (vm * np.exp(-t * c_m)) @ vm.conj().T
-        eh = (vh * np.exp(-t * c_h)) @ vh.conj().T
-        return em @ core @ eh
+        return (vm * np.exp(-t * c_m)) @ core @ (vh * np.exp(-t * c_h)).conj().mT
 
-    # ||exp(-C_M t) core exp(-C_H t)|| <= ||core||_F exp(-(min c_m + min c_h) t)
+    # ||V_M exp(-c_m t) core exp(-c_h t) V_H*|| <= ||core||_F exp(-(min c_m + min c_h) t)
     x = _ray_integral(integrand, c_m.min() + c_h.min(), float(np.linalg.norm(core)))
     if not (np.iscomplexobj(fp.h.mat) or np.iscomplexobj(fp.m.mat)):
         x = x.real

@@ -115,9 +115,10 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
                           tol: float = 1e-10) -> np.ndarray:
     """Verification backend: evaluate the contour-integral representation
 
-        T = -(1/2 pi) * int A^{1/2} (A - i z - d)^{-1} F (M - i z - d)^{-1} M^{1/2} dz
+        T = -(1/2 pi) * int (A - i z - d)^{-1} G (M - i z - d)^{-1} dz,  G = A^{1/2} F M^{1/2}
 
-    by adaptive Gauss-Kronrod quadrature after the substitution z = d tan(s).
+    (each square root commutes with its resolvent, so G is formed once) by
+    adaptive Gauss-Kronrod quadrature after the substitution z = d tan(s).
     Requires the dichotomy ``||M|| < d < 1/||A^{-1}||``.  When A, M and F are
     all real the integrand satisfies ``g(-s) = conj(g(s))``, so only
     ``[0, pi/2]`` is integrated and T is ``-Re(.)/pi`` of that half.  ``tol``
@@ -141,21 +142,21 @@ def solve_weak_quadrature(p: WeakSylvesterProblem, d: float | None = None,
     d = d * root * root
     a_half = fractional_power(p.dec_a, 0.5).mat * root
     m_half = fractional_power(p.dec_m, 0.5).mat * root
-    amat, mmat, f = p.a.mat * root * root, p.m.mat * root * root, p.f
-    f_c = f.astype(np.complex128)  # a real F would be cast into a (15, n, n) copy
+    g = (a_half @ p.f @ m_half).astype(np.complex128)  # cast once, not per (15, n, n) stack
+    amat, mmat = p.a.mat * root * root, p.m.mat * root * root
     eye_a = np.eye(p.a.n)
     eye_m = np.eye(p.m.n)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         w = (d + 1j * d * np.tan(s))[:, None, None]
-        left = np.linalg.solve(amat - w * eye_a, np.broadcast_to(f_c, s.shape + f.shape))
+        left = np.linalg.solve(amat - w * eye_a, np.broadcast_to(g, s.shape + g.shape))
         # left (M - w)^{-1}, solved as the transpose system
         full = np.linalg.solve(np.swapaxes(mmat - w * eye_m, 1, 2),
                                np.swapaxes(left, 1, 2))
         del left  # at most three (15, n, n) stacks are live at once
-        return (a_half @ np.swapaxes(full, 1, 2) @ m_half) * (d / np.cos(s) ** 2)[:, None, None]
+        return np.swapaxes(full, 1, 2) * (d / np.cos(s) ** 2)[:, None, None]
 
-    real = not (np.iscomplexobj(f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat))
+    real = not (np.iscomplexobj(p.f) or np.iscomplexobj(amat) or np.iscomplexobj(mmat))
     lo, scale = (0.0, np.pi) if real else (-np.pi / 2, 2.0 * np.pi)
     try:
         total, _err = integrate_adaptive(integrand, lo, np.pi / 2,

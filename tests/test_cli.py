@@ -400,6 +400,16 @@ def test_bench_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_csv_to_stdout(tmp_path, capsys):
+    # without --out the CSV goes to stdout, the same bytes --out writes
+    argv = ["bench", "mathieu", "--theta", str(np.pi - 1e-4), "--alpha", "0.2499",
+            "--K", "16", "--ns", "8,10", "--interp", "cubic", "--norm", "hs"]
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 0 and capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_bench_clamped_carries_dk(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["bench", "mathieu", "--theta", str(np.pi - 1e-4), "--alpha", "0.2499",

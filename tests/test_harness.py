@@ -11,6 +11,7 @@ import pytest
 
 from relgap import harness, splines
 from relgap.harness import (
+    BenchmarkRow,
     build_test_space,
     mathieu_model,
     residual_competitor,
@@ -437,6 +438,13 @@ class TestEmission:
         md = rows_to_markdown(rows)
         assert md.splitlines()[0] == "| quantity | N=5 | N=6 |"
         assert "| true error |" in md and "| residual bound |" in md
+
+    def test_markdown_escapes_cells(self):
+        # a "|" would split the note's cell and a newline would end its line
+        row = BenchmarkRow(5, "cubic", "hs", 1e-3, 2e-3, None, True, "a | b\nc")
+        lines = rows_to_markdown([row]).splitlines()
+        assert len(lines) == 7 and lines[-1] == r"| note | a \| b<br>c |"
+        assert rows_to_csv([row]).endswith(',true,"a | b\nc"\n')
 
 
 @dataclasses.dataclass(frozen=True)

@@ -110,6 +110,10 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="square"):
             HermitianMatrix(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            HermitianMatrix(np.zeros((0, 0)))
+
     def test_real_field_is_kept(self):
         assert not np.iscomplexobj(HermitianMatrix(np.eye(2)).mat)
         assert not np.iscomplexobj(HermitianMatrix((np.eye(2) + 0j)).mat)  # imag part is zero
@@ -161,6 +165,23 @@ class TestEig:
         d1, d2 = eig_herm(a), eig_herm(a)
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
         np.testing.assert_array_equal(d1.vectors, d2.vectors)
+
+    @pytest.mark.parametrize("lam, v, message", [
+        ([1.0, 2.0], np.eye(3), "shapes are inconsistent"),
+        ([2.0, 1.0], np.eye(2), "must be nondecreasing"),
+    ], ids=["shapes", "order"])
+    def test_rejects_malformed_decomposition(self, lam, v, message):
+        with pytest.raises(ValueError, match=message):
+            SpectralDecomposition(np.array(lam), v)
+
+    def test_convergence_failure_named(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        message = "Hermitian eigensolver did not converge (off-diagonal residual 1.414e+00)"
+        with pytest.raises(matcore.ConvergenceError, match=re.escape(message)):
+            HermitianMatrix(np.ones((2, 2))).decomposition
 
 
 class TestSpectralCalculus:
@@ -392,6 +413,10 @@ class TestProjection:
     def test_rejects_nonorthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             Projection(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rejects_more_columns_than_rows(self):
+        with pytest.raises(ValueError, match="cannot have 3 orthonormal columns in dimension 2"):
+            Projection(np.ones((2, 3)))
 
     def test_idempotent(self, rng):
         p = Projection.from_span(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))

@@ -384,6 +384,10 @@ class TestRitzBounds:
         with pytest.raises(ValueError, match="norm"):
             ritz_bounds(h, Projection(np.eye(3)[:, :1]), 10.0, norm="nuclear")
 
+    def test_gram_bad_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm must be 'op' or 'hs', got 'fro'"):
+            dk_bound_from_gram(np.eye(2), 1.0, 2.0, 3.0, norm="fro")
+
 
 class TestDkResidualBound:
     def test_exact_eigenvectors_zero(self, rng):
@@ -402,6 +406,10 @@ class TestDkResidualBound:
         w = rng.standard_normal((4, 2))
         with pytest.raises(ValueError, match="orthonormal"):
             dk_residual_bound(h, w, 10.0)
+
+    def test_rejects_no_trial_vector(self):
+        with pytest.raises(ValueError, match="need at least one trial vector"):
+            dk_residual_bound(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), np.zeros((3, 0)), 2.5)
 
     def test_nan_trial_vector_rejected(self, rng):
         h = random_pd(rng, 4)

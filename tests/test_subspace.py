@@ -50,6 +50,10 @@ class TestPairAnalysis:
         assert rep.case == "isomorphic"
         assert rep.norm_diff <= 1e-12 and rep.hs_diff <= 1e-12
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="ambient dimensions differ: 2 vs 3"):
+            pair_analysis(Projection(np.eye(2)[:, :1]), Projection(np.eye(3)[:, :1]))
+
     def test_orthogonal_ranges(self):
         p = Projection(np.array([[1.0], [0.0]]))
         q = Projection(np.array([[0.0], [1.0]]))

@@ -143,6 +143,11 @@ class TestWeakResidual:
         p = _random_dichotomous(rng)
         assert weak_residual(p, np.zeros_like(p.f)) == pytest.approx(op_norm(p.f))
 
+    def test_rejects_wrong_shape(self):
+        p = _problem([4.0, 5.0], [1.0, 2.0], np.ones((2, 2)))
+        with pytest.raises(ValueError, match=re.escape("T must have shape (2, 2), got (3, 2)")):
+            weak_residual(p, np.ones((3, 2)))
+
     def test_grows_with_perturbation(self, rng):
         p = _random_dichotomous(rng, n_a=5, n_m=4)
         t = solve_weak_spectral(p)
