@@ -13,7 +13,6 @@ from .matcore import (  # noqa: F401
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
-    eig_herm,
     fractional_power,
     hs_norm,
     load_matrix,

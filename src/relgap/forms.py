@@ -26,7 +26,6 @@ from .matcore import (
     SpectralDecomposition,
     _pseudo_power,
     _range_mask,
-    eig_herm,
     op_norm,
     require_positive,
 )
@@ -53,8 +52,8 @@ class FormPair:
     def __post_init__(self):
         if self.h.n != self.m.n:
             raise ValueError(f"dimension mismatch: {self.h.n} vs {self.m.n}")
-        object.__setattr__(self, "dec_h", eig_herm(self.h))
-        object.__setattr__(self, "dec_m", eig_herm(self.m))
+        object.__setattr__(self, "dec_h", self.h.decomposition)
+        object.__setattr__(self, "dec_m", self.m.decomposition)
         require_positive(self.dec_h, "H", definite=False)
         require_positive(self.dec_m, "M", definite=False)
         for name, dec in (("range_h", self.dec_h), ("range_m", self.dec_m)):

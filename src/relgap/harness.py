@@ -1,11 +1,11 @@
 """End-to-end benchmark on a quasi-periodic Sturm-Liouville model.
 
 The model operator has known eigenpairs ``omega_k = (k + theta/2pi)^2 - alpha``
-with exponential eigenfunctions; truncating to modes -K..K makes it an exactly
-diagonal matrix, so the model's H costs no LAPACK: it decomposes by sorting
-its diagonal and the Ritz LU route solves by row scaling.  Each model builds
-H from its diagonal and that decomposition once, in O(n) memory, and every
-later run shares them; no n x n array is formed unless a caller reads H's
+with exponential eigenfunctions; truncating to modes -K..K makes it a diagonal
+matrix.  Each model builds H by ``HermitianMatrix.from_diagonal``, so H costs no
+LAPACK: it decomposes by sorting its diagonal, once, in O(n) memory, and the
+Ritz LU route solves by row scaling.  Every later run shares H and its
+decomposition; no n x n array is formed unless a caller reads H's
 dense matrix or eigenbasis.  Every product with H or its permutation
 eigenbasis is a row scaling, gather or scatter, so a table row costs O(nk)
 in the dimension n.  The trial space is
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import HermitianMatrix, Projection, _hermitian_part, eig_herm, fractional_power
+from .matcore import HermitianMatrix, Projection, _hermitian_part, fractional_power
 from .ritz import RitzEstimate, dk_bound_from_gram, ritz_bounds
 from .splines import (
     PiecewisePoly,
@@ -178,7 +178,7 @@ def residual_competitor(model: MathieuModel, trial: TrialFunctions, next_ev: flo
     # Gram matrices of the normalized interpolants phi_i = s_i pp_i
     b_gram = _hermitian_part(scales[:, None] * g * scales)  # exactly Hermitian: kept as is
     a_form = scales[:, None] * trial.gram[k:, k:] * scales - model.alpha * b_gram
-    b_ihalf = fractional_power(eig_herm(b_gram), -0.5).mat
+    b_ihalf = fractional_power(HermitianMatrix(b_gram).decomposition, -0.5).mat
     ritz_vals = np.linalg.eigvalsh(b_ihalf @ a_form @ b_ihalf)
     # each residual is formed as a function before its Gram is taken: it is
     # small, and expanding <r_i, r_j> through the forms would cancel
@@ -212,7 +212,7 @@ def run_benchmark(model: MathieuModel, ns, interp: str, norm: str = "hs",
     ns = list(ns)
     if not ns:
         raise ValueError("need at least one N")
-    next_ev = float(eig_herm(model.h).eigenvalues[len(TARGETS)])
+    next_ev = float(model.h.decomposition.eigenvalues[len(TARGETS)])
     rows = []
     for n_points in ns:
         trial = trial_functions(model, n_points, interp)

@@ -2,14 +2,14 @@
 orthonormal subspace bases and the operator / Hilbert-Schmidt norms used repo-wide.
 
 Inputs are immutable; a :class:`HermitianMatrix` decomposes itself at most
-once, on first use, and every consumer shares that read-only result.  An
-exactly diagonal matrix (every off-diagonal entry zero) decomposes in
-O(n log n), by a sort without LAPACK, into a permutation basis:
+once, on first use, into :attr:`HermitianMatrix.decomposition`, and every
+consumer shares that read-only result.  A dense input always decomposes by
+LAPACK.  A matrix built from its diagonal (:meth:`HermitianMatrix.from_diagonal`)
+decomposes in O(n log n), by a sort, into a permutation basis:
 :meth:`HermitianMatrix.apply`, :meth:`SpectralDecomposition.to_eigenbasis`
 and :meth:`SpectralDecomposition.from_eigenbasis` then act by row scaling,
-gather and scatter instead of n x n products.  A matrix built from its
-diagonal (:meth:`HermitianMatrix.from_diagonal`) and that basis hold O(n)
-memory until a dense array is read.  Real inputs stay real, complex inputs
+gather and scatter instead of n x n products, and both hold O(n) memory
+until a dense array is read.  Real inputs stay real, complex inputs
 stay complex.  Package-wide, :func:`_range_mask` decides which values count as
 zero, :func:`_pow2_scale` at which power of two a kernel scales its input,
 :func:`_hermitian_part` how a kernel symmetrizes the matrices it builds, and
@@ -91,10 +91,12 @@ class HermitianMatrix:
     :meth:`from_diagonal` builds a diagonal matrix from its diagonal and holds
     O(n) memory: its dense :attr:`mat` is built on first read, and ``n``,
     :meth:`apply`, :meth:`solve` and :attr:`decomposition` never build it.
+    It is the only way to that diagonal path; the constructor never takes it.
     """
 
     entries: InitVar[np.ndarray]
     _n: int = field(init=False, repr=False)
+    _diagonal: np.ndarray | None = field(init=False, repr=False)  # None unless from_diagonal
 
     def __post_init__(self, entries):
         mat = _tidy_field(entries)
@@ -115,6 +117,7 @@ class HermitianMatrix:
             mat = _tidy_field(_hermitian_part(mat), copy=False)
         mat.setflags(write=False)
         object.__setattr__(self, "_n", mat.shape[0])
+        object.__setattr__(self, "_diagonal", None)
         object.__setattr__(self, "mat", mat)  # fills the cached property
 
     @classmethod
@@ -131,7 +134,7 @@ class HermitianMatrix:
         d.setflags(write=False)
         h = object.__new__(cls)
         object.__setattr__(h, "_n", d.size)
-        object.__setattr__(h, "_diagonal", d)  # fills the cached property
+        object.__setattr__(h, "_diagonal", d)
         return h
 
     @property
@@ -149,12 +152,6 @@ class HermitianMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.mat, dtype=dtype, copy=copy)
 
-    @cached_property
-    def _diagonal(self) -> np.ndarray | None:
-        """The diagonal when every off-diagonal entry is exactly zero, else None."""
-        d = np.diag(self.mat)
-        return d if np.count_nonzero(self.mat) == np.count_nonzero(d) else None
-
     def _rows(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.shape[:1] != (self.n,):
@@ -162,7 +159,7 @@ class HermitianMatrix:
         return x
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``H x``; for an exactly diagonal H the row scaling ``d_i x_i``, in C
+        """``H x``; for :meth:`from_diagonal` the row scaling ``d_i x_i``, in C
         order like the product it replaces; x must have n rows."""
         x, d = self._rows(x), self._diagonal
         if d is None:
@@ -170,7 +167,7 @@ class HermitianMatrix:
         return np.multiply(d.reshape(d.shape + (1,) * (x.ndim - 1)), x, order="C")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``H^{-1} b`` by one LU solve, or on an exactly diagonal H the row
+        """``H^{-1} b`` by one LU solve, or for :meth:`from_diagonal` the row
         scaling by ``1 / d`` (the LU's reciprocal pivots); b must have n rows."""
         b, d = self._rows(b), self._diagonal
         if d is None:
@@ -180,8 +177,8 @@ class HermitianMatrix:
     @cached_property
     def decomposition(self) -> "SpectralDecomposition":
         """The eigendecomposition, computed on first access and shared by every
-        later consumer.  An exactly diagonal matrix decomposes by sorting its
-        diagonal, with no LAPACK call; any other eigen-solves ``A / s`` (:func:`_pow2_scale`)
+        later consumer.  A matrix built by :meth:`from_diagonal` decomposes by sorting
+        its diagonal, with no LAPACK call; any other eigen-solves ``A / s`` (:func:`_pow2_scale`)
         and scales the eigenvalues back, so ``2^k A`` gives ``(2^k lam, V)`` bit for bit.
         A LAPACK convergence failure is reported as a :class:`ConvergenceError` naming
         the off-diagonal residual."""
@@ -206,9 +203,9 @@ class SpectralDecomposition:
     compared and hashed by identity.
 
     Orthonormality is checked on construction through the n x n product
-    ``V* V``.  ``perm`` is set only by :meth:`_permutation`, the eigenbasis of
-    an exactly diagonal matrix: ``V[:, j] = e_{perm[j]}``.  That decomposition
-    holds O(n) memory and builds :attr:`vectors` on first read;
+    ``V* V``.  ``perm`` is set only by :meth:`_permutation`, the eigenbasis of a
+    :meth:`HermitianMatrix.from_diagonal` matrix: ``V[:, j] = e_{perm[j]}``.  That
+    decomposition holds O(n) memory and builds :attr:`vectors` on first read;
     :meth:`to_eigenbasis` and :meth:`from_eigenbasis` never build it.  ``perm``
     is None for any other decomposition.
     """
@@ -317,16 +314,6 @@ class Projection:
         return self.basis @ self.basis.conj().T
 
 
-def eig_herm(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Deterministic for a fixed input.  For a :class:`HermitianMatrix` this is
-    its cached :attr:`~HermitianMatrix.decomposition`.
-    """
-    h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(np.asarray(a))
-    return h.decomposition
-
-
 def require_positive(dec: SpectralDecomposition, name: str, definite: bool) -> None:
     """Reject a spectrum that is not positive semidefinite (``definite`` false:
     a negative eigenvalue passes :func:`_range_mask`) or not positive definite
@@ -386,8 +373,8 @@ def op_norm(a) -> float:
 
 
 def hs_norm(a) -> float:
-    """The Frobenius norm ``s ||A / s||_F``, s from :func:`_pow2_scale`."""
-    mat = _tidy_field(np.asarray(a), copy=False)
+    """The Frobenius norm ``s ||A / s||_F`` of a 2-d A, s from :func:`_pow2_scale`."""
+    mat = _matrix(a)
     s = _pow2_scale(mat)
     return s * float(np.linalg.norm(mat / s, "fro"))
 
@@ -430,9 +417,11 @@ def load_matrix(path) -> np.ndarray:
     """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"malformed matrix header {header!r}; expected 'n m field'")
-        n, m, field = int(header[0]), int(header[1]), header[2]
+        try:  # three tokens, the first two integers
+            n, m, field = header
+            n, m = int(n), int(m)
+        except ValueError:
+            raise ValueError(f"malformed matrix header {header!r}; expected 'n m field'") from None
         if n < 0 or m < 0:
             raise ValueError(f"negative dimension in matrix header {header!r}")
         if field not in ("real", "complex"):

@@ -19,7 +19,6 @@ from .matcore import (
     _hermitian_part,
     _matrix,
     _pow2_scale,
-    eig_herm,
     hs_norm,
     op_norm,
     require_positive,
@@ -49,10 +48,10 @@ def eta_routes(h: HermitianMatrix, p: Projection) -> tuple[np.ndarray, np.ndarra
     absolute accuracy in eta).  The two routes differ only in how they apply
     ``H^{-1}``: the eigenbasis route through H's cached eigendecomposition,
     the LU route through ``HermitianMatrix.solve``, which never reads the
-    eigenbasis (on an exactly diagonal H, a row scaling by the LU's pivots).
+    eigenbasis (on a ``from_diagonal`` H, a row scaling by the LU's pivots).
     The rest runs once, on the stack of both ``H^{-1} [R W]``.
     """
-    dec = eig_herm(h)
+    dec = h.decomposition
     require_positive(dec, "H", definite=True)
     if p.rank == 0:
         empty = np.zeros(0)
@@ -125,7 +124,7 @@ def ritz_bounds(h: HermitianMatrix, p: Projection, next_ev: float,
     if not np.isfinite(next_ev):
         raise ValueError(f"next_ev must be finite, got {next_ev}")
     etas, eta_lu, ritz_vals = eta_routes(h, p)
-    dec_h = eig_herm(h)
+    dec_h = h.decomposition
     lam = dec_h.eigenvalues
     # the LU route's forward error grows with the conditioning of H; a NaN gap fails
     eta_tol = float(max(ETA_CROSS_CHECK_TOL, 100.0 * np.finfo(float).eps * (lam[-1] / lam[0])))
@@ -222,7 +221,7 @@ def dk_residual_bound(h: HermitianMatrix, w: np.ndarray, next_ev: float,
     k = w.shape[1]
     if k == 0:
         raise ValueError("need at least one trial vector")
-    lam = eig_herm(h).eigenvalues
+    lam = h.decomposition.eigenvalues
     scale = 1.0 / _pow2_scale(lam)
     hw = h.apply(w) * scale
     rho = np.real(np.sum(w.conj() * hw, axis=0))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import FormPair, s_operator
-from .matcore import HermitianMatrix, _pow2_scale, eig_herm, op_norm, require_positive
+from .matcore import HermitianMatrix, _pow2_scale, op_norm, require_positive
 from .quadrature import integrate_adaptive
 
 
@@ -42,8 +42,8 @@ class SqrtPerturbation:
 
 def sqrt_pair(h: HermitianMatrix, m: HermitianMatrix) -> SqrtPerturbation:
     """T, X and their norms for a positive definite pair of one size."""
-    require_positive(eig_herm(h), "H", definite=True)
-    require_positive(eig_herm(m), "M", definite=True)
+    require_positive(h.decomposition, "H", definite=True)
+    require_positive(m.decomposition, "M", definite=True)
     fp = FormPair(h, m)
     t = -s_operator(fp).conj().T
     lam, mu = fp.dec_h.eigenvalues[None, :], fp.dec_m.eigenvalues[:, None]

@@ -24,7 +24,6 @@ from .matcore import (
     SpectralDecomposition,
     _matrix,
     _pow2_scale,
-    eig_herm,
     fractional_power,
     hs_norm,
     op_norm,
@@ -74,8 +73,8 @@ class WeakSylvesterProblem:
             raise ValueError(
                 f"F must have shape ({self.a.n}, {self.m.n}), got {self.f.shape}"
             )
-        object.__setattr__(self, "dec_a", eig_herm(self.a))
-        object.__setattr__(self, "dec_m", eig_herm(self.m))
+        object.__setattr__(self, "dec_a", self.a.decomposition)
+        object.__setattr__(self, "dec_m", self.m.decomposition)
         require_positive(self.dec_a, "A", definite=True)
         require_positive(self.dec_m, "M", definite=True)
         la, lm = self.dec_a.eigenvalues, self.dec_m.eigenvalues

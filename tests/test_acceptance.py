@@ -14,7 +14,6 @@ from relgap.forms import FormPair, eta_exact
 from relgap.harness import mathieu_model, run_benchmark
 from relgap.matcore import (
     HermitianMatrix,
-    eig_herm,
     fractional_power,
     hs_norm,
     op_norm,
@@ -59,7 +58,7 @@ def _within_factor(value: float, reference: float, factor: float) -> bool:
 
 def _congruent_pair(rng, eigs, strength, complex_field=False):
     m = hermitian_from_spectrum(rng, eigs, complex_field)
-    dec = eig_herm(m)
+    dec = m.decomposition
     m_half = (dec.vectors * np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
     n = len(eigs)
     z = rng.standard_normal((n, n))
@@ -308,8 +307,8 @@ def test_criterion_9_square_root_chain():
         h = random_pd(rng, n, complex_field=bool(trial % 2))
         m = random_pd(rng, n, complex_field=bool(trial % 2))
         eta_full = eta_exact(FormPair(h, m)).eta
-        h_half = fractional_power(eig_herm(h), 0.5)
-        m_half = fractional_power(eig_herm(m), 0.5)
+        h_half = fractional_power(h.decomposition, 0.5)
+        m_half = fractional_power(m.decomposition, 0.5)
         eta_half = eta_exact(FormPair(h_half, m_half)).eta
         assert eta_half <= eta_full / 2.0 + 1e-10
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relgap.cli import build_parser, main
-from relgap.matcore import eig_herm, load_matrix, save_matrix
+from relgap.matcore import load_matrix, save_matrix
 
 from conftest import hermitian_from_spectrum, make_rng
 
@@ -274,7 +274,7 @@ def test_ritz_estimate_next_ev_above_the_spectrum(tmp_path, capsys):
                           [8.0, 16.0], rng.uniform(8.0, 16.0, n - k - 2)])
     h = hermitian_from_spectrum(rng, lam, complex_field=False)
     tilt = rng.standard_normal((n, k))
-    basis = eig_herm(h).vectors[:, :k] + 0.02 * tilt / np.linalg.norm(tilt, 2)
+    basis = h.decomposition.vectors[:, :k] + 0.02 * tilt / np.linalg.norm(tilt, 2)
     hp, bp = tmp_path / "h.mtx", tmp_path / "b.mtx"
     save_matrix(hp, h.mat)
     save_matrix(bp, basis)
@@ -288,7 +288,7 @@ def test_ritz_estimate_next_ev_above_the_spectrum(tmp_path, capsys):
     assert rep["hypothesis_ok"] is False
     assert rep["dk_bound"] is None  # it once read a number below the truth
     assert rep["notes"] == ["next_ev=1.000000e+02 exceeds the (k+1)-st eigenvalue "
-                            f"{eig_herm(h).eigenvalues[k]:.6e} of H"]
+                            f"{h.decomposition.eigenvalues[k]:.6e} of H"]
 
 
 def test_subspace_bound_nan_pencil_exit_code(tmp_path, monkeypatch, capsys):
@@ -508,7 +508,12 @@ def test_numerical_failure_exit_code(matrix_files, monkeypatch, capsys, failure)
 MALFORMED = {
     "two-token header": ("2 2\n1 0 0 1\n", "malformed matrix header"),
     "unknown field": ("2 2 quaternion\n1 0 0 1\n", "unknown scalar field 'quaternion'"),
-    "non-integer n": ("2.5 2 real\n1 0 0 1\n", "invalid literal for int()"),
+    "non-integer n": ("2.5 2 real\n1 0 0 1\n",
+                      "malformed matrix header ['2.5', '2', 'real']; expected 'n m field'"),
+    "float n": ("2.0 2 real\n1 0 0 1\n",
+                "malformed matrix header ['2.0', '2', 'real']; expected 'n m field'"),
+    "word n": ("two 2 real\n1 0 0 1\n",
+               "malformed matrix header ['two', '2', 'real']; expected 'n m field'"),
     "bad token": ("2 2 real\n1 abc 0 1\n", "could not convert string to float: 'abc'"),
     "short body": ("2 2 real\n1 0 0\n", "expected 4 numbers, found 3"),
     "long body": ("2 2 real\n1 0 0 1 0\n", "expected 4 numbers, found 5"),

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from relgap import forms, sylvester
 from relgap.forms import FormPair, _pencil, eta_exact, s_operator
-from relgap.matcore import HermitianMatrix, eig_herm, hs_norm, op_norm
+from relgap.matcore import HermitianMatrix, hs_norm, op_norm
 from relgap.sqroot import sqrt_integral_solution, sqrt_pair
 from relgap.subspace import hs_subspace_bounds
 
@@ -44,7 +44,7 @@ def _comparable_pair(rng, n, max_eps=0.8, complex_field=False):
     m = random_pd(rng, n, complex_field=complex_field)
     e = random_pd(rng, n, complex_field=complex_field).mat
     e = e / op_norm(e) * rng.uniform(0.1, max_eps)
-    dec = eig_herm(m)
+    dec = m.decomposition
     m_half = (dec.vectors * np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
     sign = rng.choice([-1.0, 1.0])
     h = m_half @ (np.eye(n) + sign * e) @ m_half
@@ -238,7 +238,7 @@ def test_s_consumers_need_no_two_sided_fn(rng, monkeypatch):
     monkeypatch.setattr(sylvester, "_two_sided", forbidden)
     h, m = random_pd(rng, 5), random_pd(rng, 5)
     s_operator(FormPair(h, m))
-    lam = eig_herm(h).eigenvalues
+    lam = h.decomposition.eigenvalues
     assert hs_subspace_bounds(h, m, float(np.sqrt(lam[1] * lam[2]))).true_diff >= 0.0
     pair = sqrt_pair(h, m)
     assert np.max(np.abs(sqrt_integral_solution(pair).x - pair.x)) <= 1e-8

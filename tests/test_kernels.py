@@ -1,7 +1,7 @@
 """The shared eigendecomposition and the two-sided spectral kernel.
 
 Each HermitianMatrix is decomposed at most once and every consumer reads
-that result; an exactly diagonal one is decomposed and solved without
+that result; one built by ``from_diagonal`` is decomposed and solved without
 LAPACK, and it and its eigenbasis are applied by index.  The entrywise-kernel
 evaluations of S, T, X, the Sylvester solution and its residual agree with
 the dense fractional-power formulas kept below as references.
@@ -21,7 +21,6 @@ from relgap.matcore import (
     HermitianMatrix,
     Projection,
     SpectralDecomposition,
-    eig_herm,
     require_positive,
 )
 from relgap.ritz import dk_residual_bound, eta_routes, ritz_bounds
@@ -163,8 +162,8 @@ def test_epsilon_matches_dense_powers(complex_field, log_cond, kernel):
 
 def test_decomposition_is_cached_and_read_only():
     h = HermitianMatrix(np.diag([1.0, 2.0, 3.0]))
-    dec = eig_herm(h)
-    assert eig_herm(h) is dec and h.decomposition is dec
+    dec = h.decomposition
+    assert h.decomposition is dec
     with pytest.raises(ValueError, match="read-only"):
         dec.eigenvalues[0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
@@ -172,7 +171,7 @@ def test_decomposition_is_cached_and_read_only():
 
 
 # ---------------------------------------------------------------------------
-# exactly diagonal matrices: sorted diagonal, no LAPACK
+# matrices built from their diagonal: sorted diagonal, no LAPACK
 # ---------------------------------------------------------------------------
 
 def _diagonal_cases():
@@ -204,7 +203,7 @@ def test_diagonal_decomposes_by_sorting(d, monkeypatch):
         raise AssertionError("a diagonal matrix reached LAPACK")
 
     monkeypatch.setattr(np.linalg, "eigh", no_lapack)
-    dec = HermitianMatrix(np.diag(d)).decomposition
+    dec = HermitianMatrix.from_diagonal(d).decomposition
     assert dec.eigenvalues.tobytes() == ref_lam.tobytes()
     assert not (dec.eigenvalues.flags.writeable or dec.vectors.flags.writeable
                 or dec.perm.flags.writeable)
@@ -221,10 +220,12 @@ def test_diagonal_decomposes_by_sorting(d, monkeypatch):
 @pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
 def test_diagonal_decomposition_matches_public_constructor(d, complex_field):
     # the sort-order construction yields the arrays the checked constructor
-    # stores for the same dense basis, bit for bit, and the sort order as perm
-    dec = HermitianMatrix(np.diag(d) + (0j if complex_field else 0.0)).decomposition
+    # stores for the same dense basis, real or with a zero imaginary part,
+    # bit for bit, and the sort order as perm
+    dec = HermitianMatrix.from_diagonal(d).decomposition
     order = np.argsort(d, kind="stable")
-    ref = SpectralDecomposition(np.sort(d, kind="stable"), np.eye(d.size)[:, order])
+    basis = np.eye(d.size)[:, order] + (0j if complex_field else 0.0)
+    ref = SpectralDecomposition(np.sort(d, kind="stable"), basis)
     for name in ("eigenvalues", "vectors"):
         got, want = getattr(dec, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -234,32 +235,17 @@ def test_diagonal_decomposition_matches_public_constructor(d, complex_field):
     assert not dec.perm.flags.writeable and ref.perm is None
 
 
-def test_diagonal_build_copies_once(monkeypatch):
-    # the model's H at the linear table's size: one input copy, no
-    # symmetrized copy, no second pass over the dense eigenbasis
-    n = 641
-    copies = []
-    tidy = matcore._tidy_field
-    monkeypatch.setattr(matcore, "_tidy_field",
-                        lambda a: copies.append(np.shape(a)) or tidy(a))
-    h = HermitianMatrix(np.diag(make_rng(61).uniform(1.0, 100.0, n)))
-    assert h.decomposition.perm is not None
-    assert copies.count((n, n)) <= 1
-
-
-@pytest.mark.parametrize("route", ["from_diagonal", "dense"])
 @pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
-def test_diagonal_dense_arrays_built_on_first_read(d, route):
-    # both entry points share _diagonal and perm; the constructor from the
-    # diagonal builds no n x n array until mat or vectors is read, and then
-    # the arrays the dense input would hold, read-only and cached
-    h = (HermitianMatrix.from_diagonal(d) if route == "from_diagonal"
-         else HermitianMatrix(np.diag(d)))
+def test_diagonal_dense_arrays_built_on_first_read(d):
+    # the constructor from the diagonal builds no n x n array until mat or
+    # vectors is read, and then the arrays a dense input would hold, read-only
+    # and cached
+    h = HermitianMatrix.from_diagonal(d)
     dec = h.decomposition
     x = make_rng(63).standard_normal((d.size, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # some cases hold zeros
         h.apply(x), h.solve(x), dec.from_eigenbasis(dec.to_eigenbasis(x))
-    assert h.n == d.size and ("mat" in vars(h)) == (route == "dense")
+    assert h.n == d.size and "mat" not in vars(h)
     assert "vectors" not in vars(dec)
     np.testing.assert_array_equal(dec.perm, np.argsort(d, kind="stable"))
     for got, want in ((h.mat, np.diag(d)), (dec.vectors, np.eye(d.size)[:, dec.perm])):
@@ -341,8 +327,8 @@ def _bases():
     cases = {name: SpectralDecomposition._permutation(np.arange(v.shape[0], dtype=float),
                                                       np.argmax(v.real, axis=0))
              for name, v in PERMUTATION_CASES.items() if not (v == -1).any()}
-    cases["diagonal-ties"] = HermitianMatrix(
-        np.diag(DIAGONAL_CASES["wide-ties"])).decomposition
+    cases["diagonal-ties"] = HermitianMatrix.from_diagonal(
+        DIAGONAL_CASES["wide-ties"]).decomposition
     return cases
 
 
@@ -361,7 +347,7 @@ def test_eigenbasis_helpers_exact_on_permutation(dec):
 
 @pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
 def test_apply_exact_on_diagonal(d):
-    h = HermitianMatrix(np.diag(d))
+    h = HermitianMatrix.from_diagonal(d)
     for x in _operands(make_rng(65), d.size):
         hx = h.apply(x)
         assert np.array_equal(hx, h.mat @ x)
@@ -370,17 +356,17 @@ def test_apply_exact_on_diagonal(d):
 
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_solve_bits(complex_field):
-    # LU on a dense H; on a diagonal H the row scaling by 1 / d, which is
-    # what the Ritz LU route computed before it moved into HermitianMatrix
+    # LU on a dense H; on one built from its diagonal the row scaling by 1 / d,
+    # which is what the Ritz LU route computed before it moved into HermitianMatrix
     rng = make_rng(69)
     lam = rng.uniform(0.5, 20.0, 30)
-    diag = HermitianMatrix(np.diag(lam))
+    diag = HermitianMatrix.from_diagonal(lam)
     dense = hermitian_from_spectrum(rng, lam, complex_field)
     for x in _operands(rng, 30):
         scale = (1.0 / lam)[:, None] if x.ndim == 2 else 1.0 / lam
         assert diag.solve(x).tobytes() == (x * scale).tobytes()
         assert dense.solve(x).tobytes() == np.linalg.solve(dense.mat, x).tobytes()
-    for h in (diag, dense, HermitianMatrix(np.diag([2.0]))):
+    for h in (diag, dense, HermitianMatrix.from_diagonal([2.0])):
         with pytest.raises(ValueError, match="does not match dimension"):
             h.solve(np.ones((5, 2)))
 
@@ -489,10 +475,10 @@ def test_helpers_are_products_on_dense(complex_field):
             assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("tiny", [5e-324, 1e-300], ids=["subnormal", "1e-300"])
+@pytest.mark.parametrize("tiny", [0.0, 5e-324, 1e-300], ids=["zero", "subnormal", "1e-300"])
 def test_any_off_diagonal_entry_takes_lapack(tiny, monkeypatch):
-    # the detection is exact: one nonzero off-diagonal entry, however small,
-    # sends the matrix to LAPACK
+    # the constructor never inspects the entries: a dense input, exactly
+    # diagonal or with one off-diagonal entry however small, takes one eigh
     mat = np.diag([3.0, 1.0, 2.0, 5.0])
     mat[0, 2] = mat[2, 0] = tiny
     h = HermitianMatrix(mat)
@@ -500,8 +486,20 @@ def test_any_off_diagonal_entry_takes_lapack(tiny, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    np.testing.assert_array_equal(h.decomposition.eigenvalues, eigh(mat)[0])
-    assert len(calls) == 1
+    dec = h.decomposition
+    np.testing.assert_array_equal(dec.eigenvalues, eigh(mat)[0])
+    assert len(calls) == 1 and dec.perm is None
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex-zero-imag"])
+@pytest.mark.parametrize("d", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES.keys())
+def test_dense_diagonal_eigenvalues_match_from_diagonal(d, complex_field):
+    # LAPACK on an exactly diagonal dense input gives the sorted diagonal that
+    # from_diagonal gives, bit for bit
+    dec = HermitianMatrix(np.diag(d) + (0j if complex_field else 0.0)).decomposition
+    assert dec.perm is None
+    want = HermitianMatrix.from_diagonal(d).decomposition.eigenvalues
+    assert dec.eigenvalues.tobytes() == want.tobytes()
 
 
 def test_require_positive_rejects_negative_diagonal():
@@ -513,21 +511,19 @@ def test_require_positive_rejects_negative_diagonal():
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_eta_routes_on_diagonal(complex_field, monkeypatch):
+def test_eta_routes_on_diagonal(complex_field):
     rng = make_rng(61)
     n, k = 30, 3
     lam = rng.uniform(0.5, 20.0, n)
     p = random_projection(rng, n, k, complex_field)
-    eta_eig, eta_lu, _ = eta_routes(HermitianMatrix(np.diag(lam)), p)
+    eta_eig, eta_lu, _ = eta_routes(HermitianMatrix.from_diagonal(lam), p)
     # a rotated copy of the same spectrum and trial space has the same etas
     q = random_unitary(rng, n, complex_field=False)
     rotated = eta_routes(HermitianMatrix((q * lam) @ q.T), Projection(q @ p.basis))[:2]
     for got in (eta_eig, eta_lu):
         for ref in rotated:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(ref))
-    # with the diagonal test switched off the LU route is np.linalg.solve:
-    # the same bits
-    monkeypatch.setattr(HermitianMatrix, "_diagonal", property(lambda self: None))
+    # on the dense input the LU route is np.linalg.solve: the same bits
     assert eta_routes(HermitianMatrix(np.diag(lam)), p)[1].tobytes() == eta_lu.tobytes()
 
 
@@ -548,24 +544,22 @@ def _poison(h):
 
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_diagonal_path_never_reads_dense_arrays(complex_field):
-    # every product with a diagonal H or its eigenbasis goes by index, so
-    # NaN in the dense arrays changes no output bit; the model's H, built
-    # from its diagonal, has not even formed them when the outputs are in
+    # every product with an H built from its diagonal, or with its eigenbasis,
+    # goes by index, so NaN in the dense arrays changes no output bit; neither
+    # H, the model's included, has even formed them when the outputs are in
     rng = make_rng(67)
-    lam = rng.uniform(0.5, 20.0, 40)
-    for h, from_diagonal in ((HermitianMatrix(np.diag(lam)), False),
-                             (mathieu_model(np.pi - 1e-4, 0.2499, 20).h, True)):
+    for h in (HermitianMatrix.from_diagonal(rng.uniform(0.5, 20.0, 40)),
+              mathieu_model(np.pi - 1e-4, 0.2499, 20).h):
         n, k = h.n, 2
         lam = h._diagonal
         # a tilt of the two lowest eigenvectors: every bound is defined
         p = Projection.from_span(np.eye(n)[:, np.argsort(lam)[:k]]
                                  + 0.02 * random_projection(rng, n, k, complex_field).basis)
         next_ev = float(np.sort(lam)[k])
-        assert h._diagonal is not None and h.decomposition.perm is not None
+        assert h.decomposition.perm is not None
         before = _table_path_outputs(h, p, next_ev)
         assert np.all(np.isfinite(np.concatenate(before)))
-        if from_diagonal:
-            assert "mat" not in vars(h) and "vectors" not in vars(h.decomposition)
+        assert "mat" not in vars(h) and "vectors" not in vars(h.decomposition)
         _poison(h)
         after = _table_path_outputs(h, p, next_ev)
         for got, ref in zip(after, before):
@@ -650,7 +644,7 @@ def test_decompositions_per_public_call(large_decompositions, monkeypatch):
     def hs_bounds():
         h, m = _pair(make_rng(46))
         hs_subspace_bounds(h, m, D1)
-        assert all(np.count_nonzero(eig_herm(x).eigenvalues <= D1) == RANK for x in (h, m))
+        assert all(np.count_nonzero(x.decomposition.eigenvalues <= D1) == RANK for x in (h, m))
 
     def sylvester_path():
         a = hermitian_from_spectrum(rng, rng.uniform(3.0, 9.0, N), complex_field=False)
@@ -680,9 +674,9 @@ def test_decompositions_per_public_call(large_decompositions, monkeypatch):
     h, p = _pair(rng)[0], random_projection(rng, N, RANK)
     assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("svd", "norm")) == 0
     assert _counted(counts, lambda: ritz_bounds(h, p, next_ev=3.0), ("solve",)) == 1
-    # an exactly diagonal H decomposes by sorting and its LU route is a row
-    # scaling: no n-sized eigh/eigvalsh/svd and no n-by-n solve at all
-    diag_h = HermitianMatrix(np.diag(rng.uniform(0.5, 10.0, N)))
+    # an H built from its diagonal decomposes by sorting and its LU route is a
+    # row scaling: no n-sized eigh/eigvalsh/svd and no n-by-n solve at all
+    diag_h = HermitianMatrix.from_diagonal(rng.uniform(0.5, 10.0, N))
     assert _counted(counts, lambda: ritz_bounds(diag_h, p, next_ev=3.0),
                     ("eigh", "eigvalsh", "svd", "solve")) == 0
     # the subspace truths come from n-by-k blocks and eta from the difference
@@ -739,5 +733,5 @@ def test_eta_routes_is_one_small_eigh(complex_field, monkeypatch):
 def test_fractional_power_is_exactly_hermitian(complex_field, power):
     rng = make_rng(48)
     h = hermitian_from_spectrum(rng, rng.uniform(0.5, 10.0, 12), complex_field=complex_field)
-    out = matcore.fractional_power(eig_herm(h), power)
+    out = matcore.fractional_power(h.decomposition, power)
     assert np.array_equal(out.mat, out.mat.conj().T)

@@ -14,7 +14,6 @@ from relgap.matcore import (
     Projection,
     SpectralDecomposition,
     _tidy_field,
-    eig_herm,
     fractional_power,
     hs_norm,
     load_matrix,
@@ -123,16 +122,16 @@ class TestHermitianMatrix:
 
 class TestEig:
     def test_identity(self):
-        dec = eig_herm(np.eye(3))
+        dec = HermitianMatrix(np.eye(3)).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [1, 1, 1])
         np.testing.assert_allclose(dec.vectors @ dec.vectors.conj().T, np.eye(3), atol=1e-14)
 
     def test_diagonal_sorted(self):
-        dec = eig_herm(np.diag([4.0, 1.0]))
+        dec = HermitianMatrix(np.diag([4.0, 1.0])).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 4.0])
 
     def test_two_by_two(self):
-        dec = eig_herm(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        dec = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-14)
         expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
         overlap = np.abs(np.sum(expected.conj() * dec.vectors, axis=0))
@@ -153,7 +152,7 @@ class TestEig:
             rng = make_rng(trial)
             n = int(rng.integers(1, 21))
             a = random_hermitian(rng, n, complex_field=bool(trial % 2))
-            dec = eig_herm(a)
+            dec = a.decomposition
             scale = max(hs_norm(a), 1e-30)
             rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
             assert hs_norm(rebuilt - a.mat) <= 1e-11 * scale
@@ -162,7 +161,8 @@ class TestEig:
 
     def test_deterministic(self, rng):
         a = random_hermitian(rng, 8, complex_field=True)
-        d1, d2 = eig_herm(a), eig_herm(a)
+        # two matrices built from one input decompose to the same bits
+        d1, d2 = (HermitianMatrix(a.mat).decomposition for _ in range(2))
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
         np.testing.assert_array_equal(d1.vectors, d2.vectors)
 
@@ -186,26 +186,26 @@ class TestEig:
 
 class TestSpectralCalculus:
     def test_sqrt(self):
-        out = fractional_power(eig_herm(np.diag([4.0, 9.0])), 0.5)
+        out = fractional_power(HermitianMatrix(np.diag([4.0, 9.0])).decomposition, 0.5)
         np.testing.assert_allclose(out.mat, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_pseudo_inverse_zero_convention(self):
-        out = fractional_power(eig_herm(np.diag([4.0, 0.0])), -1.0)
+        out = fractional_power(HermitianMatrix(np.diag([4.0, 0.0])).decomposition, -1.0)
         np.testing.assert_allclose(out.mat, np.diag([0.25, 0.0]), atol=1e-14)
 
     def test_quarter_power(self):
-        out = fractional_power(eig_herm(np.diag([16.0])), 0.25)
+        out = fractional_power(HermitianMatrix(np.diag([16.0])).decomposition, 0.25)
         np.testing.assert_allclose(out.mat, [[2.0]], atol=1e-14)
 
     def test_identity_function_reproduces(self, rng):
         a = random_hermitian(rng, 7, complex_field=True)
-        out = fractional_power(eig_herm(a), 1.0)
+        out = fractional_power(a.decomposition, 1.0)
         np.testing.assert_allclose(out.mat, a.mat, atol=1e-12 * max(hs_norm(a), 1.0))
 
     def test_pinv_composition_is_range_projector(self, rng):
         u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         a = HermitianMatrix(u @ np.diag([3.0, 1.5, 0.7, 0.0, 0.0]) @ u.T)
-        dec = eig_herm(a)
+        dec = a.decomposition
         pinv = fractional_power(dec, -1.0)
         proj = a.mat @ pinv.mat
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
@@ -213,15 +213,15 @@ class TestSpectralCalculus:
 
     def test_moore_penrose_identities(self, rng):
         u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        a = HermitianMatrix(u @ np.diag([5.0, 2.0, 1.0, 0.4, 0.0, 0.0]) @ u.T).mat
-        x = fractional_power(eig_herm(a), -1.0).mat
+        h = HermitianMatrix(u @ np.diag([5.0, 2.0, 1.0, 0.4, 0.0, 0.0]) @ u.T)
+        a, x = h.mat, fractional_power(h.decomposition, -1.0).mat
         np.testing.assert_allclose(a @ x @ a, a, atol=1e-10)
         np.testing.assert_allclose(x @ a @ x, x, atol=1e-10)
         np.testing.assert_allclose((a @ x).conj().T, a @ x, atol=1e-10)
         np.testing.assert_allclose((x @ a).conj().T, x @ a, atol=1e-10)
 
     def test_fractional_power_negative_eigenvalue_rejected(self):
-        dec = eig_herm(np.diag([-1.0, 2.0]))
+        dec = HermitianMatrix(np.diag([-1.0, 2.0])).decomposition
         with pytest.raises(ValueError, match="-1"):
             fractional_power(dec, 0.5)
 
@@ -230,13 +230,13 @@ class TestSpectralCalculus:
         # counts as zero, so it passes and maps to zero; one beyond it fails
         for d in ([-3.0, -1.0], [-5.0, 1.0], [-2e-12, 1.0]):
             with pytest.raises(ValueError, match="positive semidefinite"):
-                fractional_power(eig_herm(np.diag(d)), 0.5)
+                fractional_power(HermitianMatrix(np.diag(d)).decomposition, 0.5)
             with pytest.raises(ValueError, match="positive semidefinite"):
-                fractional_power(eig_herm(np.diag(d)), -1.0)
-        out = fractional_power(eig_herm(np.diag([-0.5e-12, 1.0])), -0.5)
+                fractional_power(HermitianMatrix(np.diag(d)).decomposition, -1.0)
+        out = fractional_power(HermitianMatrix(np.diag([-0.5e-12, 1.0])).decomposition, -0.5)
         np.testing.assert_array_equal(out.mat, np.diag([0.0, 1.0]))
         # integer powers >= 0 need no positivity
-        out = fractional_power(eig_herm(np.diag([-3.0, 1.0])), 2.0)
+        out = fractional_power(HermitianMatrix(np.diag([-3.0, 1.0])).decomposition, 2.0)
         np.testing.assert_array_equal(out.mat, np.diag([9.0, 1.0]))
 
     @pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, np.inf]])
@@ -249,11 +249,11 @@ class TestSpectralCalculus:
     def test_nonfinite_power_rejected(self, power):
         # round(p) raised "cannot convert float NaN to integer" or OverflowError
         with pytest.raises(ValueError, match=f"the power p must be finite, got {power}"):
-            fractional_power(eig_herm(np.diag([4.0, 9.0])), power)
+            fractional_power(HermitianMatrix(np.diag([4.0, 9.0])).decomposition, power)
 
     def test_nonfinite_rejected(self):
         # 1e-300 survives the 1e-12 relative cutoff, and its -2 power overflows
-        dec = eig_herm(np.diag([1e-300, 1e-290]))
+        dec = HermitianMatrix(np.diag([1e-300, 1e-290])).decomposition
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(over="ignore"):
                 fractional_power(dec, -2.0)
@@ -320,11 +320,11 @@ class TestNorms:
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0-d", "1-d", "3-d"])
     @pytest.mark.parametrize("call", [
-        op_norm, lambda a: save_matrix(io.StringIO(), a), Projection.from_span, Projection,
+        op_norm, hs_norm, lambda a: save_matrix(io.StringIO(), a), Projection.from_span, Projection,
         lambda a: WeakSylvesterProblem(ONE_BY_ONE, TWO_BY_TWO, a),
         lambda a: weak_residual(WeakSylvesterProblem(ONE_BY_ONE, TWO_BY_TWO, np.ones((1, 2))), a),
         lambda a: dk_bound_from_gram(a, 1.0, 1.0, 2.0),
-    ], ids=["op_norm", "save_matrix", "from_span", "Projection", "sylvester_f",
+    ], ids=["op_norm", "hs_norm", "save_matrix", "from_span", "Projection", "sylvester_f",
             "weak_residual", "dk_bound_from_gram"])
     def test_rejects_non_matrix(self, call, shape):
         # a scalar, a vector or a stack has no one operator norm, row layout or
@@ -342,24 +342,24 @@ class TestSpectralProjector:
     # truth oracles are built from
 
     def test_below_cutoff(self):
-        dec = eig_herm(np.diag([1.0, 4.0]))
+        dec = HermitianMatrix(np.diag([1.0, 4.0])).decomposition
         p = spectral_projector(dec, -np.inf, 2.0)
         np.testing.assert_allclose(p.projector, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_empty_selection(self):
-        dec = eig_herm(np.diag([1.0, 4.0]))
+        dec = HermitianMatrix(np.diag([1.0, 4.0])).decomposition
         p = spectral_projector(dec, -np.inf, 0.5)
         assert p.rank == 0
         np.testing.assert_allclose(p.projector, np.zeros((2, 2)))
 
     def test_band(self):
-        dec = eig_herm(np.diag([1.0, 2.0, 5.0]))
+        dec = HermitianMatrix(np.diag([1.0, 2.0, 5.0])).decomposition
         p = spectral_projector(dec, 1.5, 3.0)
         assert p.rank == 1
         np.testing.assert_allclose(p.projector, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
 
     def test_bad_interval(self):
-        dec = eig_herm(np.eye(2))
+        dec = HermitianMatrix(np.eye(2)).decomposition
         with pytest.raises(ValueError, match="order"):
             spectral_projector(dec, 2.0, 1.0)
 
@@ -367,11 +367,11 @@ class TestSpectralProjector:
     def test_nan_bound_rejected(self, a, b):
         # a NaN bound fails every comparison, which selected a rank-0 projection
         with pytest.raises(ValueError, match="NaN"):
-            spectral_projector(eig_herm(np.eye(2)), a, b)
+            spectral_projector(HermitianMatrix(np.eye(2)).decomposition, a, b)
 
     def test_monotone_in_cutoff(self, rng):
         a = random_hermitian(rng, 9, complex_field=True)
-        dec = eig_herm(a)
+        dec = a.decomposition
         cuts = sorted(rng.uniform(dec.eigenvalues[0], dec.eigenvalues[-1], size=4))
         for d1, d2 in zip(cuts, cuts[1:]):
             p1 = spectral_projector(dec, -np.inf, d1)
@@ -390,7 +390,7 @@ class TestSpectralProjector:
             if trial % 2:
                 z = z + 1j * rng.standard_normal((n, n))
             h = HermitianMatrix(m.mat + z @ z.conj().T)
-            dec_m, dec_h = eig_herm(m), eig_herm(h)
+            dec_m, dec_h = m.decomposition, h.decomposition
             assert np.all(dec_m.eigenvalues <= dec_h.eigenvalues + 1e-10)
             for gamma in rng.uniform(dec_m.eigenvalues[0], dec_h.eigenvalues[-1], size=3):
                 dim_h = spectral_projector(dec_h, -np.inf, gamma).rank
@@ -701,7 +701,7 @@ def test_equality_and_hash_by_identity(make):
 
 def test_spectrum_factory_helper(rng):
     h = hermitian_from_spectrum(rng, [1.0, 2.0, 5.0], complex_field=True)
-    np.testing.assert_allclose(eig_herm(h).eigenvalues, [1.0, 2.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(h.decomposition.eigenvalues, [1.0, 2.0, 5.0], atol=1e-12)
 
 
 def _with_entry(value: float) -> np.ndarray:
@@ -725,12 +725,12 @@ def _sylvester_problem(f):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [
     lambda mat, tmp: HermitianMatrix(mat),
-    lambda mat, tmp: eig_herm(mat),
+    lambda mat, tmp: HermitianMatrix.from_diagonal(np.diag(mat)),
     lambda mat, tmp: Projection(mat[:, :1]),
     lambda mat, tmp: Projection.from_span(mat),
     lambda mat, tmp: _sylvester_problem(mat),
     lambda mat, tmp: _load_written(tmp, mat),
-], ids=["hermitian", "eig_herm", "projection", "from_span", "sylvester_f", "load_matrix"])
+], ids=["hermitian", "from_diagonal", "projection", "from_span", "sylvester_f", "load_matrix"])
 def test_nonfinite_input_rejected(entry, value, tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         entry(_with_entry(value), tmp_path)

@@ -9,7 +9,6 @@ from relgap.forms import FormPair, s_operator
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
-    eig_herm,
     hs_norm,
     op_norm,
     require_positive,
@@ -40,7 +39,7 @@ def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
     """Definition-level oracle for the block-diagonal part of H with respect
     to range(P), ``H_P = P H P + P_perp H P_perp``; the eta routes work on
     n-by-k blocks and never form it."""
-    require_positive(eig_herm(h), "H", definite=True)
+    require_positive(h.decomposition, "H", definite=True)
     proj = p.projector
     perp = np.eye(p.n) - proj
     return HermitianMatrix(proj @ h.mat @ proj + perp @ h.mat @ perp)
@@ -49,7 +48,7 @@ def build_hp(h: HermitianMatrix, p: Projection) -> HermitianMatrix:
 class TestBuildHp:
     def test_commuting_projection_leaves_h(self, rng):
         h = random_pd(rng, 5, complex_field=True)
-        dec = eig_herm(h)
+        dec = h.decomposition
         p = Projection(dec.vectors[:, :2])
         np.testing.assert_allclose(build_hp(h, p).mat, h.mat, atol=1e-12)
 
@@ -82,7 +81,7 @@ class TestBuildHp:
 class TestEtaSpectrum:
     def test_invariant_subspace_zero(self, rng):
         h = random_pd(rng, 6)
-        p = Projection(eig_herm(h).vectors[:, 2:4])
+        p = Projection(h.decomposition.vectors[:, 2:4])
         np.testing.assert_allclose(eta_routes(h, p)[0], 0.0, atol=1e-12)
 
     def test_hand_case(self):
@@ -90,7 +89,7 @@ class TestEtaSpectrum:
         etas = eta_routes(HAND_H, E1)[0]
         np.testing.assert_allclose(etas, [0.5], atol=1e-14)
         # the normalized defect itself is (1/2) * offdiagonal swap
-        dec = eig_herm(hp)
+        dec = hp.decomposition
         hp_ihalf = (dec.vectors / np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
         delta = hp_ihalf @ (HAND_H.mat - hp.mat) @ hp_ihalf
         np.testing.assert_allclose(delta, np.array([[0.0, 0.5], [0.5, 0.0]]), atol=1e-14)
@@ -141,7 +140,7 @@ class TestEtaSpectrum:
             basis[trunc + mode, j] = 1.0
         w = np.linalg.qr(basis)[0]
         ref = _decimal_etas(lam, w)
-        for route in eta_routes(HermitianMatrix(np.diag(lam)), Projection(w))[:2]:
+        for route in eta_routes(HermitianMatrix.from_diagonal(lam), Projection(w))[:2]:
             np.testing.assert_allclose(route, ref, rtol=1e-12, atol=0.0)
 
     def test_rank_zero_empty(self, rng):
@@ -181,7 +180,7 @@ class TestEtaSpectrum:
             if eta_k >= 1.0:
                 continue
             s = s_operator(FormPair(h, hp))
-            dec = eig_herm(hp)
+            dec = hp.decomposition
             hp_ihalf = (dec.vectors / np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
             delta = hp_ihalf @ (h.mat - hp.mat) @ hp_ihalf
             q = random_projection(rng, n, int(rng.integers(1, n + 1))).projector
@@ -207,7 +206,7 @@ class TestEtaSpectrum:
 def _tilted_eigenspace(rng, h: HermitianMatrix, k: int, tilt: float) -> Projection:
     """Span of the k lowest eigenvectors of h, each tilted by a random
     perturbation of norm ``tilt``."""
-    vectors = eig_herm(h).vectors
+    vectors = h.decomposition.vectors
     pert = rng.standard_normal((h.n, k))
     if np.iscomplexobj(vectors):
         pert = pert + 1j * rng.standard_normal((h.n, k))
@@ -247,7 +246,7 @@ def _decimal_etas(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 class TestRitzBounds:
     def test_invariant_subspace(self, rng):
         h = random_pd(rng, 6)
-        dec = eig_herm(h)
+        dec = h.decomposition
         p = Projection(dec.vectors[:, :2])
         est = ritz_bounds(h, p, float(dec.eigenvalues[2]), norm="hs")
         assert est.true_hs == pytest.approx(0.0, abs=1e-10)
@@ -298,7 +297,7 @@ class TestRitzBounds:
             n = int(rng.integers(3, 10))
             k = int(rng.integers(1, min(n, 4)))
             h = random_pd(rng, n, complex_field=bool(trial % 2))
-            dec = eig_herm(h)
+            dec = h.decomposition
             # perturb an invariant subspace a little to keep eta small
             basis = dec.vectors[:, :k] + 0.05 * rng.standard_normal((n, k))
             p = Projection.from_span(basis)
@@ -335,7 +334,7 @@ class TestRitzBounds:
             h = hermitian_from_spectrum(rng, eigs, complex_field)
             k = int(rng.integers(1, 5))
             p = _tilted_eigenspace(rng, h, k, tilt)
-            est = ritz_bounds(h, p, float(eig_herm(h).eigenvalues[k]))
+            est = ritz_bounds(h, p, float(h.decomposition.eigenvalues[k]))
             np.testing.assert_array_equal(est.etas, eta_routes(h, p)[0])
             assert est.eta_disagreement <= est.eta_tol
             assert not est.hypothesis_ok or est.bound_hs >= est.true_hs
@@ -392,13 +391,13 @@ class TestRitzBounds:
 class TestDkResidualBound:
     def test_exact_eigenvectors_zero(self, rng):
         h = random_pd(rng, 5, complex_field=True)
-        dec = eig_herm(h)
+        dec = h.decomposition
         w = dec.vectors[:, :2]
         assert dk_residual_bound(h, w, float(dec.eigenvalues[2])) == pytest.approx(0.0, abs=1e-12)
 
     def test_denominator_not_positive(self, rng):
         h = random_pd(rng, 4)
-        dec = eig_herm(h)
+        dec = h.decomposition
         assert dk_residual_bound(h, dec.vectors[:, :2], 0.0) is None
 
     def test_orthonormality_required(self, rng):
@@ -413,7 +412,7 @@ class TestDkResidualBound:
 
     def test_nan_trial_vector_rejected(self, rng):
         h = random_pd(rng, 4)
-        w = eig_herm(h).vectors[:, :2].copy()
+        w = h.decomposition.vectors[:, :2].copy()
         w[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite entries"):
             dk_residual_bound(h, w, 10.0)
@@ -429,7 +428,7 @@ class TestDkResidualBound:
     def test_row_mismatch_on_diagonal_h_rejected(self):
         # the diagonal row scaling broadcast a 1 x 1 H over five rows: bound 0.0
         with pytest.raises(ValueError, match=r"shape \(5, 2\) does not match dimension 1"):
-            dk_residual_bound(HermitianMatrix([[2.0]]), np.eye(5)[:, :2], 3.5)
+            dk_residual_bound(HermitianMatrix.from_diagonal([2.0]), np.eye(5)[:, :2], 3.5)
 
     def test_op_mode_uses_smallest_ritz(self, rng):
         h = HermitianMatrix(np.diag([1.0, 2.0, 10.0]))
@@ -446,7 +445,7 @@ class TestDkResidualBound:
             n = int(rng.integers(4, 9))
             k = int(rng.integers(1, 3))
             h = random_pd(rng, n)
-            dec = eig_herm(h)
+            dec = h.decomposition
             if dec.eigenvalues[k] - dec.eigenvalues[k - 1] < 0.3:
                 continue
             basis = dec.vectors[:, :k] + 0.02 * rng.standard_normal((n, k))

@@ -13,7 +13,7 @@ import pytest
 
 from relgap.cli import main
 from relgap.forms import FormPair, eta_exact
-from relgap.matcore import HermitianMatrix, Projection, eig_herm, save_matrix
+from relgap.matcore import HermitianMatrix, Projection, save_matrix
 from relgap.ritz import dk_residual_bound, eta_routes, ritz_bounds
 from relgap.sqroot import sqrt_integral_solution, sqrt_pair
 from relgap.subspace import hs_subspace_bounds, subspace_bounds
@@ -40,7 +40,7 @@ def _scaled(x: HermitianMatrix, c: float) -> HermitianMatrix:
 def _inputs():
     rng = make_rng(3001)
     m = hermitian_from_spectrum(rng, [0.2, 0.3, 1.0, 1.1, 5.0, 6.0])
-    dec = eig_herm(m)
+    dec = m.decomposition
     m_half = (dec.vectors * np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
     z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     e = (z + z.conj().T) / 2.0
@@ -50,7 +50,7 @@ def _inputs():
     m_syl = hermitian_from_spectrum(rng, [0.5, 1.0, 2.0])
     f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h_ritz = hermitian_from_spectrum(rng, [1.0, 2.0, 5.0, 6.0, 7.0, 9.0])
-    v = eig_herm(h_ritz).vectors[:, :2]
+    v = h_ritz.decomposition.vectors[:, :2]
     trial = Projection.from_span(v + 0.01 * rng.standard_normal((6, 2)))
     return h, m, a, m_syl, f, h_ritz, trial
 

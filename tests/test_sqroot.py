@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from relgap import sqroot
 from relgap.forms import FormPair, eta_exact
-from relgap.matcore import HermitianMatrix, eig_herm, fractional_power, op_norm
+from relgap.matcore import HermitianMatrix, fractional_power, op_norm
 from relgap.sqroot import sqrt_integral_solution, sqrt_pair
 
 from conftest import (hermitian_from_spectrum, make_rng, random_pd, random_pd_logcond,
@@ -52,7 +52,7 @@ class TestSqrtPair:
             n = int(rng.integers(2, 8))
             h, m = random_pd(rng, n), random_pd(rng, n)
             pair = sqrt_pair(h, m)
-            dec_h, dec_m = eig_herm(h), eig_herm(m)
+            dec_h, dec_m = h.decomposition, m.decomposition
             lhs = (fractional_power(dec_m, 0.25).mat @ pair.x @ fractional_power(dec_h, -0.25).mat
                    + fractional_power(dec_m, -0.25).mat @ pair.x @ fractional_power(dec_h, 0.25).mat)
             assert np.linalg.norm(lhs - pair.t, 2) <= 1e-10 * max(pair.norm_t, 1e-3)
@@ -147,8 +147,8 @@ class TestFormBound:
             h = random_pd(rng, n, complex_field=bool(trial % 2))
             m = random_pd(rng, n, complex_field=bool(trial % 2))
             eta = eta_exact(FormPair(h, m)).eta
-            h_half = fractional_power(eig_herm(h), 0.5)
-            m_half = fractional_power(eig_herm(m), 0.5)
+            h_half = fractional_power(h.decomposition, 0.5)
+            m_half = fractional_power(m.decomposition, 0.5)
             eta_half = eta_exact(FormPair(h_half, m_half)).eta
             assert eta_half <= eta / 2.0 + 1e-10
 
@@ -169,6 +169,6 @@ def test_norm_equivalences_with_forms(rng):
     m = random_pd(rng, 5)
     pair = sqrt_pair(h, m)
     assert pair.norm_t == pytest.approx(eta_exact(FormPair(h, m)).eta, abs=1e-10)
-    h_half = fractional_power(eig_herm(h), 0.5)
-    m_half = fractional_power(eig_herm(m), 0.5)
+    h_half = fractional_power(h.decomposition, 0.5)
+    m_half = fractional_power(m.decomposition, 0.5)
     assert pair.norm_x == pytest.approx(eta_exact(FormPair(h_half, m_half)).eta, abs=1e-10)

@@ -7,7 +7,6 @@ from relgap.forms import FormPair, s_operator
 from relgap.matcore import (
     HermitianMatrix,
     Projection,
-    eig_herm,
     hs_norm,
     op_norm,
 )
@@ -32,7 +31,7 @@ from conftest import (
 def _congruent_pair(rng, eigs, strength=0.05, complex_field=False):
     """M with the given spectrum and H = M^{1/2}(I + E)M^{1/2}, ||E|| <= strength."""
     m = hermitian_from_spectrum(rng, eigs, complex_field)
-    dec = eig_herm(m)
+    dec = m.decomposition
     m_half = (dec.vectors * np.sqrt(dec.eigenvalues)) @ dec.vectors.conj().T
     z = rng.standard_normal((len(eigs), len(eigs)))
     if complex_field:
@@ -110,7 +109,7 @@ def _compression_oracle(h, m, d1):
     s = s_operator(FormPair(h, m))
     sides = []
     for x in (h, m):
-        dec = eig_herm(x)
+        dec = x.decomposition
         basis = dec.vectors[:, dec.eigenvalues <= d1]
         perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
         sides.append((basis, perp))
@@ -148,7 +147,7 @@ class TestBlockCompress:
 
     def test_spectral_projector_of_same_operator(self, rng):
         h = random_pd(rng, 5, complex_field=True)
-        lam = eig_herm(h).eigenvalues
+        lam = h.decomposition.eigenvalues
         rep = hs_subspace_bounds(h, h, (lam[1] + lam[2]) / 2.0)
         gap = relative_gap(lam[2:], lam[:2])
         assert rep.gap_low == pytest.approx(gap, abs=1e-10)
@@ -170,7 +169,7 @@ class TestBlockCompress:
             if rng.random() < 0.25:
                 eigs[:3] = eigs[0] * (1.0 + 1e-9 * np.arange(3))
             m = hermitian_from_spectrum(rng, eigs, complex_field)
-            lam = np.concatenate([eig_herm(h).eigenvalues, eig_herm(m).eigenvalues])
+            lam = np.concatenate([h.decomposition.eigenvalues, m.decomposition.eigenvalues])
             d1 = rng.uniform(0.9 * lam.min(), 1.1 * lam.max())
             rep = hs_subspace_bounds(h, m, d1)
             for name, want in _compression_oracle(h, m, d1).items():
@@ -183,7 +182,7 @@ class TestBlockCompress:
         # the compressed data form a weak Sylvester problem whose unique
         # solution is exactly the compressed product Q_perp P
         h, m = _congruent_pair(rng, [0.5, 0.8, 3.0, 4.0], strength=0.04)
-        dec_h, dec_m = eig_herm(h), eig_herm(m)
+        dec_h, dec_m = h.decomposition, m.decomposition
         p = Projection(dec_m.vectors[:, :2])
         bqp = dec_h.vectors[:, 2:]
         a = bqp.conj().T @ h.mat @ bqp
@@ -246,8 +245,8 @@ class TestSubspaceBounds:
         h, m = _congruent_pair(rng, [0.2, 0.3, 1.0, 1.1, 5.0, 6.0], strength=0.05,
                                complex_field=complex_field)
         rep = subspace_bounds(h, m, 2.0, 4.0, l1=0.45, l2=0.8)
-        q = spectral_projector(eig_herm(h), 0.8, 2.0)
-        p = spectral_projector(eig_herm(m), 0.8, 2.0)
+        q = spectral_projector(h.decomposition, 0.8, 2.0)
+        p = spectral_projector(m.decomposition, 0.8, 2.0)
         assert (q.rank, p.rank) == (2, 2)
         assert abs(rep.true_value - op_norm(p.projector - q.projector)) <= 1e-14
 
@@ -256,7 +255,7 @@ class TestSubspaceBounds:
         # P - Q; eta comes from the pseudo powers on the common range
         u = random_unitary(rng, 4, complex_field=False)
         m = HermitianMatrix(u @ np.diag([0.0, 0.0, 0.6, 4.0]) @ u.T)
-        dec = eig_herm(m)
+        dec = m.decomposition
         m_half = (dec.vectors * np.sqrt(np.maximum(dec.eigenvalues, 0.0))) @ dec.vectors.conj().T
         z = rng.standard_normal((4, 4))
         e = (z + z.T) / 2.0
@@ -351,7 +350,7 @@ def test_scalar_arguments_checked_before_any_decomposition(monkeypatch):
 class TestHsSubspaceBounds:
     def test_identical_commuting(self, rng):
         h = random_pd(rng, 5)
-        lam = eig_herm(h).eigenvalues
+        lam = h.decomposition.eigenvalues
         rep = hs_subspace_bounds(h, h, (lam[1] + lam[2]) / 2.0)
         assert rep.true_diff == pytest.approx(0.0, abs=1e-12)
         assert rep.bound_diff == pytest.approx(0.0, abs=1e-10)
@@ -525,8 +524,8 @@ class TestProjectionPairTruths:
     def test_truths_match_angles_and_dense_oracle(self, kq, kp, theta, complex_field):
         angles = theta * ANGLE_SHAPE[:min(kq, kp)]
         h, m = _angled_pair(make_rng(500), angles, kq, kp, complex_field)
-        q = spectral_projector(eig_herm(h), -np.inf, 1.5)
-        p = spectral_projector(eig_herm(m), -np.inf, 1.5)
+        q = spectral_projector(h.decomposition, -np.inf, 1.5)
+        p = spectral_projector(m.decomposition, -np.inf, 1.5)
         assert (q.rank, p.rank) == (kq, kp)
         sines = np.sin(angles)
         op_exact = np.max(sines, initial=0.0) if kq == kp else 1.0
